@@ -10,6 +10,7 @@ is idempotent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +20,8 @@ from .errors import ChannelMismatch, IndexOutOfRange, InsufficientData
 from .packing import LatentVideo
 
 DEFAULT_K = 128
-_CHUNK = 1 << 14
+# Bytes of the float64 (rows, K) score matrix one search chunk may hold.
+_SCORE_BYTES = 16 << 20
 
 
 @dataclass(frozen=True)
@@ -67,20 +69,54 @@ class IndexMap:
 
 
 def _nearest(pixels: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-centroid index and squared distance per pixel, chunked."""
-    n = pixels.shape[0]
+    """Nearest-centroid index and squared distance per pixel, chunked.
+
+    Ranks centroids by ``-2 x.c + |c|^2`` through a matmul (``|x|^2`` is
+    constant per row). A row whose best-to-second margin is not clearly
+    above the float error of that score and of the direct distance is
+    re-ranked by the direct ``sum((x - c)^2)``, so the result is the
+    direct formula's argmin, ties to the lowest index.
+    """
+    n, (k, c) = pixels.shape[0], centroids.shape
+    rows = max(1, _SCORE_BYTES // (8 * k))
+    exact_rows = max(1, rows // c)  # keeps the (rows, K, C) recheck in budget
     assign = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64)
-    for lo in range(0, n, _CHUNK):
-        chunk = pixels[lo : lo + _CHUNK]
-        dist = ((chunk[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-        assign[lo : lo + _CHUNK] = dist.argmin(axis=1)
-        d2[lo : lo + _CHUNK] = dist[np.arange(chunk.shape[0]), assign[lo : lo + _CHUNK]]
+    neg2ct = -2.0 * centroids.T
+    c_sq = (centroids**2).sum(axis=1)
+    # Each of the two scores and two direct distances a comparison rests
+    # on is off by at most about (C + 2) * eps * (|x|^2 + max|c|^2); the
+    # ``tiny`` term covers underflow, where relative bounds fail.
+    rel = 8 * (c + 2) * np.finfo(np.float64).eps
+    floor = rel * c_sq.max() + np.finfo(np.float64).tiny
+    for lo in range(0, n, rows):
+        chunk = pixels[lo : lo + rows]
+        scores = chunk @ neg2ct
+        scores += c_sq
+        a = scores.argmin(axis=1)
+        r = np.arange(chunk.shape[0])
+        best = scores[r, a]
+        scores[r, a] = np.inf
+        margin = scores.min(axis=1) - best
+        tol = rel * (chunk**2).sum(axis=1) + floor
+        # NaN or inf margins (overflow) fail the test and are rechecked.
+        recheck = np.flatnonzero(~(margin > tol))
+        for s in range(0, recheck.size, exact_rows):
+            sub = recheck[s : s + exact_rows]
+            dist = ((chunk[sub, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+            a[sub] = dist.argmin(axis=1)
+        assign[lo : lo + rows] = a
+        d2[lo : lo + rows] = ((chunk - centroids[a]) ** 2).sum(axis=1)
     return assign, d2
 
 
 def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ initial centroids: D-squared sampling from the pixels."""
+    """k-means++ initial centroids: D-squared sampling from the pixels.
+
+    A pixel at zero distance from every seed is never drawn, so each seed
+    is a new distinct pixel, and the weights run out before seed ``k``
+    exactly when there are fewer than ``k`` distinct pixels.
+    """
     n = pixels.shape[0]
     centroids = np.empty((k, pixels.shape[1]), dtype=np.float64)
     centroids[0] = pixels[rng.integers(n)]
@@ -88,8 +124,9 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     for j in range(1, k):
         total = d2.sum()
         if total == 0:
-            centroids[j] = pixels[rng.integers(n)]
-            continue
+            raise InsufficientData(
+                f"need at least {k} distinct pixels to fit {k} codebook entries"
+            )
         idx = rng.choice(n, p=d2 / total)
         centroids[j] = pixels[idx]
         d2 = np.minimum(d2, ((pixels - centroids[j]) ** 2).sum(axis=1))
@@ -117,15 +154,17 @@ def fit_codebook(
     Deterministic for a fixed seed. Iterates until the relative inertia
     improvement drops below ``tol`` or ``max_iters`` assignment passes run.
     Empty clusters are re-seeded to the point farthest from its centroid.
+    Raises ``InsufficientData`` when the dataset has fewer than ``k``
+    distinct pixels, and ``ValueError`` when ``max_iters < 1`` or ``tol``
+    is negative or not finite.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     pixels = _pixel_matrix(dataset)
-    if np.unique(pixels, axis=0).shape[0] < k:
-        raise InsufficientData(
-            f"need at least {k} distinct pixels to fit {k} codebook entries"
-        )
-
     rng = np.random.default_rng(seed)
     centroids = _dsquared_seed(pixels, k, rng)
 
@@ -136,17 +175,21 @@ def fit_codebook(
         for j in np.flatnonzero(counts == 0):
             far = int(d2.argmax())
             centroids[j] = pixels[far]
+            counts[assign[far]] -= 1
+            counts[j] += 1
             assign[far] = j
             d2[far] = 0.0
-            counts = np.bincount(assign, minlength=k)
         inertia = float(d2.sum())
         trace.append(inertia)
         if len(trace) > 1:
             prev = trace[-2]
             if prev == 0 or (prev - inertia) <= tol * prev:
                 break
-        sums = np.zeros_like(centroids)
-        np.add.at(sums, assign, pixels)
+        # bincount adds each cluster's pixels in input order, so the sums
+        # do not depend on BLAS or pairwise summation order.
+        sums = np.stack(
+            [np.bincount(assign, weights=col, minlength=k) for col in pixels.T], axis=1
+        )
         centroids = sums / counts[:, None]
 
     stats = FitStats(trace[-1], len(trace), seed, tuple(trace))

@@ -139,6 +139,20 @@ class TestCodebookCommands:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-iters", "0"), ("--max-iters", "-2"),
+        ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),
+    ])
+    def test_bad_fit_argument_exits_3(self, tmp_path, small_video_path, capsys, flag, value):
+        out = tmp_path / "cb.fplt"
+        rc = main([
+            "codebook", "fit", "--k", "2", "--seed", "1", small_video_path,
+            flag, value, "-o", str(out),
+        ])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("ctxpack: ")
+        assert not out.exists()
+
 
 class TestDriftCommand:
     def test_all_metrics(self, small_video_path, capsys):

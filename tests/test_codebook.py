@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctxpack.codebook import (
     Codebook,
@@ -29,6 +32,79 @@ def nearest_oracle(pixel, centroids):
         if best_d is None or d < best_d:
             best, best_d = i, d
     return best
+
+
+def fit_oracle(pixels, k, seed, max_iters, tol):
+    """Reference Lloyd fit written the direct way: (N, K, C) broadcast
+    search, np.unique distinct-pixel check, np.add.at sums and a full
+    bincount per re-seed.
+
+    Returns the centroids, the inertia trace and the re-seed count.
+    """
+    if np.unique(pixels, axis=0).shape[0] < k:
+        raise InsufficientData(f"need at least {k} distinct pixels to fit {k} codebook entries")
+    rng = np.random.default_rng(seed)
+    n = pixels.shape[0]
+    centroids = np.empty((k, pixels.shape[1]))
+    centroids[0] = pixels[rng.integers(n)]
+    d2 = ((pixels - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total == 0:
+            centroids[j] = pixels[rng.integers(n)]
+            continue
+        centroids[j] = pixels[rng.choice(n, p=d2 / total)]
+        d2 = np.minimum(d2, ((pixels - centroids[j]) ** 2).sum(axis=1))
+    trace, reseeds = [], 0
+    for _ in range(max_iters):
+        dist = ((pixels[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
+        assign = dist.argmin(axis=1)
+        d2 = dist[np.arange(n), assign]
+        counts = np.bincount(assign, minlength=k)
+        for j in np.flatnonzero(counts == 0):
+            far = int(d2.argmax())
+            centroids[j] = pixels[far]
+            assign[far] = j
+            d2[far] = 0.0
+            counts = np.bincount(assign, minlength=k)
+            reseeds += 1
+        trace.append(float(d2.sum()))
+        if len(trace) > 1 and (trace[-2] == 0 or trace[-2] - trace[-1] <= tol * trace[-2]):
+            break
+        sums = np.zeros_like(centroids)
+        np.add.at(sums, assign, pixels)
+        centroids = sums / counts[:, None]
+    return centroids, tuple(trace), reseeds
+
+
+@st.composite
+def search_cases(draw):
+    """A codebook and video rich in exact and one-ulp ties, on a common offset."""
+    k, c = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    t, h, w = draw(st.integers(0, 2)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6]) | st.floats(-1e6, 1e6))
+    values = st.floats(-4, 4, allow_nan=False)
+    centroids = draw(arrays(np.float64, (k, c), elements=values)) + offset
+    for i in range(1, k):
+        j = draw(st.integers(0, i - 1))
+        how = draw(st.sampled_from(["keep", "duplicate", "ulp"]))
+        if how == "duplicate":
+            centroids[i] = centroids[j]
+        elif how == "ulp":
+            centroids[i] = np.nextafter(centroids[j], draw(st.sampled_from([-np.inf, np.inf])))
+    pixels = draw(arrays(np.float64, (t * h * w, c), elements=values)) + offset
+    for p in range(pixels.shape[0]):
+        i, j = draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1))
+        how = draw(st.sampled_from(["keep", "centroid", "midpoint"]))
+        if how == "centroid":
+            pixels[p] = centroids[i]
+        elif how == "midpoint":
+            pixels[p] = (centroids[i] + centroids[j]) / 2
+    return centroids, pixels.reshape(t, h, w, c)
+
+
+# 1-D data on which the seed-215 fit empties a cluster after its first update.
+EMPTY_CLUSTER_PIXELS = np.array([0.0] + [2.4] * 9 + [3.0, 5.0, 5.8, 6.0])
 
 
 class TestFitCodebook:
@@ -88,6 +164,40 @@ class TestFitCodebook:
         out = discretize_history(v, cb)
         np.testing.assert_array_equal(out.data, v.data)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exactly_k_distinct_heavily_duplicated(self, seed):
+        values = np.array([[0.0, 1.0], [2.0, -1.0], [5.0, 5.0], [-3.0, 0.5]])
+        pixels = values[rng(seed).permutation(np.arange(60) % 4)]
+        cb = fit_codebook([video_from(pixels, 3, 4, 5)], 4, seed=seed)
+        assert sorted(map(tuple, cb.centroids.tolist())) == sorted(map(tuple, values.tolist()))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_k_minus_one_distinct_message(self, seed):
+        pixels = np.array([[0.0], [1.0], [2.0]]).repeat(8, axis=0)
+        with pytest.raises(InsufficientData, match="^need at least 4 distinct pixels to fit 4 codebook entries$"):
+            fit_codebook([video_from(pixels, 2, 3, 4)], 4, seed=seed)
+
+
+class TestFitOracle:
+    CASES = [
+        ("normal", rng(20).normal(size=(300, 3)), 7),
+        ("rounded", np.round(rng(21).normal(size=(200, 2)) * 2) / 2, 9),
+        ("duplicates", rng(22).normal(size=(25, 4))[rng(23).integers(0, 25, size=250)], 6),
+        ("offset", rng(24).normal(size=(150, 2)) + 1e6, 5),
+        ("empty-cluster", EMPTY_CLUSTER_PIXELS[:, None], 3),
+    ]
+
+    @pytest.mark.parametrize("name,pixels,k", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("seed", [0, 1, 215])
+    def test_matches_original_fit(self, name, pixels, k, seed):
+        want, trace, _ = fit_oracle(pixels, k, seed, max_iters=30, tol=0.0)
+        cb = fit_codebook([video_from(pixels, 1, 1, len(pixels))], k, seed, max_iters=30, tol=0.0)
+        np.testing.assert_array_equal(cb.centroids, want)
+        assert cb.fit_stats.inertia_trace == trace
+
+    def test_oracle_case_empties_a_cluster(self):
+        assert fit_oracle(EMPTY_CLUSTER_PIXELS[:, None], 3, 215, 30, 0.0)[2] > 0
+
 
 class TestQuantize:
     def test_closer_centroid_wins(self):
@@ -113,6 +223,16 @@ class TestQuantize:
             for r in range(3):
                 for c in range(4):
                     assert idx.indices[t, r, c] == nearest_oracle(v.data[t, r, c], cb.centroids)
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(search_cases())
+    def test_matches_oracle_on_ties(self, case):
+        centroids, data = case
+        cb = Codebook(centroids)
+        v = LatentVideo(data)
+        idx = quantize(v, cb).indices.reshape(-1)
+        pixels = v.data.reshape(-1, v.channels)
+        assert [nearest_oracle(p, cb.centroids) for p in pixels] == idx.tolist()
 
     def test_channel_mismatch(self):
         cb = Codebook(rng(8).normal(size=(4, 3)))
