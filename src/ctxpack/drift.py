@@ -32,21 +32,22 @@ class SegmentMetric:
     value_range: str = "unbounded"
 
 
-def _frames(video: LatentVideo | np.ndarray) -> np.ndarray:
+def _segments(video: LatentVideo | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The start and end segments of a video, DRIFT_WINDOW of its frames each."""
     arr = video.data if isinstance(video, LatentVideo) else np.asarray(video, dtype=np.float64)
     if arr.ndim != 4:
         raise ValueError(f"expected (T, H, W, C) frames, got shape {arr.shape}")
-    return arr
-
-
-def drift(video: LatentVideo | np.ndarray, metric: SegmentMetric) -> float:
-    """|metric(start segment) - metric(end segment)| for one video."""
-    arr = _frames(video)
     t = arr.shape[0]
     if t < 2:
         raise TooFewFrames(f"drift needs at least 2 frames, got {t}")
     window = max(1, int(DRIFT_WINDOW * t))
-    return abs(float(metric.evaluate(arr[:window])) - float(metric.evaluate(arr[-window:])))
+    return arr[:window], arr[-window:]
+
+
+def drift(video: LatentVideo | np.ndarray, metric: SegmentMetric) -> float:
+    """|metric(start segment) - metric(end segment)| for one video."""
+    start, end = _segments(video)
+    return abs(float(metric.evaluate(start)) - float(metric.evaluate(end)))
 
 
 def _mean_luminance(frames: np.ndarray) -> float:
@@ -84,15 +85,11 @@ def builtin_metrics() -> list[SegmentMetric]:
 
 def drift_report(video: LatentVideo | np.ndarray, metrics: Iterable[SegmentMetric]) -> str:
     """One text line per metric: start and end scores plus their drift."""
-    arr = _frames(video)
-    t = arr.shape[0]
-    if t < 2:
-        raise TooFewFrames(f"drift needs at least 2 frames, got {t}")
-    window = max(1, int(DRIFT_WINDOW * t))
+    start_frames, end_frames = _segments(video)
     lines = []
     for metric in metrics:
-        start = float(metric.evaluate(arr[:window]))
-        end = float(metric.evaluate(arr[-window:]))
+        start = float(metric.evaluate(start_frames))
+        end = float(metric.evaluate(end_frames))
         lines.append(
             f"metric={metric.name} start={start!r} end={end!r} drift={abs(start - end)!r}"
         )

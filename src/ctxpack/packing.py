@@ -12,7 +12,6 @@ zero-width at packing time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +25,7 @@ from .errors import (
     ShortHistory,
     UnsupportedKernel,
 )
+from .planner import Span, bind_backward, bind_forward
 from .schedule import (
     BASE_KERNEL,
     Frames,
@@ -75,9 +75,6 @@ class LatentVideo:
     @property
     def channels(self) -> int:
         return self.data.shape[3]
-
-    def slice_frames(self, start: int, stop: int) -> "LatentVideo":
-        return LatentVideo(self.data[start:stop])
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,6 +228,40 @@ def _clipped_windows(size: int, step: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
+def _tail_tokens(
+    block: np.ndarray,
+    mode: TailMode,
+    coarsest: KernelSpec | None,
+    t_offset: int,
+    pad_spatial: bool,
+) -> list[PackedToken]:
+    if mode is TailMode.DELETE or block.shape[0] == 0:
+        return []
+
+    if mode is TailMode.APPEND:
+        kernel = KernelSpec(*TAIL_POOL)
+        rows = _clipped_windows(block.shape[1], TAIL_POOL[1])
+        cols = _clipped_windows(block.shape[2], TAIL_POOL[2])
+        tokens = []
+        for t in range(block.shape[0]):
+            for r, (r0, r1) in enumerate(rows):
+                for c, (c0, c1) in enumerate(cols):
+                    feature = block[t, r0:r1, c0:c1].mean(axis=(0, 1))
+                    feature.setflags(write=False)
+                    phase = (float(t_offset + t), (r0 + r1 - 1) / 2, (c0 + c1 - 1) / 2)
+                    tokens.append(
+                        PackedToken((t_offset + t, t_offset + t + 1), (r, c), kernel, feature, phase)
+                    )
+        return tokens
+
+    # compress
+    kernel = coarsest if coarsest is not None else BASE_KERNEL
+    averaged = block.mean(axis=0, keepdims=True)
+    grid = _pool_block(averaged, kernel, pad_spatial)
+    span = (t_offset, t_offset + block.shape[0])
+    return _grid_tokens(grid, kernel, span, t_offset + (block.shape[0] - 1) / 2)
+
+
 def handle_tail(
     tail: LatentVideo,
     mode: TailMode,
@@ -246,31 +277,7 @@ def handle_tail(
     averages all tail frames into a single frame and patchifies it with
     the schedule's coarsest kernel; its tokens span the whole tail.
     """
-    if mode is TailMode.DELETE or tail.frame_count == 0:
-        return []
-
-    if mode is TailMode.APPEND:
-        kernel = KernelSpec(*TAIL_POOL)
-        rows = _clipped_windows(tail.height, TAIL_POOL[1])
-        cols = _clipped_windows(tail.width, TAIL_POOL[2])
-        tokens = []
-        for t in range(tail.frame_count):
-            for r, (r0, r1) in enumerate(rows):
-                for c, (c0, c1) in enumerate(cols):
-                    feature = tail.data[t, r0:r1, c0:c1].mean(axis=(0, 1))
-                    feature.setflags(write=False)
-                    phase = (float(t_offset + t), (r0 + r1 - 1) / 2, (c0 + c1 - 1) / 2)
-                    tokens.append(
-                        PackedToken((t_offset + t, t_offset + t + 1), (r, c), kernel, feature, phase)
-                    )
-        return tokens
-
-    # compress
-    kernel = coarsest if coarsest is not None else BASE_KERNEL
-    averaged = tail.data.mean(axis=0, keepdims=True)
-    grid = _pool_block(averaged, kernel, pad_spatial)
-    span = (t_offset, t_offset + tail.frame_count)
-    return _grid_tokens(grid, kernel, span, t_offset + (tail.frame_count - 1) / 2)
+    return _tail_tokens(tail.data, mode, coarsest, t_offset, pad_spatial)
 
 
 def _entry_groups(
@@ -288,18 +295,6 @@ def _entry_groups(
     return [frames[i : i + p_f] for i in range(0, frames.shape[0], p_f)]
 
 
-def _pad_block(frames: np.ndarray, target: int, at_start: bool) -> np.ndarray:
-    """Replicate the boundary frame until the block holds ``target`` frames."""
-    deficit = target - frames.shape[0]
-    if deficit <= 0:
-        return frames
-    if frames.shape[0] == 0:
-        raise ShortHistory("cannot pad from an empty history")
-    edge = frames[:1] if at_start else frames[-1:]
-    pad = np.repeat(edge, deficit, axis=0)
-    return np.concatenate([pad, frames] if at_start else [frames, pad])
-
-
 def apply_schedule(
     history: LatentVideo,
     schedule: PackingSchedule,
@@ -309,53 +304,54 @@ def apply_schedule(
 ) -> PackedContext:
     """Pack a concrete history under a schedule.
 
-    Entries consume frames from the generate-adjacent end outward; the
-    side carrying the tail marker absorbs leftover frames into the tail.
-    The emitted budget always equals ``tokens_for_schedule`` for the same
-    dims and tail count; the generated section contributes zero-feature
+    Entries bind frames exactly as the planner's ``INPUTS`` do: the
+    entries before the generated section end where those after it begin,
+    and each side fills from that point outward. Frames outside the bound
+    range form the tail. With ``pad_history`` a short entry replicates
+    its side's oldest (before) or newest (after) bound frame. The emitted
+    budget always equals ``tokens_for_schedule`` for the same dims and
+    tail count; the generated section contributes zero-feature
     placeholder tokens at the base kernel.
     """
     h, w, channels = history.height, history.width, history.channels
+    data = history.data
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
+    for entry in (*pre, *post):
+        resolve_kernel(entry.kernel)
     cap_pre = sum(e.count for e in pre)
     cap_post = sum(e.count for e in post)
     total = history.frame_count
 
     if schedule.tail_at_start:
-        n_post = min(cap_post, total)
-        n_pre = min(cap_pre, total - n_post)
-        n_tail = total - n_post - n_pre
-        tail_block = history.data[:n_tail]
-        pre_block = history.data[n_tail : n_tail + n_pre]
-        post_block = history.data[total - n_post :]
-    elif schedule.tail_at_end:
-        n_pre = min(cap_pre, total)
-        n_post = min(cap_post, total - n_pre)
-        n_tail = total - n_pre - n_post
-        pre_block = history.data[:n_pre]
-        post_block = history.data[n_pre : n_pre + n_post]
-        tail_block = history.data[n_pre + n_post :]
+        middle = max(0, total - cap_post)
     else:
-        if total > cap_pre + cap_post:
-            raise ExcessHistory(
-                f"history of {total} frames exceeds schedule capacity "
-                f"{cap_pre + cap_post} and there is no tail marker"
-            )
-        n_pre = min(cap_pre, total)
-        n_post = total - n_pre
-        n_tail = 0
-        pre_block = history.data[:n_pre]
-        post_block = history.data[n_pre:]
-        tail_block = history.data[:0]
+        middle = min(cap_pre, total)
+    pre_spans = [b.span for b in bind_backward(pre, middle)]
+    post_spans = [b.span for b in bind_forward(post, middle, total)]
+    lo = pre_spans[0].start if pre_spans else middle
+    hi = post_spans[-1].stop if post_spans else middle
 
-    if (n_pre < cap_pre or n_post < cap_post) and not pad_history:
+    if schedule.tail_at_start:
+        tail_block = data[:lo]
+    elif schedule.tail_at_end:
+        tail_block = data[hi:]
+    elif hi < total:
+        raise ExcessHistory(
+            f"history of {total} frames exceeds schedule capacity "
+            f"{cap_pre + cap_post} and there is no tail marker"
+        )
+    else:
+        tail_block = data[:0]
+    n_tail = tail_block.shape[0]
+
+    if hi - lo < cap_pre + cap_post and not pad_history:
         raise ShortHistory(
             f"history of {total} frames cannot fill entries needing "
             f"{cap_pre + cap_post} frames"
         )
-    pre_block = _pad_block(pre_block, cap_pre, at_start=True)
-    post_block = _pad_block(post_block, cap_post, at_start=False)
+    if (cap_pre and lo == middle) or (cap_post and hi == middle):
+        raise ShortHistory("cannot pad from an empty history")
 
     tokens: list[PackedToken] = []
     cursor = 0
@@ -365,49 +361,37 @@ def apply_schedule(
         nonlocal cursor, tail_span
         tail_span = (cursor, cursor + n_tail)
         tokens.extend(
-            handle_tail(
-                LatentVideo(tail_block),
-                schedule.tail.mode,
-                schedule.coarsest_kernel,
-                t_offset=cursor,
-                pad_spatial=pad_spatial,
+            _tail_tokens(
+                tail_block, schedule.tail.mode, schedule.coarsest_kernel, cursor, pad_spatial
             )
         )
         cursor += n_tail
 
-    def emit_entries(entries: Sequence[Frames], block: np.ndarray) -> None:
+    def emit_entries(
+        entries: Sequence[Frames], spans: list[Span], edge: np.ndarray, at_start: bool
+    ) -> None:
         nonlocal cursor
-        offset = 0
-        for entry in entries:
-            chunk = block[offset : offset + entry.count]
-            offset += entry.count
-            for group in _entry_groups(chunk, entry, pad_history):
+        for entry, span in zip(entries, spans):
+            frames = data[span.start : span.stop]
+            deficit = entry.count - span.length
+            if deficit:
+                pad = np.repeat(edge, deficit, axis=0)
+                frames = np.concatenate([pad, frames] if at_start else [frames, pad])
+            for group in _entry_groups(frames, entry, pad_history):
                 tokens.extend(_patchify_array(group, entry.kernel, cursor, pad_spatial))
                 cursor += entry.kernel.p_f
 
     if schedule.tail_at_start:
         emit_tail()
-    emit_entries(pre, pre_block)
+    emit_entries(pre, pre_spans, data[lo:middle][:1], at_start=True)
 
-    section = schedule.generate.count
-    generate_span = (cursor, cursor + section)
-    zero_feature = np.zeros(channels)
-    zero_feature.setflags(write=False)
-    rows = math.ceil(h / BASE_KERNEL.p_h) if pad_spatial else h // BASE_KERNEL.p_h
-    cols = math.ceil(w / BASE_KERNEL.p_w) if pad_spatial else w // BASE_KERNEL.p_w
-    if (h % BASE_KERNEL.p_h or w % BASE_KERNEL.p_w) and not pad_spatial:
-        raise IndivisibleDims(
-            f"latent dims {h}x{w} are not divisible by the base kernel {BASE_KERNEL.dims}"
-        )
-    for s in range(section):
-        span = (cursor, cursor + 1)
-        for r in range(rows):
-            for c in range(cols):
-                phase = (float(cursor), r * 2 + 0.5, c * 2 + 0.5)
-                tokens.append(PackedToken(span, (r, c), BASE_KERNEL, zero_feature, phase))
-        cursor += 1
+    generate_span = (cursor, cursor + schedule.generate.count)
+    zero_grid = _pool_block(np.zeros((1, h, w, channels)), BASE_KERNEL, pad_spatial)
+    for t in range(*generate_span):
+        tokens.extend(_grid_tokens(zero_grid, BASE_KERNEL, (t, t + 1), float(t)))
+    cursor = generate_span[1]
 
-    emit_entries(post, post_block)
+    emit_entries(post, post_spans, data[middle:hi][-1:], at_start=False)
     if schedule.tail_at_end:
         emit_tail()
 

@@ -72,19 +72,19 @@ class GenerationPlan:
     user_spans: tuple[Span, ...] = ()
 
 
-def _bind_backward(entries: Sequence[Frames], stop: int, floor: int = 0) -> list[InputBinding]:
+def bind_backward(entries: Sequence[Frames], stop: int) -> list[InputBinding]:
     """Bind entries to frames ending at ``stop``, newest frames to the
-    generate-adjacent (last) entry, clipping at ``floor``."""
+    generate-adjacent (last) entry, clipping at frame 0."""
     cursor = stop
     reversed_bindings = []
     for entry in reversed(entries):
-        take = min(entry.count, max(0, cursor - floor))
+        take = min(entry.count, cursor)
         reversed_bindings.append(InputBinding(Span(cursor - take, cursor), entry.kernel.token))
         cursor -= take
     return list(reversed(reversed_bindings))
 
 
-def _bind_forward(entries: Sequence[Frames], start: int, ceiling: int) -> list[InputBinding]:
+def bind_forward(entries: Sequence[Frames], start: int, ceiling: int) -> list[InputBinding]:
     """Bind entries to frames starting at ``start``, earliest frames to the
     generate-adjacent (first) entry, clipping at ``ceiling``."""
     cursor = start
@@ -142,7 +142,7 @@ def plan_vanilla(
         iterations.append(
             Iteration(
                 targets=(target,),
-                inputs=tuple(_bind_backward(entries, target.start)),
+                inputs=tuple(bind_backward(entries, target.start)),
             )
         )
     plan = GenerationPlan(PlanMode.VANILLA, total, section, schedule, tuple(iterations))
@@ -166,7 +166,7 @@ def plan_endpoint(total: int, section: int, schedule: PackingSchedule) -> Genera
         Iteration(
             targets=(Span(0, section), Span(anchor_start, total)),
             inputs=tuple(
-                _bind_backward(pre, 0) + _bind_forward(post, total, total)
+                bind_backward(pre, 0) + bind_forward(post, total, total)
             ),
             skip_spans=(Span(section, anchor_start),),
         )
@@ -176,8 +176,8 @@ def plan_endpoint(total: int, section: int, schedule: PackingSchedule) -> Genera
             Iteration(
                 targets=(target,),
                 inputs=tuple(
-                    _bind_backward(pre, target.start)
-                    + _bind_forward(post, anchor_start, total)
+                    bind_backward(pre, target.start)
+                    + bind_forward(post, anchor_start, total)
                 ),
                 skip_spans=(Span(target.stop, anchor_start),),
             )
@@ -217,8 +217,8 @@ def plan_inverted(
             Iteration(
                 targets=(Span(start, stop),),
                 inputs=tuple(
-                    _bind_backward(pre, user_frames)
-                    + _bind_forward(post, stop, total)
+                    bind_backward(pre, user_frames)
+                    + bind_forward(post, stop, total)
                 ),
                 skip_spans=(Span(user_frames, start),),
             )
@@ -279,8 +279,8 @@ def plan_multi_endpoint(
             Iteration(
                 targets=(anchor,),
                 inputs=tuple(
-                    _bind_backward(pre, previous_stop)
-                    + _bind_forward(post, anchor.stop, anchor.stop)
+                    bind_backward(pre, previous_stop)
+                    + bind_forward(post, anchor.stop, anchor.stop)
                 ),
                 skip_spans=(Span(previous_stop, anchor.start),),
                 prompt=None if prompts is None else prompts[i],
@@ -293,15 +293,15 @@ def plan_multi_endpoint(
         next_anchor = next((a for a in anchors if a.start >= gap.stop), None)
         for target in _sections(gap.start, gap.stop, section):
             if next_anchor is None:
-                future = _bind_forward(post, target.stop, target.stop)
+                future = bind_forward(post, target.stop, target.stop)
                 skip = Span(target.stop, target.stop)
             else:
-                future = _bind_forward(post, next_anchor.start, next_anchor.stop)
+                future = bind_forward(post, next_anchor.start, next_anchor.stop)
                 skip = Span(target.stop, next_anchor.start)
             iterations.append(
                 Iteration(
                     targets=(target,),
-                    inputs=tuple(_bind_backward(pre, target.start) + future),
+                    inputs=tuple(bind_backward(pre, target.start) + future),
                     skip_spans=(skip,),
                 )
             )

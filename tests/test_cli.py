@@ -110,6 +110,13 @@ class TestPackCommand:
         rc = main(["pack", "td_f1k1_g1", str(tmp_path / "nope.fplt"), "-o", str(tmp_path / "o")])
         assert rc == 3
 
+    def test_sub_base_kernel_exits_2(self, tmp_path, small_video_path, capsys):
+        out = tmp_path / "packed.fplt"
+        rc = main(["pack", "f2k2h1w1_g1", small_video_path, "-o", str(out)])
+        assert rc == 2
+        assert "learned kernel" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCodebookCommands:
     def test_fit_quantize_constant_for_k1(self, tmp_path, small_video_path, capsys):

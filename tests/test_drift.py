@@ -107,6 +107,11 @@ class TestBuiltinMetrics:
         expected = np.var(values)
         assert metric_by_name("sharpness-proxy").evaluate(frames) == pytest.approx(expected)
 
+    @pytest.mark.parametrize("frames", [0, 1])
+    def test_report_too_few_frames_without_metrics(self, frames):
+        with pytest.raises(TooFewFrames):
+            drift_report(np.zeros((frames, 2, 2, 1)), [])
+
     def test_report_format(self):
         video = np.zeros((10, 4, 4, 1))
         text = drift_report(video, builtin_metrics())

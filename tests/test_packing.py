@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxpack.budget import tokens_for_entry, tokens_for_schedule
 from ctxpack.errors import (
@@ -18,10 +20,13 @@ from ctxpack.packing import (
     patchify,
     resolve_kernel,
 )
+from ctxpack.planner import plan_vanilla
 from ctxpack.schedule import (
     Frames,
     Generate,
     KernelSpec,
+    PackingSchedule,
+    Tail,
     TailMode,
     parse_schedule,
 )
@@ -252,6 +257,28 @@ class TestApplySchedule:
         with pytest.raises(ShortHistory):
             apply_schedule(video(0), parse_schedule("td_f1k1_g1"), pad_history=True)
 
+    @pytest.mark.parametrize(
+        "name,frames",
+        [
+            ("f1k1_x_g9_f1k1f4k2_td", 1),
+            ("td_f2k1_g1_x_f1k1", 1),
+            ("f1k1_x_g9_f1k1_td", 0),
+        ],
+    )
+    def test_padding_never_crosses_sides(self, name, frames):
+        # one side binds no frame at all; the other side's frames must not
+        # stand in for it
+        with pytest.raises(ShortHistory):
+            apply_schedule(video(frames, 8, 8, 1), parse_schedule(name), pad_history=True)
+
+    @pytest.mark.parametrize("name,frames", [("f2k2h1w1_g1", 2), ("f1k1_x_g1_f1k1h2w1", 2)])
+    def test_sub_base_kernel_rejected(self, name, frames):
+        for pad in (False, True):
+            with pytest.raises(UnsupportedKernel):
+                apply_schedule(
+                    video(frames, 8, 8, 1), parse_schedule(name), pad_history=pad, pad_spatial=pad
+                )
+
     def test_excess_history_without_tail(self):
         with pytest.raises(ExcessHistory):
             apply_schedule(video(5), parse_schedule("f1k1_g1"))
@@ -339,3 +366,63 @@ class TestSymmetricSchedule:
     def test_empty_half_rejected(self):
         with pytest.raises(InvalidSchedule):
             build_symmetric_schedule([], 9)
+
+
+PROPERTY_KERNELS = [KernelSpec(1, 2, 2), KernelSpec(2, 4, 4), KernelSpec(4, 8, 8), KernelSpec(2, 2, 2)]
+
+
+@st.composite
+def vanilla_cases(draw):
+    entries = draw(
+        st.lists(
+            st.builds(Frames, st.integers(1, 6), st.sampled_from(PROPERTY_KERNELS)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    tail = Tail(draw(st.sampled_from(list(TailMode))))
+    section = draw(st.integers(1, 3))
+    schedule = PackingSchedule((tail, *entries, Generate(section)))
+    total = draw(st.integers(1, 14))
+    seed = draw(st.integers(0, 2**16))
+    return schedule, section, video(total, 8, 8, 2, seed=seed)
+
+
+class TestPlannerBindingProperty:
+    """Every vanilla plan iteration packs the frames its INPUTS name."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(vanilla_cases())
+    def test_entries_pool_their_planner_spans(self, case):
+        schedule, section, history = case
+        plan = plan_vanilla(history.frame_count, section, schedule, allow_partial=True)
+        for it in plan.iterations:
+            prefix = LatentVideo(history.data[: it.targets[0].start])
+            if prefix.frame_count == 0:
+                with pytest.raises(ShortHistory):
+                    apply_schedule(prefix, schedule, pad_history=True)
+                continue
+            ctx = apply_schedule(prefix, schedule, pad_history=True)
+            assert ctx.tail_frame_count == it.inputs[0].span.start
+            entry_tokens = iter(
+                t
+                for t in ctx.tokens
+                if ctx.tail_span[1] <= t.time_span[0] and t.time_span[1] <= ctx.generate_span[0]
+            )
+            for entry, binding in zip(schedule.frames_entries, it.inputs):
+                k = entry.kernel
+                span = binding.span
+                idx = [span.start] * (entry.count - span.length) + list(range(span.start, span.stop))
+                idx += [idx[-1]] * ((-entry.count) % k.p_f)
+                frames = prefix.data[idx]
+                for gt in range(len(idx) // k.p_f):
+                    for gr in range(8 // k.p_h):
+                        for gc in range(8 // k.p_w):
+                            token = next(entry_tokens)
+                            assert token.kernel == k
+                            np.testing.assert_allclose(
+                                token.feature,
+                                pooled_mean_oracle(frames, k.p_f, k.p_h, k.p_w, gt, gr, gc),
+                                atol=1e-12,
+                            )
+            assert next(entry_tokens, None) is None
