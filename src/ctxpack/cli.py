@@ -11,8 +11,6 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import fplt
 from .budget import (
     tail_tokens,
@@ -129,7 +127,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     context = apply_schedule(
         video, schedule, pad_history=args.pad_history, pad_spatial=args.pad_spatial
     )
-    features = np.stack([t.feature for t in context.tokens])
+    features = context.features
     fplt.write_tensor(args.output, features.reshape(1, 1, *features.shape))
 
     sidecar = Path(args.provenance or f"{args.output}.prov")
@@ -139,13 +137,17 @@ def cmd_pack(args: argparse.Namespace) -> int:
         f"generate_span {context.generate_span[0]}..{context.generate_span[1]}",
         f"tail_frames {context.tail_frame_count}",
     ]
-    for i, tok in enumerate(context.tokens):
-        lines.append(
-            f"token {i} span={tok.time_span[0]}..{tok.time_span[1]}"
-            f" cell={tok.cell[0]},{tok.cell[1]} kernel={tok.kernel.token}"
-            f" phase={tok.phase[0]!r},{tok.phase[1]!r},{tok.phase[2]!r}"
-        )
-    sidecar.write_text("\n".join(lines) + "\n")
+    i = 0
+    for block in context.blocks:
+        span = f"span={block.time_span[0]}..{block.time_span[1]}"
+        phase = f"kernel={block.kernel.token} phase={block.time_phase!r}"
+        cols = [(c, repr(col)) for c, col in enumerate(block.col_phases)]
+        for r, row_phase in enumerate(block.row_phases):
+            row = repr(row_phase)
+            for c, col in cols:
+                lines.append(f"token {i} {span} cell={r},{c} {phase},{row},{col}")
+                i += 1
+    fplt.write_atomic(sidecar, ("\n".join(lines) + "\n").encode())
     print(f"budget {context.budget}")
     print(f"tokens {args.output}")
     print(f"provenance {sidecar}")

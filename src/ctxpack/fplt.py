@@ -8,6 +8,7 @@ exactly 28 + 4*T*H*W*C bytes.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -28,7 +29,25 @@ def write_tensor(path: str | Path, array: np.ndarray, *, flags: int = 0) -> None
     if arr.ndim != 4:
         raise FpltFormatError(f"tensor must be 4D (T,H,W,C), got shape {arr.shape}")
     header = _HEADER.pack(MAGIC, VERSION, flags, *arr.shape)
-    Path(path).write_bytes(header + arr.tobytes())
+    write_atomic(path, header + arr.tobytes())
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` in one step.
+
+    The bytes go to a fresh temp file in the target's directory, which is
+    then renamed over the target, so a reader sees the old file or the
+    new one, never a partial write. The temp file is removed on failure.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with tmp.open("xb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, int]:

@@ -13,6 +13,7 @@ zero-width at packing time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,14 +94,60 @@ class PackedToken:
 
 
 @dataclass(frozen=True, eq=False)
-class PackedContext:
-    """The token sequence a schedule produces, including the section slots."""
+class PackedBlock:
+    """One pooled grid: the tokens that share a time span and a kernel.
 
-    tokens: tuple[PackedToken, ...]
+    ``grid`` is the read-only (rows, cols, C) feature grid. The token in
+    cell (r, c) has phase ``(time_phase, row_phases[r], col_phases[c])``.
+    """
+
+    time_span: tuple[int, int]
+    kernel: KernelSpec
+    time_phase: float
+    row_phases: tuple[float, ...]
+    col_phases: tuple[float, ...]
+    grid: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return len(self.row_phases) * len(self.col_phases)
+
+    def tokens(self) -> list[PackedToken]:
+        """The grid's tokens, row-major."""
+        return [
+            PackedToken(
+                self.time_span, (r, c), self.kernel, self.grid[r, c], (self.time_phase, rp, cp)
+            )
+            for r, rp in enumerate(self.row_phases)
+            for c, cp in enumerate(self.col_phases)
+        ]
+
+
+@dataclass(frozen=True, eq=False)
+class PackedContext:
+    """The pooled grids a schedule produces, including the section slots.
+
+    ``blocks`` run in token order. ``features`` and ``tokens`` are views
+    derived from them on first use and cached.
+    """
+
+    blocks: tuple[PackedBlock, ...]
     schedule: PackingSchedule
     budget: int
     generate_span: tuple[int, int]
     tail_span: tuple[int, int] | None = None
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The (budget, C) token features in token order."""
+        grids = [b.grid.reshape(b.size, -1) for b in self.blocks]
+        features = np.concatenate(grids)
+        features.setflags(write=False)
+        return features
+
+    @cached_property
+    def tokens(self) -> tuple[PackedToken, ...]:
+        return tuple(token for block in self.blocks for token in block.tokens())
 
     @property
     def generate_tokens(self) -> tuple[PackedToken, ...]:
@@ -180,33 +227,26 @@ def _pool_block(block: np.ndarray, kernel: KernelSpec, pad_spatial: bool) -> np.
     return grid
 
 
-def _grid_tokens(
+def _grid_block(
     grid: np.ndarray,
     kernel: KernelSpec,
     time_span: tuple[int, int],
-    time_pos: float,
-) -> list[PackedToken]:
-    tokens = []
-    for r in range(grid.shape[0]):
-        for c in range(grid.shape[1]):
-            phase = (
-                time_pos,
-                r * kernel.p_h + (kernel.p_h - 1) / 2,
-                c * kernel.p_w + (kernel.p_w - 1) / 2,
-            )
-            tokens.append(PackedToken(time_span, (r, c), kernel, grid[r, c], phase))
-    return tokens
+    time_phase: float,
+) -> PackedBlock:
+    rows = tuple(r * kernel.p_h + (kernel.p_h - 1) / 2 for r in range(grid.shape[0]))
+    cols = tuple(c * kernel.p_w + (kernel.p_w - 1) / 2 for c in range(grid.shape[1]))
+    return PackedBlock(time_span, kernel, time_phase, rows, cols, grid)
 
 
-def _patchify_array(
+def _pooled_block(
     block: np.ndarray,
     kernel: KernelSpec,
     t_offset: int,
     pad_spatial: bool,
-) -> list[PackedToken]:
+) -> PackedBlock:
     grid = _pool_block(block, kernel, pad_spatial)
     span = (t_offset, t_offset + kernel.p_f)
-    return _grid_tokens(grid, kernel, span, t_offset + (kernel.p_f - 1) / 2)
+    return _grid_block(grid, kernel, span, t_offset + (kernel.p_f - 1) / 2)
 
 
 def patchify(
@@ -221,20 +261,20 @@ def patchify(
         raise ValueError(
             f"slice has {frames.frame_count} frames, kernel wants {kernel.p_f}"
         )
-    return _patchify_array(frames.data, kernel, t_offset, pad_spatial)
+    return _pooled_block(frames.data, kernel, t_offset, pad_spatial).tokens()
 
 
 def _clipped_windows(size: int, step: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
 
 
-def _tail_tokens(
+def _tail_blocks(
     block: np.ndarray,
     mode: TailMode,
     coarsest: KernelSpec | None,
     t_offset: int,
     pad_spatial: bool,
-) -> list[PackedToken]:
+) -> list[PackedBlock]:
     if mode is TailMode.DELETE or block.shape[0] == 0:
         return []
 
@@ -242,24 +282,33 @@ def _tail_tokens(
         kernel = KernelSpec(*TAIL_POOL)
         rows = _clipped_windows(block.shape[1], TAIL_POOL[1])
         cols = _clipped_windows(block.shape[2], TAIL_POOL[2])
-        tokens = []
-        for t in range(block.shape[0]):
-            for r, (r0, r1) in enumerate(rows):
-                for c, (c0, c1) in enumerate(cols):
-                    feature = block[t, r0:r1, c0:c1].mean(axis=(0, 1))
-                    feature.setflags(write=False)
-                    phase = (float(t_offset + t), (r0 + r1 - 1) / 2, (c0 + c1 - 1) / 2)
-                    tokens.append(
-                        PackedToken((t_offset + t, t_offset + t + 1), (r, c), kernel, feature, phase)
-                    )
-        return tokens
+        # one mean per window over every tail frame at once; each frame's
+        # sum runs in the same order as a per-frame mean would
+        grids = np.empty((block.shape[0], len(rows), len(cols), block.shape[3]))
+        for r, (r0, r1) in enumerate(rows):
+            for c, (c0, c1) in enumerate(cols):
+                grids[:, r, c] = block[:, r0:r1, c0:c1].mean(axis=(1, 2))
+        grids.setflags(write=False)
+        row_phases = tuple((r0 + r1 - 1) / 2 for r0, r1 in rows)
+        col_phases = tuple((c0 + c1 - 1) / 2 for c0, c1 in cols)
+        return [
+            PackedBlock(
+                (t_offset + t, t_offset + t + 1),
+                kernel,
+                float(t_offset + t),
+                row_phases,
+                col_phases,
+                grids[t],
+            )
+            for t in range(block.shape[0])
+        ]
 
     # compress
     kernel = coarsest if coarsest is not None else BASE_KERNEL
     averaged = block.mean(axis=0, keepdims=True)
     grid = _pool_block(averaged, kernel, pad_spatial)
     span = (t_offset, t_offset + block.shape[0])
-    return _grid_tokens(grid, kernel, span, t_offset + (block.shape[0] - 1) / 2)
+    return [_grid_block(grid, kernel, span, t_offset + (block.shape[0] - 1) / 2)]
 
 
 def handle_tail(
@@ -277,7 +326,8 @@ def handle_tail(
     averages all tail frames into a single frame and patchifies it with
     the schedule's coarsest kernel; its tokens span the whole tail.
     """
-    return _tail_tokens(tail.data, mode, coarsest, t_offset, pad_spatial)
+    blocks = _tail_blocks(tail.data, mode, coarsest, t_offset, pad_spatial)
+    return [token for block in blocks for token in block.tokens()]
 
 
 def _entry_groups(
@@ -310,13 +360,22 @@ def apply_schedule(
     range form the tail. With ``pad_history`` a short entry replicates
     its side's oldest (before) or newest (after) bound frame. The emitted
     budget always equals ``tokens_for_schedule`` for the same dims and
-    tail count; the generated section contributes zero-feature
-    placeholder tokens at the base kernel.
+    tail count; the generated section contributes one zero-feature block
+    per frame at the base kernel, all sharing one grid. A schedule whose
+    tail sits at the end needs an entry after the generated section, or
+    it raises ``InvalidSchedule``.
     """
     h, w, channels = history.height, history.width, history.channels
     data = history.data
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
+    if schedule.tail_at_end and not post:
+        # the planner feeds such a schedule's entries the newest frames,
+        # which the tail at the end would take
+        raise InvalidSchedule(
+            f"schedule {schedule.name!r} has its tail at the end but no entry "
+            "after the generated section"
+        )
     for entry in (*pre, *post):
         resolve_kernel(entry.kernel)
     cap_pre = sum(e.count for e in pre)
@@ -353,15 +412,15 @@ def apply_schedule(
     if (cap_pre and lo == middle) or (cap_post and hi == middle):
         raise ShortHistory("cannot pad from an empty history")
 
-    tokens: list[PackedToken] = []
+    blocks: list[PackedBlock] = []
     cursor = 0
     tail_span: tuple[int, int] | None = None
 
     def emit_tail() -> None:
         nonlocal cursor, tail_span
         tail_span = (cursor, cursor + n_tail)
-        tokens.extend(
-            _tail_tokens(
+        blocks.extend(
+            _tail_blocks(
                 tail_block, schedule.tail.mode, schedule.coarsest_kernel, cursor, pad_spatial
             )
         )
@@ -378,7 +437,7 @@ def apply_schedule(
                 pad = np.repeat(edge, deficit, axis=0)
                 frames = np.concatenate([pad, frames] if at_start else [frames, pad])
             for group in _entry_groups(frames, entry, pad_history):
-                tokens.extend(_patchify_array(group, entry.kernel, cursor, pad_spatial))
+                blocks.append(_pooled_block(group, entry.kernel, cursor, pad_spatial))
                 cursor += entry.kernel.p_f
 
     if schedule.tail_at_start:
@@ -388,21 +447,22 @@ def apply_schedule(
     generate_span = (cursor, cursor + schedule.generate.count)
     zero_grid = _pool_block(np.zeros((1, h, w, channels)), BASE_KERNEL, pad_spatial)
     for t in range(*generate_span):
-        tokens.extend(_grid_tokens(zero_grid, BASE_KERNEL, (t, t + 1), float(t)))
+        blocks.append(_grid_block(zero_grid, BASE_KERNEL, (t, t + 1), float(t)))
     cursor = generate_span[1]
 
     emit_entries(post, post_spans, data[middle:hi][-1:], at_start=False)
     if schedule.tail_at_end:
         emit_tail()
 
+    budget = sum(b.size for b in blocks)
     expected = tokens_for_schedule(
         schedule, h, w, n_tail, pad=pad_history or pad_spatial
     )
-    if len(tokens) != expected:
+    if budget != expected:
         raise RuntimeError(
-            f"packed {len(tokens)} tokens but accounting expected {expected}"
+            f"packed {budget} tokens but accounting expected {expected}"
         )
-    return PackedContext(tuple(tokens), schedule, len(tokens), generate_span, tail_span)
+    return PackedContext(tuple(blocks), schedule, budget, generate_span, tail_span)
 
 
 def build_symmetric_schedule(

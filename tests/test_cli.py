@@ -1,9 +1,14 @@
+import os
+from hashlib import sha256
+
 import numpy as np
 import pytest
 
 from ctxpack.cli import main
 from ctxpack.fplt import read_codebook, read_tensor, read_video, write_video
 from ctxpack.packing import LatentVideo
+from ctxpack.schedule import parse_schedule
+from packing_oracle import apply_schedule_oracle, pack_outputs_oracle
 
 
 def rng(seed=0):
@@ -116,6 +121,56 @@ class TestPackCommand:
         assert rc == 2
         assert "learned kernel" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tail_at_end_without_post_entry_exits_2(self, tmp_path, small_video_path, capsys):
+        out = tmp_path / "packed.fplt"
+        rc = main(["pack", "f1k1_g9_td", small_video_path, "-o", str(out), "--pad-history"])
+        assert rc == 2
+        assert "after the generated section" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ta_f16k4f2k2f1k1_g9",
+            "tc_f16k4f2k2f1k1_g9",
+            "f1k1_x_g9_f1k1f2k2f16k4_td",
+            "f1k1_x_g9_f1k1f2k2f16k4_ta",
+        ],
+    )
+    def test_outputs_match_per_token_formatter(self, tmp_path, name):
+        # 60x104 is indivisible by k4's 8x8 and by the 32x32 tail windows
+        path = tmp_path / "latent.fplt"
+        write_video(path, LatentVideo(rng(3).normal(size=(24, 60, 104, 2)).astype(np.float32)))
+        out = tmp_path / "packed.fplt"
+        assert main(["pack", name, str(path), "-o", str(out), "--pad-history", "--pad-spatial"]) == 0
+        tokens, generate_span, tail_span = apply_schedule_oracle(
+            read_video(path), parse_schedule(name), pad_history=True, pad_spatial=True
+        )
+        payload, prov = pack_outputs_oracle(name, tokens, generate_span, tail_span)
+        assert sha256(out.read_bytes()[28:]).hexdigest() == sha256(payload).hexdigest()
+        got, want = (tmp_path / "packed.fplt.prov").read_text().split("\n"), prov.split("\n")
+        # report the first differing line, not a diff of ~20k lines
+        assert next(((a, b) for a, b in zip(got, want) if a != b), None) is None
+        assert len(got) == len(want)
+
+    @pytest.mark.parametrize("failing", ["packed.fplt", "packed.fplt.prov"])
+    def test_failed_write_keeps_old_output(self, tmp_path, small_video_path, monkeypatch, failing):
+        out = tmp_path / "packed.fplt"
+        assert main(["pack", "td_f1k1_g1", small_video_path, "-o", str(out), "--pad-history"]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        replace = os.replace
+
+        def flaky(src, dst):
+            if os.path.basename(dst) == failing:
+                raise OSError("disk full")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", flaky)
+        assert main(["pack", "td_f1k1_g2", small_video_path, "-o", str(out), "--pad-history"]) == 3
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert after.keys() == before.keys()
+        assert after[failing] == before[failing]
 
 
 class TestCodebookCommands:

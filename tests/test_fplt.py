@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -117,3 +118,26 @@ class TestErrors:
     def test_non_4d_rejected(self, tmp_path):
         with pytest.raises(FpltFormatError):
             write_tensor(tmp_path / "x.fplt", np.zeros((2, 2), dtype=np.float32))
+
+
+class TestAtomicWrite:
+    def test_no_temp_file_left(self, tmp_path):
+        path = tmp_path / "t.fplt"
+        write_tensor(path, np.zeros((1, 1, 2, 2)))
+        write_tensor(path, np.ones((1, 1, 3, 2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["t.fplt"]
+        assert read_tensor(path)[0].shape == (1, 1, 3, 2)
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.fplt"
+        write_tensor(path, np.zeros((1, 1, 2, 2)))
+        old = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write_tensor(path, np.ones((1, 1, 3, 2)))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t.fplt"]

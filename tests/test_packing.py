@@ -26,10 +26,12 @@ from ctxpack.schedule import (
     Generate,
     KernelSpec,
     PackingSchedule,
+    Skip,
     Tail,
     TailMode,
     parse_schedule,
 )
+from packing_oracle import apply_schedule_oracle
 
 
 def rng(seed=0):
@@ -279,6 +281,15 @@ class TestApplySchedule:
                     video(frames, 8, 8, 1), parse_schedule(name), pad_history=pad, pad_spatial=pad
                 )
 
+    @pytest.mark.parametrize("mode", ["td", "ta", "tc"])
+    def test_tail_at_end_needs_a_post_entry(self, mode):
+        # plan feeds f1k1 the newest frame (INPUTS 17..18); a tail at the
+        # end would take that frame and leave the entry the oldest one
+        s = parse_schedule(f"f1k1_g9_{mode}")
+        for pad in (False, True):
+            with pytest.raises(InvalidSchedule, match="after the generated section"):
+                apply_schedule(video(18, 8, 8, 1), s, pad_history=pad, pad_spatial=pad)
+
     def test_excess_history_without_tail(self):
         with pytest.raises(ExcessHistory):
             apply_schedule(video(5), parse_schedule("f1k1_g1"))
@@ -426,3 +437,74 @@ class TestPlannerBindingProperty:
                                 atol=1e-12,
                             )
             assert next(entry_tokens, None) is None
+
+
+ORACLE_KERNELS = [
+    KernelSpec(1, 2, 2),
+    KernelSpec(2, 4, 4),
+    KernelSpec(4, 8, 8),
+    KernelSpec(2, 2, 2),
+    KernelSpec(1, 4, 2),
+    KernelSpec(2, 8, 4),
+]
+
+
+@st.composite
+def packing_cases(draw):
+    """A schedule with its tail at the start, at the end or absent, and a
+    history whose dims need not divide by the kernels or by 32."""
+    entries = st.lists(
+        st.builds(Frames, st.integers(1, 5), st.sampled_from(ORACLE_KERNELS)),
+        max_size=3,
+    )
+    tail = [Tail(draw(st.sampled_from(list(TailMode))))]
+    generate = Generate(draw(st.integers(1, 2)))
+    layout = draw(st.sampled_from(["start", "end", "none"]))
+    pre = draw(entries)
+    post = draw(entries.filter(bool)) if layout == "end" else draw(entries)
+    gap = [Skip()] if post and draw(st.booleans()) else []
+    body = [*pre, *gap, generate, *post]
+    segments = {"start": tail + body, "end": body + tail, "none": body}[layout]
+    h = draw(st.integers(1, 24))
+    w = draw(st.integers(1, 40))
+    c = draw(st.integers(1, 3))
+    capacity = sum(e.count for e in (*pre, *post))
+    spare = 6 if layout != "none" else 0
+    total = max(0, capacity + draw(st.integers(-3, spare)))
+    seed = draw(st.integers(0, 2**16))
+    # mostly padded, so most cases pack rather than raise
+    mostly = st.sampled_from([True, True, True, False])
+    return (
+        PackingSchedule(tuple(segments)),
+        video(total, h, w, c, seed=seed),
+        draw(mostly),
+        draw(mostly),
+    )
+
+
+class TestBlockPackerOracle:
+    """The block packer's token view equals the per-token packer's output."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(packing_cases())
+    def test_tokens_match_per_token_oracle(self, case):
+        schedule, history, pad_history, pad_spatial = case
+        pads = dict(pad_history=pad_history, pad_spatial=pad_spatial)
+        try:
+            expected, generate_span, tail_span = apply_schedule_oracle(history, schedule, **pads)
+        except (ShortHistory, ExcessHistory, IndivisibleDims) as exc:
+            with pytest.raises(type(exc)):
+                apply_schedule(history, schedule, **pads)
+            return
+        ctx = apply_schedule(history, schedule, **pads)
+        assert (ctx.generate_span, ctx.tail_span) == (generate_span, tail_span)
+        assert ctx.budget == len(ctx.tokens) == len(expected)
+        for got, ref in zip(ctx.tokens, expected):
+            assert got.feature.tobytes() == ref.feature.tobytes()
+            assert (got.time_span, got.cell, got.kernel) == (ref.time_span, ref.cell, ref.kernel)
+            assert got.phase == ref.phase
+            assert all(type(p) is float for p in got.phase)
+        stacked = np.stack([t.feature for t in expected])
+        assert ctx.features.shape == stacked.shape
+        assert ctx.features.tobytes() == stacked.tobytes()
+        assert ctx.tokens is ctx.tokens
