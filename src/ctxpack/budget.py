@@ -22,6 +22,7 @@ from .schedule import (
     Generate,
     KernelSpec,
     PackingSchedule,
+    Segment,
     TailMode,
 )
 
@@ -190,6 +191,36 @@ def tail_tokens(
     return tokens_for_entry(coarsest.p_f, coarsest, height, width, pad=pad)
 
 
+def segment_tokens(
+    schedule: PackingSchedule,
+    height: int,
+    width: int,
+    tail_frames: int = 0,
+    *,
+    pad: bool = False,
+) -> list[tuple[Segment, int]]:
+    """Tokens per segment: the entries and the generated section in
+    schedule order, then the tail if the schedule has one."""
+    table: list[tuple[Segment, int]] = []
+    for seg in schedule.segments:
+        if isinstance(seg, Frames):
+            table.append((seg, tokens_for_entry(seg.count, seg.kernel, height, width, pad=pad)))
+        elif isinstance(seg, Generate):
+            table.append((seg, seg.count * tokens_per_frame_for(height, width, pad=pad)))
+
+    tail = schedule.tail
+    if tail is not None:
+        tokens = tail_tokens(
+            tail.mode, tail_frames, schedule.coarsest_kernel, height, width, pad=pad
+        )
+        table.append((tail, tokens))
+    elif tail_frames:
+        raise ExcessHistory(
+            f"{tail_frames} leftover frames but the schedule has no tail marker"
+        )
+    return table
+
+
 def tokens_for_schedule(
     schedule: PackingSchedule,
     height: int,
@@ -199,20 +230,5 @@ def tokens_for_schedule(
     pad: bool = False,
 ) -> int:
     """Total context tokens: entries, generated section, and tail."""
-    total = 0
-    for seg in schedule.segments:
-        if isinstance(seg, Frames):
-            total += tokens_for_entry(seg.count, seg.kernel, height, width, pad=pad)
-        elif isinstance(seg, Generate):
-            total += seg.count * tokens_per_frame_for(height, width, pad=pad)
-
-    if tail_frames:
-        tail = schedule.tail
-        if tail is None:
-            raise ExcessHistory(
-                f"{tail_frames} leftover frames but the schedule has no tail marker"
-            )
-        total += tail_tokens(
-            tail.mode, tail_frames, schedule.coarsest_kernel, height, width, pad=pad
-        )
-    return total
+    table = segment_tokens(schedule, height, width, tail_frames, pad=pad)
+    return sum(tokens for _, tokens in table)

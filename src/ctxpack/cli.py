@@ -12,12 +12,7 @@ import sys
 from pathlib import Path
 
 from . import fplt
-from .budget import (
-    tail_tokens,
-    tokens_for_entry,
-    tokens_for_schedule,
-    tokens_per_frame_for,
-)
+from .budget import segment_tokens
 from .codebook import fit_codebook, discretize_history
 from .drift import (
     DEFAULT_INITIAL_RATING,
@@ -71,26 +66,16 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 def cmd_budget(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
-    h, w, pad = args.height, args.width, args.pad
-    total = 0
-    for seg in schedule.segments:
+    table = segment_tokens(schedule, args.height, args.width, args.tail_frames, pad=args.pad)
+    for seg, tokens in table:
         if isinstance(seg, Frames):
-            tokens = tokens_for_entry(seg.count, seg.kernel, h, w, pad=pad)
-            print(f"entry f{seg.count}{seg.kernel.token} tokens={tokens}")
-            total += tokens
+            label = f"entry f{seg.count}{seg.kernel.token}"
         elif isinstance(seg, Generate):
-            tokens = seg.count * tokens_per_frame_for(h, w, pad=pad)
-            print(f"generate g{seg.count} tokens={tokens}")
-            total += tokens
-    tail = schedule.tail
-    if tail is not None:
-        tokens = tail_tokens(tail.mode, args.tail_frames, schedule.coarsest_kernel, h, w, pad=pad)
-        print(f"tail {tail.mode.value} frames={args.tail_frames} tokens={tokens}")
-        total += tokens
-    check = tokens_for_schedule(schedule, h, w, args.tail_frames, pad=pad)
-    if total != check:
-        raise RuntimeError(f"budget table sums to {total}, accounting says {check}")
-    print(f"total {total}")
+            label = f"generate g{seg.count}"
+        else:
+            label = f"tail {seg.mode.value} frames={args.tail_frames}"
+        print(f"{label} tokens={tokens}")
+    print(f"total {sum(tokens for _, tokens in table)}")
     return 0
 
 

@@ -29,21 +29,23 @@ def write_tensor(path: str | Path, array: np.ndarray, *, flags: int = 0) -> None
     if arr.ndim != 4:
         raise FpltFormatError(f"tensor must be 4D (T,H,W,C), got shape {arr.shape}")
     header = _HEADER.pack(MAGIC, VERSION, flags, *arr.shape)
-    write_atomic(path, header + arr.tobytes())
+    write_atomic(path, header, arr)
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` in one step.
+def write_atomic(path: str | Path, *chunks: bytes | np.ndarray) -> None:
+    """Replace ``path`` with the concatenated ``chunks`` in one step.
 
     The bytes go to a fresh temp file in the target's directory, which is
     then renamed over the target, so a reader sees the old file or the
     new one, never a partial write. The temp file is removed on failure.
+    Each chunk is written from its own buffer, without a joined copy.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with tmp.open("xb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -51,19 +53,26 @@ def write_atomic(path: str | Path, data: bytes) -> None:
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, int]:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FpltFormatError(f"{path}: truncated header ({len(blob)} bytes)")
-    magic, version, flags, t, h, w, c = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FpltFormatError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise FpltFormatError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + 4 * t * h * w * c
-    if len(blob) != expected:
-        raise FpltFormatError(f"{path}: expected {expected} bytes, found {len(blob)}")
-    payload = np.frombuffer(blob, dtype="<f4", offset=_HEADER.size)
-    return payload.reshape(t, h, w, c).copy(), flags
+    """Read a tensor and its flags, checking the header against the file
+    size before the payload is read into one array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise FpltFormatError(f"{path}: truncated header ({size} bytes)")
+        magic, version, flags, t, h, w, c = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FpltFormatError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise FpltFormatError(f"{path}: unsupported version {version}")
+        count = t * h * w * c
+        expected = _HEADER.size + 4 * count
+        if size != expected:
+            raise FpltFormatError(f"{path}: expected {expected} bytes, found {size}")
+        payload = np.fromfile(fh, dtype="<f4", count=count)
+    if payload.size != count:
+        raise FpltFormatError(f"{path}: payload ended after {payload.size} of {count} values")
+    return payload.reshape(t, h, w, c), flags
 
 
 def write_video(path: str | Path, video: LatentVideo) -> None:

@@ -8,6 +8,8 @@ Token order is deterministic: temporal first, then row-major within each
 kernel grid. Time spans are given on a packed timeline that runs tail,
 entries, and generated section in segment order, with gaps counted as
 zero-width at packing time.
+A token's phase is the centre of the windows it pools in time, rows and
+columns.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ from .errors import (
     ShortHistory,
     UnsupportedKernel,
 )
-from .planner import Span, bind_backward, bind_forward
+from .planner import bind_backward, bind_forward
 from .schedule import (
     BASE_KERNEL,
     Frames,
     Generate,
     KernelSpec,
     PackingSchedule,
+    Tail,
     TailMode,
 )
 
@@ -227,26 +230,35 @@ def _pool_block(block: np.ndarray, kernel: KernelSpec, pad_spatial: bool) -> np.
     return grid
 
 
-def _grid_block(
+def _windows(size: int, step: int) -> list[tuple[int, int]]:
+    """The windows of ``step`` positions over ``size``: each ends where the
+    next starts, and the last is clipped at ``size``."""
+    starts = range(0, size, step)
+    return list(zip(starts, [*starts[1:], size]))
+
+
+def _centre(window: tuple[int, int]) -> float:
+    """The mean of the positions ``lo .. hi - 1`` a window pools."""
+    lo, hi = window
+    return (lo + hi - 1) / 2
+
+
+def _block(
     grid: np.ndarray,
     kernel: KernelSpec,
     time_span: tuple[int, int],
-    time_phase: float,
+    extent: tuple[int, int] | None = None,
 ) -> PackedBlock:
-    rows = tuple(r * kernel.p_h + (kernel.p_h - 1) / 2 for r in range(grid.shape[0]))
-    cols = tuple(c * kernel.p_w + (kernel.p_w - 1) / 2 for c in range(grid.shape[1]))
-    return PackedBlock(time_span, kernel, time_phase, rows, cols, grid)
+    """Wrap a pooled grid with the phases of the windows it pools.
 
-
-def _pooled_block(
-    block: np.ndarray,
-    kernel: KernelSpec,
-    t_offset: int,
-    pad_spatial: bool,
-) -> PackedBlock:
-    grid = _pool_block(block, kernel, pad_spatial)
-    span = (t_offset, t_offset + kernel.p_f)
-    return _grid_block(grid, kernel, span, t_offset + (kernel.p_f - 1) / 2)
+    Every phase is a window's centre: the time span's, and those of the
+    kernel's row and column windows over ``extent`` (H, W) pixels. The
+    extent defaults to the padded grid, whose windows are all whole.
+    """
+    h, w = extent or (grid.shape[0] * kernel.p_h, grid.shape[1] * kernel.p_w)
+    rows = tuple(map(_centre, _windows(h, kernel.p_h)))
+    cols = tuple(map(_centre, _windows(w, kernel.p_w)))
+    return PackedBlock(time_span, kernel, _centre(time_span), rows, cols, grid)
 
 
 def patchify(
@@ -261,60 +273,46 @@ def patchify(
         raise ValueError(
             f"slice has {frames.frame_count} frames, kernel wants {kernel.p_f}"
         )
-    return _pooled_block(frames.data, kernel, t_offset, pad_spatial).tokens()
-
-
-def _clipped_windows(size: int, step: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + step, size)) for lo in range(0, size, step)]
+    grid = _pool_block(frames.data, kernel, pad_spatial)
+    return _block(grid, kernel, (t_offset, t_offset + kernel.p_f)).tokens()
 
 
 def _tail_blocks(
     block: np.ndarray,
     mode: TailMode,
-    coarsest: KernelSpec | None,
+    coarsest: KernelSpec,
     t_offset: int,
     pad_spatial: bool,
 ) -> list[PackedBlock]:
-    if mode is TailMode.DELETE or block.shape[0] == 0:
+    n, h, w = block.shape[:3]
+    if mode is TailMode.DELETE or n == 0:
         return []
 
     if mode is TailMode.APPEND:
         kernel = KernelSpec(*TAIL_POOL)
-        rows = _clipped_windows(block.shape[1], TAIL_POOL[1])
-        cols = _clipped_windows(block.shape[2], TAIL_POOL[2])
+        rows = _windows(h, kernel.p_h)
+        cols = _windows(w, kernel.p_w)
         # one mean per window over every tail frame at once; each frame's
         # sum runs in the same order as a per-frame mean would
-        grids = np.empty((block.shape[0], len(rows), len(cols), block.shape[3]))
+        grids = np.empty((n, len(rows), len(cols), block.shape[3]))
         for r, (r0, r1) in enumerate(rows):
             for c, (c0, c1) in enumerate(cols):
                 grids[:, r, c] = block[:, r0:r1, c0:c1].mean(axis=(1, 2))
         grids.setflags(write=False)
-        row_phases = tuple((r0 + r1 - 1) / 2 for r0, r1 in rows)
-        col_phases = tuple((c0 + c1 - 1) / 2 for c0, c1 in cols)
         return [
-            PackedBlock(
-                (t_offset + t, t_offset + t + 1),
-                kernel,
-                float(t_offset + t),
-                row_phases,
-                col_phases,
-                grids[t],
-            )
-            for t in range(block.shape[0])
+            _block(grids[t], kernel, (t_offset + t, t_offset + t + 1), (h, w))
+            for t in range(n)
         ]
 
     # compress
-    kernel = coarsest if coarsest is not None else BASE_KERNEL
-    averaged = block.mean(axis=0, keepdims=True)
-    grid = _pool_block(averaged, kernel, pad_spatial)
-    span = (t_offset, t_offset + block.shape[0])
-    return [_grid_block(grid, kernel, span, t_offset + (block.shape[0] - 1) / 2)]
+    grid = _pool_block(block.mean(axis=0, keepdims=True), coarsest, pad_spatial)
+    return [_block(grid, coarsest, (t_offset, t_offset + n))]
 
 
 def handle_tail(
     tail: LatentVideo,
     mode: TailMode,
-    coarsest: KernelSpec | None = None,
+    coarsest: KernelSpec = BASE_KERNEL,
     *,
     t_offset: int = 0,
     pad_spatial: bool = False,
@@ -362,13 +360,19 @@ def apply_schedule(
     budget always equals ``tokens_for_schedule`` for the same dims and
     tail count; the generated section contributes one zero-feature block
     per frame at the base kernel, all sharing one grid. A schedule whose
-    tail sits at the end needs an entry after the generated section, or
-    it raises ``InvalidSchedule``.
+    tail sits at the end needs an entry after the generated section, and
+    a ``+D`` schedule must be quantized first; either raises
+    ``InvalidSchedule``.
     """
     h, w, channels = history.height, history.width, history.channels
     data = history.data
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
+    if schedule.discretize_history:
+        raise InvalidSchedule(
+            f"schedule {schedule.name!r} packs a discretized history; run "
+            f"`ctxpack quantize` first, then pack {schedule.name[:-2]!r}"
+        )
     if schedule.tail_at_end and not post:
         # the planner feeds such a schedule's entries the newest frames,
         # which the tail at the end would take
@@ -414,45 +418,34 @@ def apply_schedule(
 
     blocks: list[PackedBlock] = []
     cursor = 0
-    tail_span: tuple[int, int] | None = None
-
-    def emit_tail() -> None:
-        nonlocal cursor, tail_span
-        tail_span = (cursor, cursor + n_tail)
-        blocks.extend(
-            _tail_blocks(
-                tail_block, schedule.tail.mode, schedule.coarsest_kernel, cursor, pad_spatial
+    spans = iter(pre_spans + post_spans)
+    # a short entry pads with its side's outermost bound frame
+    edge = data[lo:middle][:1]
+    generate_span = tail_span = None
+    for seg in schedule.segments:
+        if isinstance(seg, Tail):
+            tail_span = (cursor, cursor + n_tail)
+            blocks += _tail_blocks(
+                tail_block, seg.mode, schedule.coarsest_kernel, cursor, pad_spatial
             )
-        )
-        cursor += n_tail
-
-    def emit_entries(
-        entries: Sequence[Frames], spans: list[Span], edge: np.ndarray, at_start: bool
-    ) -> None:
-        nonlocal cursor
-        for entry, span in zip(entries, spans):
+            cursor += n_tail
+        elif isinstance(seg, Generate):
+            generate_span = (cursor, cursor + seg.count)
+            zero_grid = _pool_block(np.zeros((1, h, w, channels)), BASE_KERNEL, pad_spatial)
+            blocks += [_block(zero_grid, BASE_KERNEL, (t, t + 1)) for t in range(*generate_span)]
+            cursor += seg.count
+            edge = data[middle:hi][-1:]
+        elif isinstance(seg, Frames):
+            span = next(spans)
             frames = data[span.start : span.stop]
-            deficit = entry.count - span.length
+            deficit = seg.count - span.length
             if deficit:
                 pad = np.repeat(edge, deficit, axis=0)
-                frames = np.concatenate([pad, frames] if at_start else [frames, pad])
-            for group in _entry_groups(frames, entry, pad_history):
-                blocks.append(_pooled_block(group, entry.kernel, cursor, pad_spatial))
-                cursor += entry.kernel.p_f
-
-    if schedule.tail_at_start:
-        emit_tail()
-    emit_entries(pre, pre_spans, data[lo:middle][:1], at_start=True)
-
-    generate_span = (cursor, cursor + schedule.generate.count)
-    zero_grid = _pool_block(np.zeros((1, h, w, channels)), BASE_KERNEL, pad_spatial)
-    for t in range(*generate_span):
-        blocks.append(_grid_block(zero_grid, BASE_KERNEL, (t, t + 1), float(t)))
-    cursor = generate_span[1]
-
-    emit_entries(post, post_spans, data[middle:hi][-1:], at_start=False)
-    if schedule.tail_at_end:
-        emit_tail()
+                frames = np.concatenate([frames, pad] if generate_span else [pad, frames])
+            for group in _entry_groups(frames, seg, pad_history):
+                grid = _pool_block(group, seg.kernel, pad_spatial)
+                blocks.append(_block(grid, seg.kernel, (cursor, cursor + seg.kernel.p_f)))
+                cursor += seg.kernel.p_f
 
     budget = sum(b.size for b in blocks)
     expected = tokens_for_schedule(

@@ -66,6 +66,44 @@ class TestBudgetCommand:
         rc = main(["budget", "td_f16k4f2k2f1k1_g9", "--height", "60", "--width", "104", "--pad"])
         assert rc == 0
 
+    def test_table_output(self, capsys):
+        dims = ["--height", "60", "--width", "104", "--pad"]
+        cases = [
+            (
+                ["ta_f16k4f2k2f1k1_g9", "--tail-frames", "7"],
+                "entry f16k4 tokens=416\n"
+                "entry f2k2 tokens=390\n"
+                "entry f1k1 tokens=1560\n"
+                "generate g9 tokens=14040\n"
+                "tail ta frames=7 tokens=56\n"
+                "total 16462\n",
+            ),
+            (
+                ["f1k1_x_g9_f1k1f2k2f16k4_tc", "--tail-frames", "5"],
+                "entry f1k1 tokens=1560\n"
+                "generate g9 tokens=14040\n"
+                "entry f1k1 tokens=1560\n"
+                "entry f2k2 tokens=390\n"
+                "entry f16k4 tokens=416\n"
+                "tail tc frames=5 tokens=104\n"
+                "total 18070\n",
+            ),
+            (
+                ["f2k2_g1_f3k1", "--tail-frames", "0"],
+                "entry f2k2 tokens=390\n"
+                "generate g1 tokens=1560\n"
+                "entry f3k1 tokens=4680\n"
+                "total 6630\n",
+            ),
+        ]
+        for args, expected in cases:
+            assert main(["budget", *args, *dims]) == 0
+            assert capsys.readouterr().out == expected
+
+    def test_discretized_schedule_accepted(self, capsys):
+        assert main(["budget", "td_f1k1_g1+D", "--height", "64", "--width", "64"]) == 0
+        assert "total 2048" in capsys.readouterr().out
+
 
 class TestPlanCommand:
     def test_inverted_example(self, capsys):
@@ -120,6 +158,14 @@ class TestPackCommand:
         rc = main(["pack", "f2k2h1w1_g1", small_video_path, "-o", str(out)])
         assert rc == 2
         assert "learned kernel" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_discretized_schedule_exits_2(self, tmp_path, small_video_path, capsys):
+        out = tmp_path / "packed.fplt"
+        rc = main(["pack", "td_f1k1_g1+D", small_video_path, "-o", str(out), "--pad-history"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "quantize" in err and "'td_f1k1_g1'" in err
         assert not out.exists()
 
     def test_tail_at_end_without_post_entry_exits_2(self, tmp_path, small_video_path, capsys):

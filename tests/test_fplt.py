@@ -1,8 +1,11 @@
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxpack.codebook import Codebook
 from ctxpack.errors import FpltFormatError
@@ -141,3 +144,69 @@ class TestAtomicWrite:
             write_tensor(path, np.ones((1, 1, 3, 2)))
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["t.fplt"]
+
+
+class TestCopies:
+    # 4 MB of float32: the writer hands the array's own buffer to the
+    # file, and the reader fills one array straight from it
+    ARRAY = np.arange(16 * 64 * 64 * 16, dtype=np.float32).reshape(16, 64, 64, 16)
+
+    def traced_peak(self, fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_write_peak_below_payload(self, tmp_path):
+        path = tmp_path / "t.fplt"
+        _, peak = self.traced_peak(lambda: write_tensor(path, self.ARRAY))
+        assert peak < self.ARRAY.nbytes
+        assert path.stat().st_size == 28 + self.ARRAY.nbytes
+
+    def test_read_peak_one_payload(self, tmp_path):
+        path = tmp_path / "t.fplt"
+        write_tensor(path, self.ARRAY)
+        (loaded, _), peak = self.traced_peak(lambda: read_tensor(path))
+        assert peak < 1.5 * self.ARRAY.nbytes
+        np.testing.assert_array_equal(loaded, self.ARRAY)
+
+
+@st.composite
+def corruptions(draw):
+    shape = tuple(draw(st.integers(1, 3)) for _ in range(4))
+    flags = draw(st.integers(0, 1))
+    edits = draw(st.lists(st.tuples(st.integers(0, 27), st.integers(0, 255)), max_size=3))
+    cut = draw(st.one_of(st.none(), st.integers(0, 28 + 4 * int(np.prod(shape)) - 1)))
+    extra = draw(st.binary(max_size=8))
+    return shape, flags, edits, cut, extra
+
+
+class TestCorruptHeaders:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(corruptions())
+    def test_reads_back_or_raises(self, tmp_path_factory, case):
+        shape, flags, edits, cut, extra = case
+        arr = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+        path = tmp_path_factory.mktemp("fuzz") / "t.fplt"
+        write_tensor(path, arr, flags=flags)
+        blob = bytearray(path.read_bytes())
+        for offset, value in edits:
+            blob[offset] = value
+        blob = blob[:cut] + extra if cut is not None else blob + extra
+        path.write_bytes(bytes(blob))
+        try:
+            loaded, got_flags = read_tensor(path)
+        except FpltFormatError:
+            return
+        # whatever reads back is the header's shape over the written
+        # values, from a file of exactly the size the header implies
+        header = struct.unpack_from("<4sII4I", blob)
+        assert header[:2] == (b"FPLT", 1)
+        assert len(blob) == 28 + 4 * int(np.prod(header[3:]))
+        assert got_flags == header[2]
+        assert loaded.shape == header[3:]
+        assert loaded.tobytes() == arr.tobytes()

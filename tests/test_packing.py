@@ -22,6 +22,7 @@ from ctxpack.packing import (
 )
 from ctxpack.planner import plan_vanilla
 from ctxpack.schedule import (
+    BASE_KERNEL,
     Frames,
     Generate,
     KernelSpec,
@@ -200,6 +201,17 @@ class TestHandleTail:
     def test_empty_tail(self):
         assert handle_tail(video(0), TailMode.APPEND) == []
 
+    def test_compress_defaults_to_base_kernel(self):
+        v = video(3, 6, 10, 2, seed=4)
+        default = handle_tail(v, TailMode.COMPRESS, t_offset=2)
+        base = handle_tail(v, TailMode.COMPRESS, BASE_KERNEL, t_offset=2)
+        assert len(default) == len(base) == 15
+        for got, want in zip(default, base):
+            assert (got.time_span, got.cell, got.kernel, got.phase) == (
+                want.time_span, want.cell, want.kernel, want.phase
+            )
+            assert got.feature.tobytes() == want.feature.tobytes()
+
 
 class TestApplySchedule:
     def test_exact_capacity(self):
@@ -289,6 +301,11 @@ class TestApplySchedule:
         for pad in (False, True):
             with pytest.raises(InvalidSchedule, match="after the generated section"):
                 apply_schedule(video(18, 8, 8, 1), s, pad_history=pad, pad_spatial=pad)
+
+    def test_discretized_schedule_rejected(self):
+        s = parse_schedule("td_f1k1_g9+D")
+        with pytest.raises(InvalidSchedule, match=r"quantize.*'td_f1k1_g9'$"):
+            apply_schedule(video(5, 8, 8, 1), s, pad_history=True)
 
     def test_excess_history_without_tail(self):
         with pytest.raises(ExcessHistory):
