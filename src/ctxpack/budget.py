@@ -158,10 +158,18 @@ def _grid(size: int, step: int, axis: str, pad: bool) -> int:
     return math.ceil(size / step) if pad else size // step
 
 
+def _check_sizes(height: int, width: int, tail_frames: int = 0) -> None:
+    if height < 1 or width < 1:
+        raise ValueError(f"height and width must be >= 1, got {height}x{width}")
+    if tail_frames < 0:
+        raise ValueError(f"tail frame count must be >= 0, got {tail_frames}")
+
+
 def tokens_for_entry(
     count: int, kernel: KernelSpec, height: int, width: int, *, pad: bool = False
 ) -> int:
     """Tokens emitted by one schedule entry over the given latent dims."""
+    _check_sizes(height, width)
     groups = _grid(count, kernel.p_f, "count", pad)
     rows = _grid(height, kernel.p_h, "height", pad)
     cols = _grid(width, kernel.p_w, "width", pad)
@@ -183,6 +191,7 @@ def tail_tokens(
     pad: bool = False,
 ) -> int:
     """Token count contributed by the tail under the given mode."""
+    _check_sizes(height, width, tail_frames)
     if tail_frames <= 0 or mode is TailMode.DELETE:
         return 0
     if mode is TailMode.APPEND:
@@ -201,6 +210,7 @@ def segment_tokens(
 ) -> list[tuple[Segment, int]]:
     """Tokens per segment: the entries and the generated section in
     schedule order, then the tail if the schedule has one."""
+    _check_sizes(height, width, tail_frames)
     table: list[tuple[Segment, int]] = []
     for seg in schedule.segments:
         if isinstance(seg, Frames):

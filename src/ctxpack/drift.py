@@ -34,9 +34,7 @@ class SegmentMetric:
 
 def _segments(video: LatentVideo | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The start and end segments of a video, DRIFT_WINDOW of its frames each."""
-    arr = video.data if isinstance(video, LatentVideo) else np.asarray(video, dtype=np.float64)
-    if arr.ndim != 4:
-        raise ValueError(f"expected (T, H, W, C) frames, got shape {arr.shape}")
+    arr = (video if isinstance(video, LatentVideo) else LatentVideo(video)).data
     t = arr.shape[0]
     if t < 2:
         raise TooFewFrames(f"drift needs at least 2 frames, got {t}")

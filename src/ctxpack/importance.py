@@ -90,9 +90,11 @@ def importance_scores(
     *,
     zero_substitute: bool = False,
 ) -> list[ImportanceScore]:
-    frames = history.data if isinstance(history, LatentVideo) else np.asarray(history)
+    frames = (history if isinstance(history, LatentVideo) else LatentVideo(history)).data
     if frames.shape[0] != len(times):
         raise ValueError(f"{frames.shape[0]} frames but {len(times)} timestamps")
+    if not np.isfinite(_frame_array(target_estimate)).all():
+        raise ValueError("target estimate must contain only finite values")
     scores = []
     for i in range(frames.shape[0]):
         cos = sim_cos(frames[i], target_estimate, zero_substitute=zero_substitute)

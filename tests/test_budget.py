@@ -11,13 +11,15 @@ from ctxpack.budget import (
     decompose_rate,
     length_bound,
     per_frame_length,
+    segment_tokens,
+    tail_tokens,
     tokens_for_entry,
     tokens_for_schedule,
     tokens_per_frame_for,
     total_length,
 )
 from ctxpack.errors import ExcessHistory, IndivisibleDims, NonDyadicBudget
-from ctxpack.schedule import KernelSpec, parse_schedule
+from ctxpack.schedule import BASE_KERNEL, KernelSpec, TailMode, parse_schedule
 
 
 def geometric_sum_oracle(lf, ratio, section, history):
@@ -171,6 +173,32 @@ class TestTokensForEntry:
         kernel = KernelSpec(4, 8, 8)
         got = tokens_for_entry(18, kernel, 60, 104, pad=True)
         assert got == math.ceil(18 / 4) * math.ceil(60 / 8) * math.ceil(104 / 8)
+
+
+class TestSizeChecks:
+    @pytest.mark.parametrize("height,width", [(0, 64), (-4, 64), (64, 0), (64, -1)])
+    def test_dimension_below_one_rejected(self, height, width):
+        schedule = parse_schedule("ta_f1k1_g1")
+        calls = [
+            lambda: tokens_for_entry(1, BASE_KERNEL, height, width, pad=True),
+            lambda: tail_tokens(TailMode.APPEND, 2, BASE_KERNEL, height, width),
+            lambda: segment_tokens(schedule, height, width, 2, pad=True),
+            lambda: tokens_for_schedule(schedule, height, width, 2, pad=True),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="height and width must be >= 1"):
+                call()
+
+    @pytest.mark.parametrize("name", ["td_f1k1_g1", "ta_f1k1_g1", "tc_f1k1_g1", "f1k1_g1"])
+    def test_negative_tail_rejected(self, name):
+        schedule = parse_schedule(name)
+        with pytest.raises(ValueError, match="tail frame count must be >= 0"):
+            segment_tokens(schedule, 64, 64, -3)
+        with pytest.raises(ValueError, match="tail frame count must be >= 0"):
+            tokens_for_schedule(schedule, 64, 64, -3)
+        if schedule.tail is not None:
+            with pytest.raises(ValueError, match="tail frame count must be >= 0"):
+                tail_tokens(schedule.tail.mode, -3, BASE_KERNEL, 64, 64)
 
 
 class TestTokensForSchedule:

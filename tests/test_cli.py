@@ -48,6 +48,23 @@ class TestParseCommand:
         assert main(["parse", "td_f1k1_q9"]) == 2
         assert "'q'" in capsys.readouterr().err
 
+    def test_skip_segment_output(self, capsys):
+        assert main(["parse", "f1k1_x_g9_f1k1f2k2f16k4_td"]) == 0
+        assert capsys.readouterr().out == (
+            "name=f1k1_x_g9_f1k1f2k2f16k4_td\n"
+            "mode=inverted\n"
+            "discretize=false\n"
+            "entries=4\n"
+            "generate=9\n"
+            "segment 1: frames f1k1\n"
+            "segment 2: skip x\n"
+            "segment 3: generate g9\n"
+            "segment 4: frames f1k1\n"
+            "segment 5: frames f2k2\n"
+            "segment 6: frames f16k4\n"
+            "segment 7: tail td\n"
+        )
+
 
 class TestBudgetCommand:
     def test_vanilla_chain(self, capsys):
@@ -104,6 +121,22 @@ class TestBudgetCommand:
         assert main(["budget", "td_f1k1_g1+D", "--height", "64", "--width", "64"]) == 0
         assert "total 2048" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "name,height,width,tail",
+        [
+            ("td_f1k1_g1", "64", "64", "-3"),
+            ("f1k1_g1", "64", "64", "-3"),
+            ("td_f1k1_g1", "-4", "64", "0"),
+            ("td_f1k1_g1", "64", "0", "0"),
+        ],
+    )
+    def test_bad_size_exits_3(self, capsys, name, height, width, tail):
+        args = ["budget", name, "--height", height, "--width", width, "--tail-frames", tail]
+        assert main(args) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert ">= " in captured.err
+
 
 class TestPlanCommand:
     def test_inverted_example(self, capsys):
@@ -129,6 +162,36 @@ class TestPlanCommand:
 
     def test_unclassified_exits_2(self, capsys):
         assert main(["plan", "f1k1_g9_f1k1", "--total", "18", "--section", "9"]) == 2
+
+    def test_endpoint_output(self, capsys):
+        assert main(["plan", "td_f16k4f2k2f1k1_g9_x_f1k1", "--total", "36", "--section", "9"]) == 0
+        assert capsys.readouterr().out == (
+            "ITER 1 TARGET 0..9,27..36 INPUTS 0..0@k4,0..0@k2,0..0@k1,36..36@k1\n"
+            "ITER 2 TARGET 9..18 INPUTS 0..6@k4,6..8@k2,8..9@k1,27..28@k1\n"
+            "ITER 3 TARGET 18..27 INPUTS 0..15@k4,15..17@k2,17..18@k1,27..28@k1\n"
+        )
+
+    def test_multi_endpoint_frames_after_last_anchor(self, capsys):
+        rc = main([
+            "plan", "td_f16k4f2k2f1k1_g9_x_f1k1",
+            "--total", "45", "--section", "9", "--endpoints", "9..18",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "ITER 1 TARGET 9..18 INPUTS 0..0@k4,0..0@k2,0..0@k1,18..18@k1\n"
+            "ITER 2 TARGET 0..9 INPUTS 0..0@k4,0..0@k2,0..0@k1,9..10@k1\n"
+            "ITER 3 TARGET 18..27 INPUTS 0..15@k4,15..17@k2,17..18@k1,27..27@k1\n"
+            "ITER 4 TARGET 27..36 INPUTS 8..24@k4,24..26@k2,26..27@k1,36..36@k1\n"
+            "ITER 5 TARGET 36..45 INPUTS 17..33@k4,33..35@k2,35..36@k1,45..45@k1\n"
+        )
+
+    @pytest.mark.parametrize("total,section", [("27", "0"), ("0", "9"), ("-27", "9")])
+    def test_size_below_one_exits_2(self, capsys, total, section):
+        rc = main(["plan", "td_f16k4f2k2f1k1_g9", "--total", total, "--section", section])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must both be >= 1" in captured.err
 
 
 class TestPackCommand:

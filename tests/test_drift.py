@@ -70,6 +70,15 @@ class TestDrift:
         v = LatentVideo(rng(3).normal(size=(8, 4, 4, 1)))
         assert drift(v, metric_by_name("mean-luminance")) >= 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_array_rejected(self, bad):
+        video = rng(4).normal(size=(8, 4, 4, 1))
+        video[5, 1, 2, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            drift(video, metric_by_name("mean-luminance"))
+        with pytest.raises(ValueError, match="finite"):
+            drift_report(video, builtin_metrics())
+
 
 class TestBuiltinMetrics:
     def test_constant_video_scores(self):

@@ -185,6 +185,23 @@ class TestSortByImportance:
         with pytest.raises(ValueError):
             sort_by_importance(rng(20).normal(size=(3, 2, 2, 2)), [0.0], None, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_history_rejected(self, bad):
+        v = rng(23).normal(size=(3, 2, 2, 2))
+        target = v[0].copy()
+        v[1, 0, 1, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sort_by_importance(v, [0.0, 1.0, 2.0], target, 2.0, 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("wrap", [np.asarray, LatentVideo])
+    def test_non_finite_target_rejected(self, bad, wrap):
+        v = rng(24).normal(size=(3, 2, 2, 2))
+        target = v[0].copy()
+        target[1, 1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            importance_scores(wrap(v), [0.0, 1.0, 2.0], target, 2.0, 0.5)
+
 
 class TestReorderFrames:
     def test_reorders(self):

@@ -1,5 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import planner_oracle
+from ctxpack import planner as planner_module
 from ctxpack.errors import ModeMismatch, OverlappingEndpoints, PlanError, TooShort
 from ctxpack.planner import (
     GenerationPlan,
@@ -11,6 +15,8 @@ from ctxpack.planner import (
     serialize_plan,
 )
 from ctxpack.schedule import parse_schedule
+from test_schedule import schedules
+from variant_catalog import ENDPOINT_NAMES, INVERTED_NAMES, VANILLA_NAMES
 
 VANILLA = parse_schedule("td_f16k4f2k2f1k1_g9")
 ENDPOINT = parse_schedule("td_f16k4f2k2f1k1_g9_x_f1k1")
@@ -221,3 +227,72 @@ class TestSerialize:
     def test_no_entries_serializes_dash(self):
         plan = plan_vanilla(4, 2, parse_schedule("g2"))
         assert "INPUTS -" in serialize_plan(plan)
+
+
+PLANNERS = {
+    "vanilla": lambda total, section: plan_vanilla(total, section, VANILLA),
+    "endpoint": lambda total, section: plan_endpoint(total, section, ENDPOINT),
+    "inverted": lambda total, section: plan_inverted(total, section, INVERTED),
+    "multi-endpoint": lambda total, section: plan_multi_endpoint(
+        total, section, ENDPOINT, [(0, 9)]
+    ),
+}
+
+
+class TestSizes:
+    @pytest.mark.parametrize("planner", sorted(PLANNERS))
+    @pytest.mark.parametrize("total,section", [(27, 0), (27, -9), (0, 9), (-27, 9)])
+    def test_size_below_one_rejected(self, planner, total, section):
+        with pytest.raises(PlanError, match="must both be >= 1"):
+            PLANNERS[planner](total, section)
+
+
+# Published variants, or random vanilla, endpoint and inverted shapes;
+# endpoint names twice as often, since two planners take them.
+planner_schedules = (
+    st.sampled_from(VANILLA_NAMES + ENDPOINT_NAMES * 2 + INVERTED_NAMES).map(parse_schedule)
+    | schedules()
+)
+
+
+@st.composite
+def plan_cases(draw):
+    """A schedule, sizes, and anchor spans mostly aligned to sections; some
+    misaligned, empty, overlapping or out of range, some totals partial."""
+    section = draw(st.integers(1, 10))
+    total = draw(st.integers(1, 80) | st.integers(1, 80 // section).map(lambda k: k * section))
+    spans = []
+    units = st.lists(st.integers(0, total // section), min_size=1, max_size=3, unique=True)
+    for unit in draw(units) if draw(st.sampled_from([True] * 9 + [False])) else []:
+        length = draw(st.sampled_from([1] * 6 + [2] * 3 + [0]))
+        shift = draw(st.sampled_from([0] * 19 + [1]))
+        spans.append((unit * section + shift, (unit + length) * section + shift))
+    labels = [f"p{i}" for i in range(len(spans))]
+    prompts = draw(st.sampled_from([None, labels, labels, labels, labels[1:] or ["p"]]))
+    return draw(planner_schedules), total, section, spans, prompts
+
+
+def outcome(planner, *args, **kwargs):
+    """What a planner returns, or the class and message of what it raises."""
+    try:
+        plan = planner(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return plan.mode, plan.iterations, plan.user_spans, serialize_plan(plan)
+
+
+class TestPlannerOracle:
+    @settings(max_examples=600)
+    @given(case=plan_cases(), user_frames=st.integers(0, 5), allow_partial=st.booleans())
+    def test_matches_reference_planners(self, case, user_frames, allow_partial):
+        schedule, total, section, endpoints, prompts = case
+        calls = [
+            ("plan_vanilla", (total, section, schedule), {"allow_partial": allow_partial}),
+            ("plan_endpoint", (total, section, schedule), {}),
+            ("plan_inverted", (total, section, schedule), {"user_frames": user_frames}),
+            ("plan_multi_endpoint", (total, section, schedule, endpoints), {"prompts": prompts}),
+        ]
+        for name, args, kwargs in calls:
+            new = outcome(getattr(planner_module, name), *args, **kwargs)
+            old = outcome(getattr(planner_oracle, name), *args, **kwargs)
+            assert new == old, name
