@@ -170,6 +170,8 @@ def tokens_for_entry(
 ) -> int:
     """Tokens emitted by one schedule entry over the given latent dims."""
     _check_sizes(height, width)
+    if count < 0:
+        raise ValueError(f"entry frame count must be >= 0, got {count}")
     groups = _grid(count, kernel.p_f, "count", pad)
     rows = _grid(height, kernel.p_h, "height", pad)
     cols = _grid(width, kernel.p_w, "width", pad)

@@ -75,7 +75,8 @@ def _nearest(pixels: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     constant per row). A row whose best-to-second margin is not clearly
     above the float error of that score and of the direct distance is
     re-ranked by the direct ``sum((x - c)^2)``, so the result is the
-    direct formula's argmin, ties to the lowest index.
+    direct formula's argmin, ties to the lowest index. Pixels may be
+    float32; each chunk is cast to float64 before it is scored.
     """
     n, (k, c) = pixels.shape[0], centroids.shape
     rows = max(1, _SCORE_BYTES // (8 * k))
@@ -90,7 +91,7 @@ def _nearest(pixels: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.
     rel = 8 * (c + 2) * np.finfo(np.float64).eps
     floor = rel * c_sq.max() + np.finfo(np.float64).tiny
     for lo in range(0, n, rows):
-        chunk = pixels[lo : lo + rows]
+        chunk = pixels[lo : lo + rows].astype(np.float64, copy=False)
         scores = chunk @ neg2ct
         scores += c_sq
         a = scores.argmin(axis=1)
@@ -139,7 +140,7 @@ def _pixel_matrix(dataset: Sequence[LatentVideo]) -> np.ndarray:
     channels = dataset[0].channels
     if any(v.channels != channels for v in dataset):
         raise ChannelMismatch("dataset videos have mixed channel counts")
-    return np.concatenate([v.data.reshape(-1, channels) for v in dataset])
+    return np.concatenate([v.array.reshape(-1, channels) for v in dataset], dtype=np.float64)
 
 
 def fit_codebook(
@@ -202,9 +203,9 @@ def quantize(frames: LatentVideo, codebook: Codebook) -> IndexMap:
         raise ChannelMismatch(
             f"video has {frames.channels} channels, codebook has {codebook.channels}"
         )
-    pixels = frames.data.reshape(-1, frames.channels)
+    pixels = frames.array.reshape(-1, frames.channels)
     assign, _ = _nearest(pixels, codebook.centroids)
-    return IndexMap(assign.reshape(frames.data.shape[:3]))
+    return IndexMap(assign.reshape(frames.array.shape[:3]))
 
 
 def dequantize(index_map: IndexMap, codebook: Codebook) -> LatentVideo:

@@ -34,12 +34,13 @@ class SegmentMetric:
 
 def _segments(video: LatentVideo | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The start and end segments of a video, DRIFT_WINDOW of its frames each."""
-    arr = (video if isinstance(video, LatentVideo) else LatentVideo(video)).data
+    arr = (video if isinstance(video, LatentVideo) else LatentVideo(video)).array
     t = arr.shape[0]
     if t < 2:
         raise TooFewFrames(f"drift needs at least 2 frames, got {t}")
     window = max(1, int(DRIFT_WINDOW * t))
-    return arr[:window], arr[-window:]
+    start, end = arr[:window], arr[-window:]
+    return start.astype(np.float64, copy=False), end.astype(np.float64, copy=False)
 
 
 def drift(video: LatentVideo | np.ndarray, metric: SegmentMetric) -> float:

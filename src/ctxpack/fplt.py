@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -25,11 +27,21 @@ _HEADER = struct.Struct("<4sII4I")
 
 
 def write_tensor(path: str | Path, array: np.ndarray, *, flags: int = 0) -> None:
-    arr = np.ascontiguousarray(array, dtype="<f4")
+    """Write a 4-D array as FPLT atomically.
+
+    A little-endian float32 array is written from its own buffer; any
+    other dtype is converted one frame at a time, so no copy of the whole
+    payload is made.
+    """
+    arr = np.asarray(array)
     if arr.ndim != 4:
         raise FpltFormatError(f"tensor must be 4D (T,H,W,C), got shape {arr.shape}")
     header = _HEADER.pack(MAGIC, VERSION, flags, *arr.shape)
-    write_atomic(path, header, arr)
+    parts = (arr,) if arr.dtype == np.dtype("<f4") else arr
+    with _replacing(path) as fh:
+        fh.write(header)
+        for part in parts:
+            fh.write(np.ascontiguousarray(part, dtype="<f4"))
 
 
 def write_atomic(path: str | Path, *chunks: bytes | np.ndarray) -> None:
@@ -40,12 +52,20 @@ def write_atomic(path: str | Path, *chunks: bytes | np.ndarray) -> None:
     new one, never a partial write. The temp file is removed on failure.
     Each chunk is written from its own buffer, without a joined copy.
     """
+    with _replacing(path) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+
+
+@contextmanager
+def _replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """An open temp file that replaces ``path`` when the block exits
+    cleanly, and is removed when it raises."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with tmp.open("xb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -76,7 +96,7 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 def write_video(path: str | Path, video: LatentVideo) -> None:
-    write_tensor(path, video.data)
+    write_tensor(path, video.array)
 
 
 def read_video(path: str | Path) -> LatentVideo:

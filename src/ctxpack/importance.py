@@ -28,11 +28,19 @@ class ImportanceScore:
     components: tuple[float, float]  # (cosine term, time term)
 
 
-def _frame_array(frame: np.ndarray) -> np.ndarray:
+def _frame_array(frame: np.ndarray, name: str) -> np.ndarray:
+    """A finite (H, W, C) frame as float64."""
     arr = np.asarray(frame, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"expected an (H, W, C) frame, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must contain only finite values")
     return arr
+
+
+def _check_shapes(frame_shape: tuple[int, ...], target_shape: tuple[int, ...]) -> None:
+    if frame_shape != target_shape:
+        raise ValueError(f"frame shape {frame_shape} != target shape {target_shape}")
 
 
 def sim_cos(
@@ -43,13 +51,18 @@ def sim_cos(
 ) -> float:
     """Sum of per-pixel cosine similarities; range [-H*W, H*W].
 
-    A pixel vector with zero norm raises unless ``zero_substitute`` is
-    set, in which case that pixel contributes 0.
+    Both frames must be finite (H, W, C) arrays of one shape, or
+    ``ValueError`` is raised. A pixel vector with zero norm raises unless
+    ``zero_substitute`` is set, in which case that pixel contributes 0.
     """
-    f = _frame_array(frame)
-    x = _frame_array(target)
-    if f.shape != x.shape:
-        raise ValueError(f"frame shape {f.shape} != target shape {x.shape}")
+    f = _frame_array(frame, "frame")
+    x = _frame_array(target, "target")
+    _check_shapes(f.shape, x.shape)
+    return _cosine_sum(f, x, zero_substitute)
+
+
+def _cosine_sum(f: np.ndarray, x: np.ndarray, zero_substitute: bool) -> float:
+    """``sim_cos`` over float64 frames already checked for shape and finiteness."""
     dots = (f * x).sum(axis=-1)
     nf = np.linalg.norm(f, axis=-1)
     nx = np.linalg.norm(x, axis=-1)
@@ -90,14 +103,16 @@ def importance_scores(
     *,
     zero_substitute: bool = False,
 ) -> list[ImportanceScore]:
-    frames = (history if isinstance(history, LatentVideo) else LatentVideo(history)).data
+    frames = (history if isinstance(history, LatentVideo) else LatentVideo(history)).array
     if frames.shape[0] != len(times):
         raise ValueError(f"{frames.shape[0]} frames but {len(times)} timestamps")
-    if not np.isfinite(_frame_array(target_estimate)).all():
-        raise ValueError("target estimate must contain only finite values")
+    # LatentVideo checked every frame, so only the target needs checking
+    target = _frame_array(target_estimate, "target estimate")
+    _check_shapes(frames.shape[1:], target.shape)
     scores = []
     for i in range(frames.shape[0]):
-        cos = sim_cos(frames[i], target_estimate, zero_substitute=zero_substitute)
+        frame = frames[i].astype(np.float64, copy=False)
+        cos = _cosine_sum(frame, target, zero_substitute)
         t = sim_time(times[i], target_time)
         scores.append(ImportanceScore(i, cos + time_weight * t, (cos, t)))
     return scores
@@ -130,4 +145,4 @@ def reorder_frames(history: LatentVideo, permutation: Sequence[int]) -> LatentVi
     """History re-ordered by a permutation, most important frame first."""
     if sorted(permutation) != list(range(history.frame_count)):
         raise ValueError("not a permutation of the history frames")
-    return LatentVideo(history.data[list(permutation)])
+    return LatentVideo(history.array[list(permutation)])

@@ -14,6 +14,7 @@ columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -39,6 +40,9 @@ from .schedule import (
     TailMode,
 )
 
+# Bytes of the snapshot LatentVideo copies and checks in one step.
+_CHECK_BYTES = 1 << 18
+
 LEARNED_KERNELS = (
     KernelSpec(1, 2, 2),
     KernelSpec(2, 4, 4),
@@ -49,36 +53,58 @@ LEARNED_KERNELS = (
 
 @dataclass(frozen=True, eq=False)
 class LatentVideo:
-    """A (T, H, W, C) block of latent frames with finite values."""
+    """A (T, H, W, C) block of latent frames with finite values.
 
-    data: np.ndarray
+    ``array`` is a read-only snapshot of the input: float32 input stays
+    float32, anything else becomes float64. It is a copy, so writing to
+    the caller's array later cannot reach a validated history. ``data``
+    is the same values as float64, built on first use and cached;
+    consumers that reduce frames cast only the frames they read.
+    """
+
+    array: np.ndarray
 
     def __post_init__(self) -> None:
-        arr = np.array(self.data, dtype=np.float64)
-        if arr.ndim != 4:
-            raise ValueError(f"latent video must be 4D (T,H,W,C), got shape {arr.shape}")
-        if min(arr.shape[1:]) < 1:
-            raise ValueError(f"H, W, C must all be >= 1, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("latent video must contain only finite values")
+        source = np.asarray(self.array)
+        if source.ndim != 4:
+            raise ValueError(f"latent video must be 4D (T,H,W,C), got shape {source.shape}")
+        if min(source.shape[1:]) < 1:
+            raise ValueError(f"H, W, C must all be >= 1, got shape {source.shape}")
+        arr = np.empty(source.shape, np.float32 if source.dtype == np.float32 else np.float64)
+        # copy and check about 256 KiB at a time, so the check reads
+        # each frame while it is still in cache
+        step = max(1, _CHECK_BYTES // (arr.itemsize * math.prod(arr.shape[1:])))
+        for t in range(0, arr.shape[0], step):
+            arr[t : t + step] = source[t : t + step]
+            if not np.isfinite(arr[t : t + step]).all():
+                raise ValueError("latent video must contain only finite values")
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "array", arr)
+
+    @cached_property
+    def data(self) -> np.ndarray:
+        """The frames as a read-only float64 array."""
+        if self.array.dtype == np.float64:
+            return self.array
+        data = self.array.astype(np.float64)
+        data.setflags(write=False)
+        return data
 
     @property
     def frame_count(self) -> int:
-        return self.data.shape[0]
+        return self.array.shape[0]
 
     @property
     def height(self) -> int:
-        return self.data.shape[1]
+        return self.array.shape[1]
 
     @property
     def width(self) -> int:
-        return self.data.shape[2]
+        return self.array.shape[2]
 
     @property
     def channels(self) -> int:
-        return self.data.shape[3]
+        return self.array.shape[3]
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,16 +227,20 @@ def resolve_kernel(requested: KernelSpec) -> KernelResolution:
 
 
 def _pad_spatial(block: np.ndarray, p_h: int, p_w: int) -> np.ndarray:
-    h, w = block.shape[1:3]
+    """The block as float64, zero-padded at its bottom and right edges up
+    to whole ``p_h`` x ``p_w`` windows, in one copy at most."""
+    t, h, w, c = block.shape
     pad_h = (-h) % p_h
     pad_w = (-w) % p_w
-    if pad_h or pad_w:
-        block = np.pad(block, ((0, 0), (0, pad_h), (0, pad_w), (0, 0)))
-    return block
+    if not (pad_h or pad_w):
+        return block.astype(np.float64, copy=False)
+    padded = np.zeros((t, h + pad_h, w + pad_w, c))
+    padded[:, :h, :w] = block
+    return padded
 
 
 def _pool_block(block: np.ndarray, kernel: KernelSpec, pad_spatial: bool) -> np.ndarray:
-    """Mean-pool a (p_f, H, W, C) block into an (H', W', C) feature grid."""
+    """Mean-pool a (p_f, H, W, C) block into an (H', W', C) float64 grid."""
     h, w = block.shape[1:3]
     if (h % kernel.p_h or w % kernel.p_w) and not pad_spatial:
         raise IndivisibleDims(
@@ -273,7 +303,7 @@ def patchify(
         raise ValueError(
             f"slice has {frames.frame_count} frames, kernel wants {kernel.p_f}"
         )
-    grid = _pool_block(frames.data, kernel, pad_spatial)
+    grid = _pool_block(frames.array, kernel, pad_spatial)
     return _block(grid, kernel, (t_offset, t_offset + kernel.p_f)).tokens()
 
 
@@ -297,7 +327,7 @@ def _tail_blocks(
         grids = np.empty((n, len(rows), len(cols), block.shape[3]))
         for r, (r0, r1) in enumerate(rows):
             for c, (c0, c1) in enumerate(cols):
-                grids[:, r, c] = block[:, r0:r1, c0:c1].mean(axis=(1, 2))
+                grids[:, r, c] = block[:, r0:r1, c0:c1].mean(axis=(1, 2), dtype=np.float64)
         grids.setflags(write=False)
         return [
             _block(grids[t], kernel, (t_offset + t, t_offset + t + 1), (h, w))
@@ -305,7 +335,7 @@ def _tail_blocks(
         ]
 
     # compress
-    grid = _pool_block(block.mean(axis=0, keepdims=True), coarsest, pad_spatial)
+    grid = _pool_block(block.mean(axis=0, keepdims=True, dtype=np.float64), coarsest, pad_spatial)
     return [_block(grid, coarsest, (t_offset, t_offset + n))]
 
 
@@ -324,7 +354,7 @@ def handle_tail(
     averages all tail frames into a single frame and patchifies it with
     the schedule's coarsest kernel; its tokens span the whole tail.
     """
-    blocks = _tail_blocks(tail.data, mode, coarsest, t_offset, pad_spatial)
+    blocks = _tail_blocks(tail.array, mode, coarsest, t_offset, pad_spatial)
     return [token for block in blocks for token in block.tokens()]
 
 
@@ -365,7 +395,7 @@ def apply_schedule(
     ``InvalidSchedule``.
     """
     h, w, channels = history.height, history.width, history.channels
-    data = history.data
+    data = history.array
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
     if schedule.discretize_history:

@@ -189,6 +189,12 @@ class TestSizeChecks:
             with pytest.raises(ValueError, match="height and width must be >= 1"):
                 call()
 
+    @pytest.mark.parametrize("pad", [False, True])
+    def test_negative_entry_count_rejected(self, pad):
+        with pytest.raises(ValueError, match="entry frame count must be >= 0"):
+            tokens_for_entry(-3, BASE_KERNEL, 64, 64, pad=pad)
+        assert tokens_for_entry(0, BASE_KERNEL, 64, 64, pad=pad) == 0
+
     @pytest.mark.parametrize("name", ["td_f1k1_g1", "ta_f1k1_g1", "tc_f1k1_g1", "f1k1_g1"])
     def test_negative_tail_rejected(self, name):
         schedule = parse_schedule(name)

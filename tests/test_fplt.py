@@ -167,6 +167,16 @@ class TestCopies:
         assert peak < self.ARRAY.nbytes
         assert path.stat().st_size == 28 + self.ARRAY.nbytes
 
+    def test_float64_write_peak_below_two_frames(self, tmp_path):
+        # a non-float32 array is converted one frame at a time
+        path = tmp_path / "t.fplt"
+        wide = self.ARRAY.astype(np.float64)
+        _, peak = self.traced_peak(lambda: write_tensor(path, wide))
+        assert peak < 2 * self.ARRAY[0].nbytes
+        reference = tmp_path / "r.fplt"
+        write_tensor(reference, self.ARRAY)
+        assert path.read_bytes() == reference.read_bytes()
+
     def test_read_peak_one_payload(self, tmp_path):
         path = tmp_path / "t.fplt"
         write_tensor(path, self.ARRAY)

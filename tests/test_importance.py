@@ -84,6 +84,16 @@ class TestSimCos:
         with pytest.raises(ValueError):
             sim_cos(np.ones((2, 2, 3)), np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["frame", "target"])
+    def test_non_finite_rejected(self, bad, side):
+        frames = {"frame": rng(11).normal(size=(2, 2, 2)), "target": rng(12).normal(size=(2, 2, 2))}
+        frames[side][1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            sim_cos(frames["frame"], frames["target"])
+        with pytest.raises(ValueError, match="finite"):
+            sim_hybrid(frames["frame"], frames["target"], 0.0, 1.0, 0.5)
+
 
 class TestSimTime:
     def test_zero_delta(self):

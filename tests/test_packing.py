@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,6 +72,69 @@ class TestLatentVideo:
     def test_wrong_rank_rejected(self):
         with pytest.raises(ValueError):
             LatentVideo(np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_rejected_in_either_width(self, dtype, bad):
+        data = np.zeros((3, 2, 2, 1), dtype=dtype)
+        data[2, 1, 0, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            LatentVideo(data)
+
+    @pytest.mark.parametrize(
+        "source, width",
+        [
+            (np.ones((2, 3, 3, 2), dtype=np.float32), np.float32),
+            (np.ones((2, 3, 3, 2)), np.float64),
+            (np.ones((2, 3, 3, 2), dtype=np.float16), np.float64),
+            (np.ones((2, 3, 3, 2), dtype=np.int32), np.float64),
+            (np.ones((2, 3, 3, 2), dtype=">f4"), np.float64),
+            ([[[[1.0]]]], np.float64),
+        ],
+    )
+    def test_snapshot_width(self, source, width):
+        v = LatentVideo(source)
+        assert v.array.dtype == width
+        assert not v.array.flags.writeable
+        assert v.array is not source
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_data_is_read_only_float64(self, dtype):
+        source = (rng(3).normal(size=(4, 5, 6, 2)) * 100).astype(dtype)
+        v = LatentVideo(source)
+        assert v.data.dtype == np.float64
+        assert not v.data.flags.writeable
+        assert v.data is v.data
+        assert v.data.tobytes() == np.array(source, dtype=np.float64).tobytes()
+        with pytest.raises(ValueError):
+            v.data[0, 0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_writes_to_source_do_not_reach_snapshot(self, dtype):
+        source = rng(4).normal(size=(20, 8, 8, 2)).astype(dtype)
+        original = source.copy()
+        schedule = parse_schedule("td_f16k4f2k2f1k1_g9")
+        v = LatentVideo(source)
+        source[:] = np.nan
+        np.testing.assert_array_equal(v.data, original.astype(np.float64))
+        got = apply_schedule(v, schedule, pad_history=True)
+        expected = apply_schedule(LatentVideo(original), schedule, pad_history=True)
+        assert got.features.tobytes() == expected.features.tobytes()
+
+    def test_float32_construction_peak(self):
+        # 4 MB of float32: one float32 snapshot plus the finiteness scan,
+        # where a float64 copy alone would need twice the payload
+        source = np.arange(16 * 64 * 64 * 16, dtype=np.float32).reshape(16, 64, 64, 16)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            v = LatentVideo(source)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * source.nbytes
+        assert v.array.tobytes() == source.tobytes()
 
 
 class TestResolveKernel:
