@@ -21,7 +21,7 @@ from .packing import LatentVideo
 
 DEFAULT_K = 128
 # Bytes of the float64 (rows, K) score matrix one search chunk may hold.
-_SCORE_BYTES = 16 << 20
+_SCORE_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -209,13 +209,18 @@ def quantize(frames: LatentVideo, codebook: Codebook) -> IndexMap:
 
 
 def dequantize(index_map: IndexMap, codebook: Codebook) -> LatentVideo:
-    """Replace each index with its codebook row."""
+    """Replace each index with its codebook row, writing the rows straight
+    into the returned video's float64 snapshot."""
     idx = index_map.indices
     if idx.size and (idx.min() < 0 or idx.max() >= codebook.size):
         raise IndexOutOfRange(
             f"index map values must lie in [0, {codebook.size - 1}]"
         )
-    return LatentVideo(codebook.centroids[idx])
+
+    def rows(piece: np.ndarray, frames: slice) -> None:
+        piece[...] = codebook.centroids[idx[frames]]
+
+    return LatentVideo._filled((*idx.shape, codebook.channels), np.float64, rows)
 
 
 def discretize_history(frames: LatentVideo, codebook: Codebook) -> LatentVideo:

@@ -8,6 +8,7 @@ exactly 28 + 4*T*H*W*C bytes.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from contextlib import contextmanager
@@ -72,27 +73,41 @@ def _replacing(path: str | Path) -> Iterator[BinaryIO]:
         raise
 
 
+def _header(fh: BinaryIO, path: str | Path, *, video: bool = False) -> tuple[int, tuple[int, ...]]:
+    """Flags and (T, H, W, C) of an open file, checked before any payload
+    is read: magic, version, the file's size against the header and, for
+    a video, the codebook flag."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise FpltFormatError(f"{path}: truncated header ({size} bytes)")
+    magic, version, flags, *shape = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise FpltFormatError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise FpltFormatError(f"{path}: unsupported version {version}")
+    expected = _HEADER.size + 4 * math.prod(shape)
+    if size != expected:
+        raise FpltFormatError(f"{path}: expected {expected} bytes, found {size}")
+    if video and flags & FLAG_CODEBOOK:
+        raise FpltFormatError(f"{path}: holds a codebook, not a latent video")
+    return flags, tuple(shape)
+
+
+def _short_payload(path: str | Path, got: int, count: int) -> FpltFormatError:
+    return FpltFormatError(f"{path}: payload ended after {got} of {count} values")
+
+
 def read_tensor(path: str | Path) -> tuple[np.ndarray, int]:
     """Read a tensor and its flags, checking the header against the file
     size before the payload is read into one array."""
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise FpltFormatError(f"{path}: truncated header ({size} bytes)")
-        magic, version, flags, t, h, w, c = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise FpltFormatError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise FpltFormatError(f"{path}: unsupported version {version}")
-        count = t * h * w * c
-        expected = _HEADER.size + 4 * count
-        if size != expected:
-            raise FpltFormatError(f"{path}: expected {expected} bytes, found {size}")
+        flags, shape = _header(fh, path)
+        count = math.prod(shape)
         payload = np.fromfile(fh, dtype="<f4", count=count)
     if payload.size != count:
-        raise FpltFormatError(f"{path}: payload ended after {payload.size} of {count} values")
-    return payload.reshape(t, h, w, c), flags
+        raise _short_payload(path, payload.size, count)
+    return payload.reshape(shape), flags
 
 
 def write_video(path: str | Path, video: LatentVideo) -> None:
@@ -100,10 +115,24 @@ def write_video(path: str | Path, video: LatentVideo) -> None:
 
 
 def read_video(path: str | Path) -> LatentVideo:
-    array, flags = read_tensor(path)
-    if flags & FLAG_CODEBOOK:
-        raise FpltFormatError(f"{path}: holds a codebook, not a latent video")
-    return LatentVideo(array)
+    """Read a latent video straight into its read-only float32 snapshot.
+
+    After the header check, the payload is read into the one array the
+    returned video keeps, a few frames at a time, and each piece is
+    checked for finiteness as it arrives. A NaN or infinite value raises
+    ``ValueError``, as ``LatentVideo`` does.
+    """
+    with open(path, "rb") as fh:
+        _, shape = _header(fh, path, video=True)
+        frame_values = math.prod(shape[1:])
+
+        def read(piece: np.ndarray, frames: slice) -> None:
+            got = fh.readinto(piece)
+            if got != piece.nbytes:
+                done = frames.start * frame_values + got // 4
+                raise _short_payload(path, done, shape[0] * frame_values)
+
+        return LatentVideo._filled(shape, np.dtype("<f4"), read)
 
 
 def write_codebook(path: str | Path, codebook: Codebook) -> None:

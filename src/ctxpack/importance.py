@@ -58,16 +58,36 @@ def sim_cos(
     f = _frame_array(frame, "frame")
     x = _frame_array(target, "target")
     _check_shapes(f.shape, x.shape)
-    return _cosine_sum(f, x, zero_substitute)
+    return _cosine_sum(f, _target_terms(x), zero_substitute)
 
 
-def _cosine_sum(f: np.ndarray, x: np.ndarray, zero_substitute: bool) -> float:
-    """``sim_cos`` over float64 frames already checked for shape and finiteness."""
-    dots = (f * x).sum(axis=-1)
-    nf = np.linalg.norm(f, axis=-1)
-    nx = np.linalg.norm(x, axis=-1)
-    zero = (nf == 0) | (nx == 0)
-    if zero.any() and not zero_substitute:
+def _pixel_norms(a: np.ndarray) -> np.ndarray:
+    """Per-pixel float64 norms: the same bits as ``np.linalg.norm(a, axis=-1)``,
+    which sums ``a.conj() * a``, without that function's copy of ``a``."""
+    return np.sqrt(np.square(a, dtype=np.float64).sum(axis=-1))
+
+
+def _target_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A checked float64 target with its per-pixel norms and zero-norm mask,
+    computed once however many frames are scored against it."""
+    nx = _pixel_norms(x)
+    return x, nx, nx == 0
+
+
+def _cosine_sum(
+    f: np.ndarray, target: tuple[np.ndarray, np.ndarray, np.ndarray], zero_substitute: bool
+) -> float:
+    """``sim_cos`` of a float32 or float64 frame already checked for shape
+    and finiteness against ``_target_terms`` of the target. Products are
+    taken in float64, so a float32 frame scores as its float64 copy."""
+    x, nx, zero_x = target
+    dots = np.multiply(f, x, dtype=np.float64).sum(axis=-1)
+    nf = _pixel_norms(f)
+    zero = (nf == 0) | zero_x
+    if not zero.any():
+        # the same elements the masked form below selects, so the same bits
+        return float((dots / (nf * nx)).sum())
+    if not zero_substitute:
         raise ZeroVectorPixel(f"{int(zero.sum())} pixel vectors have zero norm")
     denom = np.where(zero, 1.0, nf * nx)
     return float(np.where(zero, 0.0, dots / denom).sum())
@@ -109,10 +129,10 @@ def importance_scores(
     # LatentVideo checked every frame, so only the target needs checking
     target = _frame_array(target_estimate, "target estimate")
     _check_shapes(frames.shape[1:], target.shape)
+    terms = _target_terms(target)
     scores = []
     for i in range(frames.shape[0]):
-        frame = frames[i].astype(np.float64, copy=False)
-        cos = _cosine_sum(frame, target, zero_substitute)
+        cos = _cosine_sum(frames[i], terms, zero_substitute)
         t = sim_time(times[i], target_time)
         scores.append(ImportanceScore(i, cos + time_weight * t, (cos, t)))
     return scores
@@ -142,7 +162,13 @@ def sort_by_importance(
 
 
 def reorder_frames(history: LatentVideo, permutation: Sequence[int]) -> LatentVideo:
-    """History re-ordered by a permutation, most important frame first."""
+    """History re-ordered by a permutation, most important frame first,
+    written straight into the returned video's snapshot."""
     if sorted(permutation) != list(range(history.frame_count)):
         raise ValueError("not a permutation of the history frames")
-    return LatentVideo(history.array[list(permutation)])
+    order = np.asarray(permutation, dtype=np.intp)
+
+    def frames_in_order(piece: np.ndarray, frames: slice) -> None:
+        piece[...] = history.array[order[frames]]
+
+    return LatentVideo._filled(history.array.shape, history.array.dtype, frames_in_order)

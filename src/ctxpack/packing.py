@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .schedule import (
     TailMode,
 )
 
-# Bytes of the snapshot LatentVideo copies and checks in one step.
+# Bytes of a new snapshot that are filled and checked in one step.
 _CHECK_BYTES = 1 << 18
 
 LEARNED_KERNELS = (
@@ -49,6 +49,30 @@ LEARNED_KERNELS = (
     KernelSpec(4, 8, 8),
     KernelSpec(8, 16, 16),
 )
+
+
+def _fill_checked(
+    shape: tuple[int, ...], dtype: np.dtype | type, fill: Callable[[np.ndarray, slice], None]
+) -> np.ndarray:
+    """A new read-only (T, H, W, C) array filled by ``fill(piece, frames)``.
+
+    ``piece`` is the writable run of frames ``frames`` of the new array,
+    about ``_CHECK_BYTES`` long, and is checked for finiteness as soon as
+    it is filled, while it is still in cache.
+    """
+    if len(shape) != 4:
+        raise ValueError(f"latent video must be 4D (T,H,W,C), got shape {shape}")
+    if min(shape[1:]) < 1:
+        raise ValueError(f"H, W, C must all be >= 1, got shape {shape}")
+    arr = np.empty(shape, dtype)
+    step = max(1, _CHECK_BYTES // (arr.itemsize * math.prod(shape[1:])))
+    for t in range(0, shape[0], step):
+        frames = slice(t, t + step)
+        fill(arr[frames], frames)
+        if not np.isfinite(arr[frames]).all():
+            raise ValueError("latent video must contain only finite values")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,20 +90,23 @@ class LatentVideo:
 
     def __post_init__(self) -> None:
         source = np.asarray(self.array)
-        if source.ndim != 4:
-            raise ValueError(f"latent video must be 4D (T,H,W,C), got shape {source.shape}")
-        if min(source.shape[1:]) < 1:
-            raise ValueError(f"H, W, C must all be >= 1, got shape {source.shape}")
-        arr = np.empty(source.shape, np.float32 if source.dtype == np.float32 else np.float64)
-        # copy and check about 256 KiB at a time, so the check reads
-        # each frame while it is still in cache
-        step = max(1, _CHECK_BYTES // (arr.itemsize * math.prod(arr.shape[1:])))
-        for t in range(0, arr.shape[0], step):
-            arr[t : t + step] = source[t : t + step]
-            if not np.isfinite(arr[t : t + step]).all():
-                raise ValueError("latent video must contain only finite values")
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
+
+        def copy(piece: np.ndarray, frames: slice) -> None:
+            piece[...] = source[frames]
+
+        width = np.float32 if source.dtype == np.float32 else np.float64
+        object.__setattr__(self, "array", _fill_checked(source.shape, width, copy))
+
+    @classmethod
+    def _filled(
+        cls, shape: tuple[int, ...], dtype: np.dtype | type, fill: Callable[[np.ndarray, slice], None]
+    ) -> LatentVideo:
+        """A video over a new array that ``fill`` writes, as ``_fill_checked``
+        describes. Nothing else can reach that array, so it is kept as the
+        snapshot without the copy ``LatentVideo(x)`` makes."""
+        video = object.__new__(cls)
+        object.__setattr__(video, "array", _fill_checked(shape, dtype, fill))
+        return video
 
     @cached_property
     def data(self) -> np.ndarray:

@@ -5,7 +5,10 @@ constructor and one gap-filling loop, kept as an oracle. Every plan
 builds its ``Iteration`` objects by hand, with its own skip-span formula,
 and the endpoint and multi-endpoint planners each fill their gaps with
 their own loop. Sizes below 1 are not checked here: ``section=0``
-divides by zero or, in ``plan_inverted``, never returns.
+divides by zero or, in ``plan_inverted``, never returns. The one later
+spec change it carries is the multi-endpoint planner's up-front
+rejection of an anchor that reads frames no earlier anchor generates,
+written here on its own rather than copied.
 """
 
 from __future__ import annotations
@@ -231,6 +234,23 @@ def plan_multi_endpoint(
                 prompt=None if prompts is None else prompts[i],
             )
         )
+
+    # An anchor whose inputs reach frames that no earlier anchor generates
+    # is rejected up front, naming those frames as ranges.
+    generated: set[int] = set()
+    for it in iterations:
+        (anchor,) = it.targets
+        lacking = {i for b in it.inputs for i in range(b.span.start, b.span.stop)} - generated
+        if lacking:
+            runs = [[f, f + 1] for f in sorted(lacking) if f - 1 not in lacking]
+            for run in runs:
+                while run[1] in lacking:
+                    run[1] += 1
+            text = ",".join(f"{a}..{b}" for a, b in runs)
+            raise PlanError(
+                f"endpoint {anchor.text} reads frames {text}, which no earlier endpoint generates"
+            )
+        generated.update(range(anchor.start, anchor.stop))
 
     bounds = [0] + [b for a in anchors for b in (a.start, a.stop)] + [total]
     gaps = [Span(a, b) for a, b in zip(bounds[::2], bounds[1::2]) if a < b]

@@ -185,6 +185,32 @@ class TestPlanCommand:
             "ITER 5 TARGET 36..45 INPUTS 17..33@k4,33..35@k2,35..36@k1,45..45@k1\n"
         )
 
+    def test_multi_endpoint_ungenerated_anchor_input_exits_2(self, capsys):
+        rc = main([
+            "plan", "td_f16k4f2k2f1k1_g9_x_f1k1",
+            "--total", "45", "--section", "9", "--endpoints", "9..18,27..36",
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "ctxpack: endpoint 27..36 reads frames 0..9, which no earlier endpoint generates\n"
+        )
+
+    def test_multi_endpoint_anchor_after_first_frames(self, capsys):
+        rc = main([
+            "plan", "td_f16k4f2k2f1k1_g9_x_f1k1",
+            "--total", "45", "--section", "9", "--endpoints", "0..9,27..36",
+        ])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "ITER 1 TARGET 0..9 INPUTS 0..0@k4,0..0@k2,0..0@k1,9..9@k1\n"
+            "ITER 2 TARGET 27..36 INPUTS 0..6@k4,6..8@k2,8..9@k1,36..36@k1\n"
+            "ITER 3 TARGET 9..18 INPUTS 0..6@k4,6..8@k2,8..9@k1,27..28@k1\n"
+            "ITER 4 TARGET 18..27 INPUTS 0..15@k4,15..17@k2,17..18@k1,27..28@k1\n"
+            "ITER 5 TARGET 36..45 INPUTS 17..33@k4,33..35@k2,35..36@k1,45..45@k1\n"
+        )
+
     @pytest.mark.parametrize("total,section", [("27", "0"), ("0", "9"), ("-27", "9")])
     def test_size_below_one_exits_2(self, capsys, total, section):
         rc = main(["plan", "td_f16k4f2k2f1k1_g9", "--total", total, "--section", section])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,24 @@ class TestDequantize:
         cb = Codebook([[0.0], [1.0]])
         with pytest.raises(IndexOutOfRange):
             dequantize(IndexMap(np.full((1, 1, 1), 2)), cb)
+
+    def test_peak_one_result(self):
+        # the rows are written straight into the returned snapshot; building
+        # centroids[idx] and then copying it into a snapshot peaks at twice
+        cb = Codebook(rng(30).normal(size=(128, 16)))
+        idx = rng(31).integers(0, 128, size=(16, 64, 64))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = dequantize(IndexMap(idx), cb)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.array.nbytes
+        assert out.array.dtype == np.float64
+        assert not out.array.flags.writeable
+        assert out.array.tobytes() == cb.centroids[idx].tobytes()
 
 
 class TestDiscretizeHistory:

@@ -1,12 +1,16 @@
 import os
+import re
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxpack import fplt
+from ctxpack.cli import main
 from ctxpack.codebook import Codebook
 from ctxpack.errors import FpltFormatError
 from ctxpack.fplt import (
@@ -17,7 +21,7 @@ from ctxpack.fplt import (
     write_tensor,
     write_video,
 )
-from ctxpack.packing import LatentVideo
+from ctxpack.packing import _CHECK_BYTES, LatentVideo
 
 
 def rng(seed=0):
@@ -184,6 +188,108 @@ class TestCopies:
         assert peak < 1.5 * self.ARRAY.nbytes
         np.testing.assert_array_equal(loaded, self.ARRAY)
 
+    def test_read_video_peak_one_payload(self, tmp_path):
+        # the payload is read straight into the video's snapshot; reading
+        # an array and then copying it into a snapshot peaks at twice that
+        path = tmp_path / "t.fplt"
+        write_tensor(path, self.ARRAY)
+        video, peak = self.traced_peak(lambda: read_video(path))
+        assert peak < 1.5 * self.ARRAY.nbytes
+        assert video.array.tobytes() == self.ARRAY.tobytes()
+
+
+class TestReadVideo:
+    # (T, H, W, C): no frames, one channel, a frame larger than one check
+    # step, and T not a multiple of the step's frame count
+    SHAPES = [(0, 3, 4, 2), (3, 4, 5, 1), (3, 128, 160, 4), (37, 16, 16, 8)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_matches_read_tensor_then_snapshot(self, tmp_path, shape):
+        if shape == (3, 128, 160, 4):
+            assert 128 * 160 * 4 * 4 > _CHECK_BYTES
+        if shape == (37, 16, 16, 8):
+            assert 37 % (_CHECK_BYTES // (16 * 16 * 8 * 4)) != 0
+        path = tmp_path / "v.fplt"
+        write_tensor(path, rng(5).normal(size=shape).astype(np.float32))
+        got = read_video(path).array
+        expected = LatentVideo(read_tensor(path)[0]).array
+        assert got.dtype == expected.dtype == np.float32
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_snapshot_is_read_only_and_unshared(self, tmp_path):
+        path = tmp_path / "v.fplt"
+        write_tensor(path, rng(6).normal(size=(4, 8, 8, 2)).astype(np.float32))
+        video = read_video(path)
+        assert not video.array.flags.writeable
+        assert video.array.flags.owndata
+        with pytest.raises(ValueError):
+            video.array[0, 0, 0, 0] = 1.0
+        assert not np.shares_memory(video.array, video.data)
+        assert not np.shares_memory(video.array, read_video(path).array)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frame", [-1, 33])
+    def test_non_finite_rejected(self, tmp_path, bad, frame):
+        # 8 KiB frames: one check step holds 32 of them, so frame 33 lies
+        # past the first step and frame -1 in the last, partial one
+        arr = rng(7).normal(size=(40, 16, 16, 8)).astype(np.float32)
+        arr[frame, 15, 15, 7] = bad
+        path = tmp_path / "v.fplt"
+        write_tensor(path, arr)
+        with pytest.raises(ValueError, match="only finite values"):
+            read_video(path)
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["pack", "td_f1k1_g1", "{video}", "-o", "{out}"],
+            ["drift", "{video}"],
+            ["quantize", "{video}", "--codebook", "{codebook}", "-o", "{out}"],
+        ],
+    )
+    def test_non_finite_exits_3(self, tmp_path, capsys, command):
+        arr = rng(8).normal(size=(3, 4, 4, 2)).astype(np.float32)
+        arr[-1, 3, 3, 1] = np.nan
+        video, codebook, out = tmp_path / "v.fplt", tmp_path / "cb.fplt", tmp_path / "o.fplt"
+        write_tensor(video, arr)
+        write_codebook(codebook, Codebook(np.eye(2)))
+        names = {"video": video, "codebook": codebook, "out": out}
+        assert main([part.format(**names) for part in command]) == 3
+        assert "only finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_codebook_rejected_before_payload(self, tmp_path):
+        # the payload holds a NaN, so only a check made before reading it
+        # gives the codebook message
+        path = tmp_path / "cb.fplt"
+        write_tensor(path, np.full((1, 1, 2, 2), np.nan, dtype=np.float32), flags=1)
+        with pytest.raises(FpltFormatError, match="holds a codebook, not a latent video$"):
+            read_video(path)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 3, 1), (2, 3, 0, 1), (2, 3, 1, 0)])
+    def test_empty_frame_dims_rejected(self, tmp_path, shape):
+        path = tmp_path / "v.fplt"
+        write_tensor(path, np.zeros(shape, dtype=np.float32))
+        message = "^" + re.escape(f"H, W, C must all be >= 1, got shape {shape}") + "$"
+        with pytest.raises(ValueError, match=message):
+            read_video(path)
+        with pytest.raises(ValueError, match=message):
+            LatentVideo(read_tensor(path)[0])
+
+    def test_payload_shorter_than_its_size_check(self, tmp_path, monkeypatch):
+        # a file that shrinks between the size check and the read
+        arr = rng(9).normal(size=(40, 16, 16, 8)).astype(np.float32)
+        path = tmp_path / "v.fplt"
+        write_tensor(path, arr)
+        path.write_bytes(path.read_bytes()[: 28 + 4 * 2048 * 33 + 8])
+        monkeypatch.setattr(fplt.os, "fstat", lambda fd: SimpleNamespace(st_size=28 + arr.nbytes))
+        message = f"payload ended after {2048 * 33 + 2} of {arr.size} values$"
+        with pytest.raises(FpltFormatError, match=message):
+            read_video(path)
+        with pytest.raises(FpltFormatError, match=message):
+            read_tensor(path)
+
 
 @st.composite
 def corruptions(draw):
@@ -220,3 +326,38 @@ class TestCorruptHeaders:
         assert got_flags == header[2]
         assert loaded.shape == header[3:]
         assert loaded.tobytes() == arr.tobytes()
+
+
+class TestCorruptVideos:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(corruptions())
+    def test_read_video_agrees_with_read_tensor(self, tmp_path_factory, case):
+        shape, flags, edits, cut, extra = case
+        arr = np.arange(np.prod(shape), dtype=np.float32).reshape(shape)
+        path = tmp_path_factory.mktemp("fuzz") / "t.fplt"
+        write_tensor(path, arr, flags=flags)
+        blob = bytearray(path.read_bytes())
+        for offset, value in edits:
+            blob[offset] = value
+        blob = blob[:cut] + extra if cut is not None else blob + extra
+        path.write_bytes(bytes(blob))
+        try:
+            tensor, got_flags = read_tensor(path)
+        except FpltFormatError as exc:
+            with pytest.raises(FpltFormatError, match=f"^{re.escape(str(exc))}$"):
+                read_video(path)
+            return
+        if got_flags & 1:
+            with pytest.raises(FpltFormatError, match="holds a codebook"):
+                read_video(path)
+            return
+        try:
+            expected = LatentVideo(tensor).array
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                read_video(path)
+            return
+        got = read_video(path).array
+        assert got.dtype == expected.dtype
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()

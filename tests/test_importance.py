@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ctxpack.errors import ZeroVectorPixel
 from ctxpack.importance import (
@@ -223,3 +227,79 @@ class TestReorderFrames:
         v = LatentVideo(rng(22).normal(size=(3, 2, 2, 1)))
         with pytest.raises(ValueError):
             reorder_frames(v, [0, 0, 1])
+
+    def test_peak_one_result(self):
+        # frames are written straight into the returned snapshot; gathering
+        # them into an array and then copying that peaks at twice
+        v = LatentVideo(rng(25).normal(size=(16, 64, 64, 16)).astype(np.float32))
+        order = list(rng(26).permutation(16))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = reorder_frames(v, order)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * out.array.nbytes
+        assert out.array.dtype == np.float32
+        assert not out.array.flags.writeable
+        assert out.array.tobytes() == v.array[order].tobytes()
+
+
+@st.composite
+def scoring_cases(draw):
+    """A history and target with exact zeros, copied frames and offsets."""
+    t, h, w, c = (draw(st.integers(1, n)) for n in (6, 4, 4, 3))
+    values = draw(arrays(np.float64, (t, h, w, c), elements=st.floats(-100, 100)))
+    values = values + draw(st.sampled_from([0.0, 1e6, -3e7]))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, t - 1), st.integers(0, t - 1)), max_size=3)):
+        values[dst] = values[src]  # exact ties
+    if draw(st.booleans()):
+        target = values[draw(st.integers(0, t - 1))].copy()
+    else:
+        target = draw(arrays(np.float64, (h, w, c), elements=st.floats(-100, 100)))
+    pixels = st.tuples(st.integers(0, t - 1), st.integers(0, h - 1), st.integers(0, w - 1))
+    for i, r, col in draw(st.lists(pixels, max_size=3)):
+        values[i, r, col] = 0.0
+    for _, r, col in draw(st.lists(pixels, max_size=2)):
+        target[r, col] = 0.0
+    width = draw(st.sampled_from([np.float32, np.float64]))
+    times = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=t, max_size=t))
+    return LatentVideo(values.astype(width)), target, times
+
+
+def masked_cosine_sum(frame, target):
+    """Per-pixel cosines summed through the zero-norm mask, as ``sim_cos``
+    computed them for every frame before it skipped the mask when no
+    pixel has zero norm; zero-norm pixels contribute 0."""
+    f, x = np.asarray(frame, dtype=np.float64), np.asarray(target, dtype=np.float64)
+    dots = (f * x).sum(axis=-1)
+    nf = np.linalg.norm(f, axis=-1)
+    nx = np.linalg.norm(x, axis=-1)
+    zero = (nf == 0) | (nx == 0)
+    denom = np.where(zero, 1.0, nf * nx)
+    return float(np.where(zero, 0.0, dots / denom).sum())
+
+
+class TestScoresMatchPerFrameOracle:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(scoring_cases(), st.booleans(), st.sampled_from([0.0, 0.7]))
+    def test_bit_identical_to_sim_cos(self, case, zero_substitute, weight):
+        video, target, times = case
+        try:
+            cosines = [
+                sim_cos(video.array[i], target, zero_substitute=zero_substitute)
+                for i in range(video.frame_count)
+            ]
+        except ZeroVectorPixel as exc:
+            with pytest.raises(ZeroVectorPixel, match=f"^{exc}$"):
+                importance_scores(video, times, target, 2.0, weight, zero_substitute=zero_substitute)
+            return
+        scores = importance_scores(video, times, target, 2.0, weight, zero_substitute=zero_substitute)
+        assert [s.components[0] for s in scores] == cosines
+        assert cosines == [masked_cosine_sum(frame, target) for frame in video.array]
+        expected = [cos + weight * sim_time(times[i], 2.0) for i, cos in enumerate(cosines)]
+        assert [s.score for s in scores] == expected
+        order = sort_by_importance(video, times, target, 2.0, weight, zero_substitute=zero_substitute)
+        assert order == sorted(range(len(times)), key=lambda i: (-expected[i], -times[i], i))

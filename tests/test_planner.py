@@ -207,6 +207,25 @@ class TestMultiEndpoint:
         with pytest.raises(PlanError):
             plan_multi_endpoint(45, 9, ENDPOINT, [(3, 12)])
 
+    @pytest.mark.parametrize(
+        "endpoints,message",
+        [
+            ([(9, 18), (27, 36)], "endpoint 27..36 reads frames 0..9, "),
+            ([(0, 9), (18, 27), (36, 45)], "endpoint 36..45 reads frames 9..18, "),
+            ([(18, 27), (36, 45)], "endpoint 36..45 reads frames 8..18, "),
+        ],
+    )
+    def test_anchor_reading_ungenerated_frames_rejected(self, endpoints, message):
+        # a later anchor binds backward from the earlier anchor's stop; the
+        # frames it reaches before that anchor are generated by nothing yet
+        with pytest.raises(PlanError, match=f"^{message}which no earlier endpoint generates$"):
+            plan_multi_endpoint(45, 9, ENDPOINT, endpoints)
+
+    def test_anchor_reading_only_earlier_anchors_plans(self):
+        plan = plan_multi_endpoint(45, 9, ENDPOINT, [(0, 9), (27, 36)])
+        assert plan.iterations[1].inputs[0].span == Span(0, 6)
+        assert_covers(plan)
+
 
 class TestSerialize:
     def test_golden_inverted_plan(self):
