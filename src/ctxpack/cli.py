@@ -8,6 +8,7 @@ errors, 3 data errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -251,11 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing leaves the parser unchanged, so one serves every call of ``main``.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # The parser holds the command functions it was built with; look the
+    # command up by name so one patched in since (a test double, a
+    # tracer) is the one that runs, as with a parser built per call.
+    command = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return command(args)
     except USAGE_ERRORS as exc:
         print(f"ctxpack: {exc}", file=sys.stderr)
         return 2

@@ -8,6 +8,7 @@ are cheap analytic proxies rather than learned predictors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
@@ -137,6 +138,12 @@ class RatingTable:
     k_factor: float = DEFAULT_K_FACTOR
     initial: float = DEFAULT_INITIAL_RATING
     ratings: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.k_factor):
+            raise ValueError(f"k_factor must be finite, got {self.k_factor!r}")
+        if not math.isfinite(self.initial):
+            raise ValueError(f"initial rating must be finite, got {self.initial!r}")
 
     def get(self, player: str) -> float:
         return self.ratings.get(player, self.initial)

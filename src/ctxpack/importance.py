@@ -20,6 +20,13 @@ import numpy as np
 from .errors import ZeroVectorPixel
 from .packing import LatentVideo
 
+# Bytes of the float64 copy of frames one fast-scoring chunk may hold.
+_CHUNK_BYTES = 1 << 20
+# Pixel norms the fast cosine term's error bound holds for: no square, dot
+# product or norm product overflows, and underflow costs no relative
+# precision. A frame with a pixel outside this range is scored exactly.
+_NORM_RANGE = (2.0**-480, 2.0**480)
+
 
 @dataclass(frozen=True)
 class ImportanceScore:
@@ -101,6 +108,11 @@ def sim_time(frame_time: float, target_time: float) -> float:
     return math.exp(-(delta * delta))
 
 
+def _check_weight(time_weight: float) -> None:
+    if not math.isfinite(time_weight):
+        raise ValueError("time_weight must be finite")
+
+
 def sim_hybrid(
     frame: np.ndarray,
     target: np.ndarray,
@@ -110,8 +122,41 @@ def sim_hybrid(
     *,
     zero_substitute: bool = False,
 ) -> float:
+    _check_weight(time_weight)
     cos = sim_cos(frame, target, zero_substitute=zero_substitute)
     return cos + time_weight * sim_time(frame_time, target_time)
+
+
+def _inputs(
+    history: LatentVideo | np.ndarray,
+    times: Sequence[float],
+    target_estimate: np.ndarray,
+    target_time: float,
+    time_weight: float,
+) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray], list[float]]:
+    """Checked frames, the target's terms and each frame's time term."""
+    _check_weight(time_weight)
+    frames = (history if isinstance(history, LatentVideo) else LatentVideo(history)).array
+    if frames.shape[0] != len(times):
+        raise ValueError(f"{frames.shape[0]} frames but {len(times)} timestamps")
+    # LatentVideo checked every frame, so only the target needs checking
+    target = _frame_array(target_estimate, "target estimate")
+    _check_shapes(frames.shape[1:], target.shape)
+    return frames, _target_terms(target), [sim_time(t, target_time) for t in times]
+
+
+def _exact_score(
+    frames: np.ndarray,
+    i: int,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    time_terms: Sequence[float],
+    time_weight: float,
+    zero_substitute: bool,
+) -> ImportanceScore:
+    """Frame ``i``'s hybrid score by the per-frame formula: the one exact score."""
+    cos = _cosine_sum(frames[i], terms, zero_substitute)
+    t = time_terms[i]
+    return ImportanceScore(i, cos + time_weight * t, (cos, t))
 
 
 def importance_scores(
@@ -123,19 +168,49 @@ def importance_scores(
     *,
     zero_substitute: bool = False,
 ) -> list[ImportanceScore]:
-    frames = (history if isinstance(history, LatentVideo) else LatentVideo(history)).array
-    if frames.shape[0] != len(times):
-        raise ValueError(f"{frames.shape[0]} frames but {len(times)} timestamps")
-    # LatentVideo checked every frame, so only the target needs checking
-    target = _frame_array(target_estimate, "target estimate")
-    _check_shapes(frames.shape[1:], target.shape)
-    terms = _target_terms(target)
-    scores = []
-    for i in range(frames.shape[0]):
-        cos = _cosine_sum(frames[i], terms, zero_substitute)
-        t = sim_time(times[i], target_time)
-        scores.append(ImportanceScore(i, cos + time_weight * t, (cos, t)))
-    return scores
+    frames, terms, time_terms = _inputs(history, times, target_estimate, target_time, time_weight)
+    return [
+        _exact_score(frames, i, terms, time_terms, time_weight, zero_substitute)
+        for i in range(frames.shape[0])
+    ]
+
+
+def _fast_cosines(
+    frames: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
+    zero_substitute: bool,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's cosine term by a chunked einsum, and which frames must
+    be scored exactly instead: those with a pixel whose norm, or the
+    target's, lies outside ``_NORM_RANGE``. Zero-norm target pixels are
+    masked as ``_cosine_sum`` masks them when ``zero_substitute`` is set;
+    otherwise they, like zero-norm frame pixels, send the frame to the
+    exact scorer, which raises."""
+    x, nx, zero_x = terms
+    lo, hi = _NORM_RANGE
+    masked = zero_x if zero_substitute else np.zeros_like(zero_x)
+    masking = masked.any()
+    target_bad = not (masked | ((nx >= lo) & (nx <= hi))).all()
+    t = frames.shape[0]
+    step = max(1, _CHUNK_BYTES // (8 * x.size))
+    buffer = np.empty((min(step, t), *x.shape))  # refilled, so one chunk is ever held
+    cos = np.empty(t)
+    rescore = np.empty(t, dtype=bool)
+    for start in range(0, t, step):
+        k = min(step, t - start)
+        f = buffer[:k]
+        f[...] = frames[start : start + k]
+        dots = np.einsum("thwc,hwc->thw", f, x)
+        nf = np.sqrt(np.einsum("thwc,thwc->thw", f, f))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            pixel_cos = dots / (nf * nx)
+        if masking:
+            pixel_cos = np.where(masked, 0.0, pixel_cos)
+            nf = np.where(masked, 1.0, nf)
+        nf = nf.reshape(k, -1)
+        rescore[start : start + k] = target_bad | (nf.min(-1) < lo) | (nf.max(-1) > hi)
+        cos[start : start + k] = pixel_cos.reshape(k, -1).sum(-1)
+    return cos, rescore
 
 
 def sort_by_importance(
@@ -150,15 +225,50 @@ def sort_by_importance(
     """Frame indices, most important first.
 
     Ties break by recency (larger timestamp first), then by lower index.
+    Frames are ranked by a fast cosine term, and every run of frames whose
+    scores lie within that term's float-error bound of each other is
+    re-ranked by the exact per-frame scores, so the order is the one the
+    scores of ``importance_scores`` give.
     """
-    scores = importance_scores(
-        history, times, target_estimate, target_time, time_weight,
-        zero_substitute=zero_substitute,
-    )
-    order = sorted(
-        scores, key=lambda s: (-s.score, -float(times[s.frame_index]), s.frame_index)
-    )
-    return [s.frame_index for s in order]
+    frames, terms, time_terms = _inputs(history, times, target_estimate, target_time, time_weight)
+
+    def exact(i: int) -> float:
+        return _exact_score(frames, i, terms, time_terms, time_weight, zero_substitute).score
+
+    def ranked(indices: Sequence[int], scores: Sequence[float]) -> list[int]:
+        return sorted(indices, key=lambda i: (-scores[i], -float(times[i]), i))
+
+    t = frames.shape[0]
+    cos, rescore = _fast_cosines(frames, terms, zero_substitute)
+    scores = cos + time_weight * np.asarray(time_terms, dtype=np.float64)
+    for i in np.flatnonzero(rescore).tolist():  # index order: the first bad frame raises
+        scores[i] = exact(i)
+    if not np.isfinite(scores).all():
+        # Only an exactly scored frame can get here. NaN has no rank, so
+        # the per-frame scores are sorted as they are.
+        return ranked(range(t), [exact(i) for i in range(t)])
+    # The fast and exact terms of one pixel each lie within (C + 2)·eps of
+    # the true cosine when its norms are in _NORM_RANGE, and numpy's
+    # pairwise sum of P = H·W such terms adds at most
+    # (ceil(log2 P) + 19)·eps/2 per term, so the two cosine sums differ by
+    # at most (2C + ceil(log2 P) + 23)·eps·P. Adding the time term rounds
+    # each score by eps·|score| more. The bound covers both with margin.
+    h, w, c = terms[0].shape
+    p = h * w
+    eps = np.finfo(np.float64).eps
+    bound = 8 * (c + math.ceil(math.log2(p)) + 4) * eps * p + 4 * eps * np.abs(scores)
+    order = np.argsort(-scores, kind="stable")
+    s, b = scores[order], bound[order]
+    # Neighbours whose intervals [s - b, s + b] overlap chain into one
+    # group. Every frame of a group ranks above every frame of the next,
+    # so only groups of two or more need the exact scores.
+    ends = (np.flatnonzero(s[:-1] - s[1:] > b[:-1] + b[1:]) + 1).tolist()
+    order = order.tolist()
+    for lo, hi in zip([0, *ends], [*ends, t]):
+        if hi - lo > 1:
+            group = order[lo:hi]
+            order[lo:hi] = ranked(group, {i: exact(i) for i in group})
+    return order
 
 
 def reorder_frames(history: LatentVideo, permutation: Sequence[int]) -> LatentVideo:

@@ -4,7 +4,8 @@ from hashlib import sha256
 import numpy as np
 import pytest
 
-from ctxpack.cli import main
+from ctxpack import cli
+from ctxpack.cli import build_parser, main
 from ctxpack.fplt import read_codebook, read_tensor, read_video, write_video
 from ctxpack.packing import LatentVideo
 from ctxpack.schedule import parse_schedule
@@ -387,3 +388,48 @@ class TestEloCommand:
         log = tmp_path / "matches.csv"
         log.write_text("a,b,Q\n")
         assert main(["elo", str(log)]) == 3
+
+    @pytest.mark.parametrize("initial", ["nan", "inf", "-inf"])
+    def test_non_finite_initial_exits_3(self, tmp_path, capsys, initial):
+        log = tmp_path / "matches.csv"
+        log.write_text("a,b,A\n")
+        assert main(["elo", str(log), f"--initial={initial}", "--ranks"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ctxpack: initial rating must be finite")
+
+
+class TestParserReuse:
+    """``main`` parses every call with one parser; no option of one call
+    may carry over to the next."""
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        assert build_parser() is not build_parser()
+
+    def test_provenance_does_not_leak(self, tmp_path, small_video_path, capsys):
+        out = tmp_path / "packed.fplt"
+        named = tmp_path / "named.prov"
+        pack = ["pack", "td_f1k1_g1", small_video_path, "-o", str(out)]
+        assert main([*pack, "--provenance", str(named)]) == 0
+        assert named.exists() and not (tmp_path / "packed.fplt.prov").exists()
+        named.unlink()
+        assert main(pack) == 0
+        assert (tmp_path / "packed.fplt.prov").exists() and not named.exists()
+        assert capsys.readouterr().out.splitlines()[-1] == f"provenance {out}.prov"
+
+    def test_command_patched_after_first_parse_runs(self, small_video_path, monkeypatch, capsys):
+        assert main(["drift", small_video_path]) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_drift", lambda args: calls.append(args.input) or 0)
+        assert main(["drift", small_video_path]) == 0
+        assert calls == [small_video_path]
+
+    def test_metric_does_not_leak(self, small_video_path, capsys):
+        for _ in range(2):
+            assert main(["drift", small_video_path, "--metric", "mean-luminance"]) == 0
+            assert len(capsys.readouterr().out.splitlines()) == 1
+            assert main(["drift", small_video_path]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert [line.split()[0] for line in lines] == [
+                "metric=mean-luminance", "metric=sharpness-proxy", "metric=dynamics-proxy"
+            ]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ctxpack.drift import (
     MatchOutcome,
     MatchRecord,
+    RatingTable,
     SegmentMetric,
     builtin_metrics,
     drift,
@@ -181,6 +184,15 @@ class TestTournament:
             np.random.default_rng(seed).shuffle(shuffled)
             table = tournament(shuffled)
             assert sum(table.ratings.values()) == pytest.approx(base_sum, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("setting", ["initial", "k_factor"])
+    def test_non_finite_settings_rejected(self, setting, bad):
+        # a NaN initial rating used to print a=nan rank=1 for every player
+        with pytest.raises(ValueError, match="must be finite"):
+            tournament([MatchRecord("a", "b", MatchOutcome.A)], **{setting: bad})
+        with pytest.raises(ValueError, match="must be finite"):
+            RatingTable(**{setting: bad})
 
     def test_self_play_rejected(self):
         with pytest.raises(ValueError):

@@ -114,6 +114,12 @@ class TestSimTime:
 
 
 class TestHybrid:
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_weight_rejected(self, weight):
+        f = rng(28).normal(size=(2, 2, 2))
+        with pytest.raises(ValueError, match="^time_weight must be finite$"):
+            sim_hybrid(f, f, 0.0, 50.0, weight)
+
     def test_composition_is_exact(self):
         f = rng(11).normal(size=(4, 4, 2))
         x = rng(12).normal(size=(4, 4, 2))
@@ -206,6 +212,15 @@ class TestSortByImportance:
         v[1, 0, 1, 1] = bad
         with pytest.raises(ValueError, match="finite"):
             sort_by_importance(v, [0.0, 1.0, 2.0], target, 2.0, 0.5)
+
+    @pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("rank", [importance_scores, sort_by_importance])
+    def test_non_finite_time_weight_rejected(self, weight, rank):
+        # inf * sim_time(...) is NaN for a frame 30 s or more from the
+        # target, which used to rank such frames first
+        v = rng(27).normal(size=(6, 2, 2, 2))
+        with pytest.raises(ValueError, match="^time_weight must be finite$"):
+            rank(v, [0.0, 10.0, 20.0, 30.0, 40.0, 50.0], v[-1], 50.0, weight)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("wrap", [np.asarray, LatentVideo])
@@ -303,3 +318,72 @@ class TestScoresMatchPerFrameOracle:
         assert [s.score for s in scores] == expected
         order = sort_by_importance(video, times, target, 2.0, weight, zero_substitute=zero_substitute)
         assert order == sorted(range(len(times)), key=lambda i: (-expected[i], -times[i], i))
+
+
+@st.composite
+def ranking_cases(draw):
+    """A history and target built to put frames within float error of
+    each other: exact copies, swapped frames, frames 1 ulp apart, large
+    offsets and zero-norm pixels."""
+    t, h, w, c = draw(st.integers(0, 6)), *(draw(st.integers(1, n)) for n in (4, 4, 8))
+    width = draw(st.sampled_from([np.float32, np.float64]))
+    offset = draw(st.sampled_from([0.0, 1e6, -3e7]))
+    # generic values, whose sums round differently in the fast and exact forms
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (noise.uniform(-100, 100, (t, h, w, c)) + offset).astype(width)
+    target = noise.uniform(-100, 100, (h, w, c)) + offset
+    if t and draw(st.booleans()):
+        # every frame within 2 ulps of frame 0 in every element
+        values[1:] = values[0] + noise.integers(-2, 3, values[1:].shape) * np.spacing(values[0])
+    frame = st.integers(0, max(t - 1, 0))
+    pixel = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+    for kind, src, dst, (r, col) in draw(
+        st.lists(
+            st.tuples(st.sampled_from(["copy", "swap", "ulp", "zero"]), frame, frame, pixel),
+            max_size=4 if t else 0,
+        )
+    ):
+        if kind == "copy":
+            values[dst] = values[src]
+        elif kind == "swap":
+            values[[src, dst]] = values[[dst, src]]
+        elif kind == "ulp":
+            towards = draw(st.sampled_from([np.inf, -np.inf]))
+            values[dst] = values[src]
+            if draw(st.booleans()):
+                values[dst] = np.nextafter(values[src], width(towards))
+            else:
+                values[dst, r, col, 0] = np.nextafter(values[src, r, col, 0], width(towards))
+        else:
+            values[dst, r, col] = 0.0
+    if t and draw(st.booleans()):
+        target = values[draw(frame)].astype(np.float64)
+    for r, col in draw(st.lists(pixel, max_size=1)):
+        target[r, col] = 0.0
+    times = draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=t, max_size=t))
+    return LatentVideo(values), target, times
+
+
+class TestSortMatchesPerFrameOracle:
+    """``sort_by_importance`` ranks by a fast term and re-ranks near-ties
+    exactly; its order must be the per-frame formula's, ties to recency
+    and then index."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(ranking_cases(), st.booleans(), st.sampled_from([0.0, 1.0, 1e9]))
+    def test_order_is_brute_force_order(self, case, zero_substitute, weight):
+        video, target, times = case
+
+        def order():
+            return sort_by_importance(video, times, target, 2.0, weight, zero_substitute=zero_substitute)
+
+        try:
+            scores = [
+                sim_hybrid(frame, target, times[i], 2.0, weight, zero_substitute=zero_substitute)
+                for i, frame in enumerate(video.array)
+            ]
+        except ZeroVectorPixel as exc:
+            with pytest.raises(ZeroVectorPixel, match=f"^{exc}$"):
+                order()
+            return
+        assert order() == sorted(range(len(times)), key=lambda i: (-scores[i], -times[i], i))
