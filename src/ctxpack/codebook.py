@@ -19,7 +19,6 @@ import numpy as np
 from .errors import ChannelMismatch, IndexOutOfRange, InsufficientData
 from .packing import LatentVideo
 
-DEFAULT_K = 128
 # Bytes of the float64 (rows, K) score matrix one search chunk may hold.
 _SCORE_BYTES = 4 << 20
 

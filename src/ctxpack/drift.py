@@ -115,8 +115,18 @@ class MatchRecord:
             raise ValueError(f"a player cannot face itself: {self.player_a!r}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def elo_expected(rating_a: float, rating_b: float) -> float:
-    """Expected score of the first player under the logistic model."""
+    """Expected score of the first player under the logistic model.
+
+    Raises ``ValueError`` for a non-finite rating.
+    """
+    _check_finite("rating_a", rating_a)
+    _check_finite("rating_b", rating_b)
     return 1.0 / (1.0 + 10.0 ** ((rating_b - rating_a) / 400.0))
 
 
@@ -126,7 +136,11 @@ def elo_update(
     outcome: MatchOutcome,
     k_factor: float = DEFAULT_K_FACTOR,
 ) -> tuple[float, float]:
-    """One rating update; the two deltas are exact negatives of each other."""
+    """One rating update; the two deltas are exact negatives of each other.
+
+    Raises ``ValueError`` for a non-finite rating or K factor.
+    """
+    _check_finite("k_factor", k_factor)
     expected_a = elo_expected(rating_a, rating_b)
     score_a = {MatchOutcome.A: 1.0, MatchOutcome.B: 0.0, MatchOutcome.DRAW: 0.5}[outcome]
     delta = k_factor * (score_a - expected_a)
@@ -140,10 +154,8 @@ class RatingTable:
     ratings: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.k_factor):
-            raise ValueError(f"k_factor must be finite, got {self.k_factor!r}")
-        if not math.isfinite(self.initial):
-            raise ValueError(f"initial rating must be finite, got {self.initial!r}")
+        _check_finite("k_factor", self.k_factor)
+        _check_finite("initial rating", self.initial)
 
     def get(self, player: str) -> float:
         return self.ratings.get(player, self.initial)

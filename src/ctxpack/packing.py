@@ -253,36 +253,31 @@ def resolve_kernel(requested: KernelSpec) -> KernelResolution:
     )
 
 
-def _pad_spatial(block: np.ndarray, p_h: int, p_w: int) -> np.ndarray:
-    """The block as float64, zero-padded at its bottom and right edges up
-    to whole ``p_h`` x ``p_w`` windows, in one copy at most."""
-    t, h, w, c = block.shape
-    pad_h = (-h) % p_h
-    pad_w = (-w) % p_w
-    if not (pad_h or pad_w):
-        return block.astype(np.float64, copy=False)
-    padded = np.zeros((t, h + pad_h, w + pad_w, c))
-    padded[:, :h, :w] = block
-    return padded
-
-
 def _pool_block(block: np.ndarray, kernel: KernelSpec, pad_spatial: bool) -> np.ndarray:
-    """Mean-pool a (p_f, H, W, C) block into an (H', W', C) float64 grid."""
-    h, w = block.shape[1:3]
-    if (h % kernel.p_h or w % kernel.p_w) and not pad_spatial:
-        raise IndivisibleDims(
-            f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}"
-        )
-    block = _pad_spatial(block, kernel.p_h, kernel.p_w)
-    h, w = block.shape[1:3]
-    grid = block.reshape(
-        block.shape[0],
-        h // kernel.p_h,
-        kernel.p_h,
-        w // kernel.p_w,
-        kernel.p_w,
-        block.shape[3],
-    ).mean(axis=(0, 2, 4))
+    """Mean-pool a (p_f, H, W, C) block into an (H', W', C) float64 grid.
+
+    The mean accumulates in float64 over the block itself. A block whose
+    H or W is not a whole number of kernel windows is copied, zero-padded
+    at its bottom and right edges; a one-channel block is cast first.
+    """
+    t, h, w, c = block.shape
+    pad_h, pad_w = -h % kernel.p_h, -w % kernel.p_w
+    # the grid must equal the block's float64 mean bit for bit: with more
+    # than one channel each output sums its inputs in memory order either
+    # way, but one channel leaves numpy contiguous runs to sum pairwise,
+    # which a cast would split at its buffer size
+    dtype = np.float64 if c == 1 else block.dtype
+    if pad_h or pad_w:
+        if not pad_spatial:
+            raise IndivisibleDims(
+                f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}"
+            )
+        padded = np.zeros((t, h + pad_h, w + pad_w, c), dtype)
+        padded[:, :h, :w] = block
+        block = padded
+    grid = block.astype(dtype, copy=False).reshape(
+        t, (h + pad_h) // kernel.p_h, kernel.p_h, (w + pad_w) // kernel.p_w, kernel.p_w, c
+    ).mean(axis=(0, 2, 4), dtype=np.float64)
     grid.setflags(write=False)
     return grid
 
@@ -385,21 +380,6 @@ def handle_tail(
     return [token for block in blocks for token in block.tokens()]
 
 
-def _entry_groups(
-    frames: np.ndarray, entry: Frames, pad_history: bool
-) -> list[np.ndarray]:
-    """Split an entry's frames into kernel-sized groups, oldest first."""
-    p_f = entry.kernel.p_f
-    if frames.shape[0] % p_f:
-        if not pad_history:
-            raise IndivisibleDims(
-                f"entry of {entry.count} frames is not divisible by kernel step {p_f}"
-            )
-        deficit = (-frames.shape[0]) % p_f
-        frames = np.concatenate([frames, np.repeat(frames[-1:], deficit, axis=0)])
-    return [frames[i : i + p_f] for i in range(0, frames.shape[0], p_f)]
-
-
 def apply_schedule(
     history: LatentVideo,
     schedule: PackingSchedule,
@@ -488,7 +468,8 @@ def apply_schedule(
             cursor += n_tail
         elif isinstance(seg, Generate):
             generate_span = (cursor, cursor + seg.count)
-            zero_grid = _pool_block(np.zeros((1, h, w, channels)), BASE_KERNEL, pad_spatial)
+            zero_frame = np.zeros((1, h, w, channels), np.float32)
+            zero_grid = _pool_block(zero_frame, BASE_KERNEL, pad_spatial)
             blocks += [_block(zero_grid, BASE_KERNEL, (t, t + 1)) for t in range(*generate_span)]
             cursor += seg.count
             edge = data[middle:hi][-1:]
@@ -499,10 +480,18 @@ def apply_schedule(
             if deficit:
                 pad = np.repeat(edge, deficit, axis=0)
                 frames = np.concatenate([frames, pad] if generate_span else [pad, frames])
-            for group in _entry_groups(frames, seg, pad_history):
-                grid = _pool_block(group, seg.kernel, pad_spatial)
-                blocks.append(_block(grid, seg.kernel, (cursor, cursor + seg.kernel.p_f)))
-                cursor += seg.kernel.p_f
+            p_f = seg.kernel.p_f
+            if seg.count % p_f:
+                if not pad_history:
+                    raise IndivisibleDims(
+                        f"entry of {seg.count} frames is not divisible by kernel step {p_f}"
+                    )
+                # round up to whole kernel steps with the entry's newest frame
+                frames = np.concatenate([frames, np.repeat(frames[-1:], -seg.count % p_f, axis=0)])
+            for t in range(0, len(frames), p_f):
+                grid = _pool_block(frames[t : t + p_f], seg.kernel, pad_spatial)
+                blocks.append(_block(grid, seg.kernel, (cursor, cursor + p_f)))
+                cursor += p_f
 
     budget = sum(b.size for b in blocks)
     expected = tokens_for_schedule(

@@ -160,6 +160,20 @@ class TestEloUpdate:
         a, b = elo_update(r_a, r_b, outcome)
         assert a + b == pytest.approx(r_a + r_b, abs=1e-9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("argument", ["rating_a", "rating_b"])
+    def test_non_finite_rating_rejected(self, argument, bad):
+        ratings = {"rating_a": 1000.0, "rating_b": 1000.0, argument: bad}
+        with pytest.raises(ValueError, match=f"{argument} must be finite"):
+            elo_expected(**ratings)
+        with pytest.raises(ValueError, match=f"{argument} must be finite"):
+            elo_update(**ratings, outcome=MatchOutcome.A)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_k_factor_rejected(self, bad):
+        with pytest.raises(ValueError, match="k_factor must be finite"):
+            elo_update(1000.0, 1000.0, MatchOutcome.A, k_factor=bad)
+
 
 class TestTournament:
     def test_empty(self):

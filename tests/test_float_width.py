@@ -125,6 +125,21 @@ class TestPacking:
         got = patchify(narrow, kernel, t_offset=5, pad_spatial=pad_spatial)
         assert token_digest(got) == token_digest(expected)
 
+    @pytest.mark.parametrize("h, w", [(64, 64), (60, 50)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_channel_window_of_131072_values(self, h, w, seed):
+        # one window, one channel: numpy sums the whole block as one
+        # contiguous run, so a float32 block reduced through a cast would
+        # round differently from its float64 copy; values span 2^±14 so
+        # the summation order shows in the last bits
+        rng = np.random.default_rng(seed)
+        values = rng.normal(size=(32, h, w, 1)) * np.exp2(rng.uniform(-14, 14, (32, h, w, 1)))
+        narrow = LatentVideo(values.astype(np.float32))
+        wide = LatentVideo(narrow.array.astype(np.float64))
+        kernel = KernelSpec(32, 64, 64)
+        got = patchify(narrow, kernel, pad_spatial=True)
+        assert token_digest(got) == token_digest(patchify(wide, kernel, pad_spatial=True))
+
 
 class TestDriftAndCodebook:
     @settings(max_examples=40, deadline=None, derandomize=True)

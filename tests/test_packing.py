@@ -136,6 +136,24 @@ class TestLatentVideo:
         assert peak < 1.5 * source.nbytes
         assert v.array.tobytes() == source.tobytes()
 
+    def test_float32_pack_peak(self):
+        # H and W are whole k8 windows, so the group is pooled where it
+        # lies in the snapshot; a float64 copy of it alone would be 4 MiB
+        v = LatentVideo(rng(6).normal(size=(8, 64, 64, 16)).astype(np.float32))
+        schedule = parse_schedule("f8k8_g1")
+        group64 = v.array.size * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ctx = apply_schedule(v, schedule)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < group64 / 4
+        expected = v.data.reshape(8, 4, 16, 4, 16, 16).mean(axis=(0, 2, 4))
+        assert ctx.blocks[0].grid.tobytes() == expected.tobytes()
+
 
 class TestResolveKernel:
     def test_identity(self):
