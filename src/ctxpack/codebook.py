@@ -118,15 +118,16 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     exactly when there are fewer than ``k`` distinct pixels.
     """
     n = pixels.shape[0]
+    short = f"need at least {k} distinct pixels to fit {k} codebook entries"
+    if k > n:  # before the k-row centroid array is allocated
+        raise InsufficientData(short)
     centroids = np.empty((k, pixels.shape[1]), dtype=np.float64)
     centroids[0] = pixels[rng.integers(n)]
     d2 = ((pixels - centroids[0]) ** 2).sum(axis=1)
     for j in range(1, k):
         total = d2.sum()
         if total == 0:
-            raise InsufficientData(
-                f"need at least {k} distinct pixels to fit {k} codebook entries"
-            )
+            raise InsufficientData(short)
         idx = rng.choice(n, p=d2 / total)
         centroids[j] = pixels[idx]
         d2 = np.minimum(d2, ((pixels - centroids[j]) ** 2).sum(axis=1))

@@ -123,11 +123,15 @@ def _check_finite(name: str, value: float) -> None:
 def elo_expected(rating_a: float, rating_b: float) -> float:
     """Expected score of the first player under the logistic model.
 
-    Raises ``ValueError`` for a non-finite rating.
+    Raises ``ValueError`` for a non-finite rating. A gap whose odds
+    overflow a float gives the expected score's limit, 0.0.
     """
     _check_finite("rating_a", rating_a)
     _check_finite("rating_b", rating_b)
-    return 1.0 / (1.0 + 10.0 ** ((rating_b - rating_a) / 400.0))
+    try:
+        return 1.0 / (1.0 + 10.0 ** ((rating_b - rating_a) / 400.0))
+    except OverflowError:
+        return 0.0
 
 
 def elo_update(
@@ -138,13 +142,16 @@ def elo_update(
 ) -> tuple[float, float]:
     """One rating update; the two deltas are exact negatives of each other.
 
-    Raises ``ValueError`` for a non-finite rating or K factor.
+    Raises ``ValueError`` for a non-finite rating, K factor or result.
     """
     _check_finite("k_factor", k_factor)
     expected_a = elo_expected(rating_a, rating_b)
     score_a = {MatchOutcome.A: 1.0, MatchOutcome.B: 0.0, MatchOutcome.DRAW: 0.5}[outcome]
     delta = k_factor * (score_a - expected_a)
-    return rating_a + delta, rating_b - delta
+    a, b = rating_a + delta, rating_b - delta
+    _check_finite("updated rating_a", a)
+    _check_finite("updated rating_b", b)
+    return a, b
 
 
 @dataclass

@@ -168,16 +168,6 @@ class PackedBlock:
     def size(self) -> int:
         return len(self.row_phases) * len(self.col_phases)
 
-    def tokens(self) -> list[PackedToken]:
-        """The grid's tokens, row-major."""
-        return [
-            PackedToken(
-                self.time_span, (r, c), self.kernel, self.grid[r, c], (self.time_phase, rp, cp)
-            )
-            for r, rp in enumerate(self.row_phases)
-            for c, cp in enumerate(self.col_phases)
-        ]
-
 
 @dataclass(frozen=True, eq=False)
 class PackedContext:
@@ -203,17 +193,12 @@ class PackedContext:
 
     @cached_property
     def tokens(self) -> tuple[PackedToken, ...]:
-        return tuple(token for block in self.blocks for token in block.tokens())
-
-    @property
-    def generate_tokens(self) -> tuple[PackedToken, ...]:
-        a, b = self.generate_span
-        return tuple(t for t in self.tokens if a <= t.time_span[0] and t.time_span[1] <= b)
-
-    @property
-    def history_tokens(self) -> tuple[PackedToken, ...]:
-        a, b = self.generate_span
-        return tuple(t for t in self.tokens if t.time_span[1] <= a or t.time_span[0] >= b)
+        return tuple(
+            PackedToken(b.time_span, (r, c), b.kernel, b.grid[r, c], (b.time_phase, rp, cp))
+            for b in self.blocks
+            for r, rp in enumerate(b.row_phases)
+            for c, cp in enumerate(b.col_phases)
+        )
 
     @property
     def tail_frame_count(self) -> int:
@@ -313,22 +298,6 @@ def _block(
     return PackedBlock(time_span, kernel, _centre(time_span), rows, cols, grid)
 
 
-def patchify(
-    frames: LatentVideo,
-    kernel: KernelSpec,
-    *,
-    t_offset: int = 0,
-    pad_spatial: bool = False,
-) -> list[PackedToken]:
-    """Turn one kernel-sized slice of frames into its token grid."""
-    if frames.frame_count != kernel.p_f:
-        raise ValueError(
-            f"slice has {frames.frame_count} frames, kernel wants {kernel.p_f}"
-        )
-    grid = _pool_block(frames.array, kernel, pad_spatial)
-    return _block(grid, kernel, (t_offset, t_offset + kernel.p_f)).tokens()
-
-
 def _tail_blocks(
     block: np.ndarray,
     mode: TailMode,
@@ -336,6 +305,13 @@ def _tail_blocks(
     t_offset: int,
     pad_spatial: bool,
 ) -> list[PackedBlock]:
+    """Pack leftover frames per the tail mode, from time ``t_offset`` on.
+
+    Delete drops them. Append pools each frame spatially by (1, 32, 32)
+    with clipped edge windows, one coarse pixel grid per frame. Compress
+    averages all tail frames into a single frame and pools it with the
+    schedule's coarsest kernel; its block spans the whole tail.
+    """
     n, h, w = block.shape[:3]
     if mode is TailMode.DELETE or n == 0:
         return []
@@ -359,25 +335,6 @@ def _tail_blocks(
     # compress
     grid = _pool_block(block.mean(axis=0, keepdims=True, dtype=np.float64), coarsest, pad_spatial)
     return [_block(grid, coarsest, (t_offset, t_offset + n))]
-
-
-def handle_tail(
-    tail: LatentVideo,
-    mode: TailMode,
-    coarsest: KernelSpec = BASE_KERNEL,
-    *,
-    t_offset: int = 0,
-    pad_spatial: bool = False,
-) -> list[PackedToken]:
-    """Pack leftover oldest (or newest) frames per the tail mode.
-
-    Delete drops them. Append pools each frame spatially by (1, 32, 32)
-    with clipped edge windows, one coarse pixel grid per frame. Compress
-    averages all tail frames into a single frame and patchifies it with
-    the schedule's coarsest kernel; its tokens span the whole tail.
-    """
-    blocks = _tail_blocks(tail.array, mode, coarsest, t_offset, pad_spatial)
-    return [token for block in blocks for token in block.tokens()]
 
 
 def apply_schedule(

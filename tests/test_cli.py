@@ -337,6 +337,18 @@ class TestCodebookCommands:
         ])
         assert rc == 3
 
+    def test_k_beyond_any_allocation_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "tiny.fplt"
+        write_video(path, LatentVideo(rng(3).normal(size=(1, 2, 2, 6))))
+        out = tmp_path / "cb.fplt"
+        k = "10000000000000"
+        rc = main(["codebook", "fit", "--k", k, "--seed", "1", str(path), "-o", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"ctxpack: need at least {k} distinct pixels to fit {k} codebook entries\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag,value", [
         ("--max-iters", "0"), ("--max-iters", "-2"),
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),

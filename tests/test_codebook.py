@@ -173,6 +173,14 @@ class TestFitCodebook:
         cb = fit_codebook([video_from(pixels, 3, 4, 5)], 4, seed=seed)
         assert sorted(map(tuple, cb.centroids.tolist())) == sorted(map(tuple, values.tolist()))
 
+    def test_k_beyond_any_allocation(self):
+        # a k x C centroid array of 10^13 rows would need 437 TiB; the
+        # check on the pixel count comes first
+        v = video_from(rng(3).normal(size=(4, 6)), 1, 2, 2)
+        k = 10**13
+        with pytest.raises(InsufficientData, match=f"^need at least {k} distinct pixels"):
+            fit_codebook([v], k, seed=0)
+
     @pytest.mark.parametrize("seed", range(6))
     def test_k_minus_one_distinct_message(self, seed):
         pixels = np.array([[0.0], [1.0], [2.0]]).repeat(8, axis=0)

@@ -169,6 +169,22 @@ class TestEloUpdate:
         with pytest.raises(ValueError, match=f"{argument} must be finite"):
             elo_update(**ratings, outcome=MatchOutcome.A)
 
+    @pytest.mark.parametrize(
+        "rating_a, rating_b, limit",
+        [(0.0, 1e6, 0.0), (1e6, 0.0, 1.0), (-1e308, 1e308, 0.0), (1e308, -1e308, 1.0)],
+    )
+    def test_expected_score_at_a_gap_beyond_float_range(self, rating_a, rating_b, limit):
+        assert elo_expected(rating_a, rating_b) == limit
+
+    @pytest.mark.parametrize("gap", [0.0, 400.0, -1234.5, 123_000.0, -123_000.0, -1e6])
+    def test_expected_score_bits_unchanged(self, gap):
+        # the logistic formula's own value wherever it fits in a float
+        assert elo_expected(1000.0, 1000.0 + gap) == 1.0 / (1.0 + 10.0 ** (gap / 400.0))
+
+    def test_update_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="updated rating_a must be finite"):
+            elo_update(1.5e308, 1.5e308, MatchOutcome.A, k_factor=1e308)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_k_factor_rejected(self, bad):
         with pytest.raises(ValueError, match="k_factor must be finite"):
@@ -183,6 +199,16 @@ class TestTournament:
     def test_single_match(self):
         table = tournament([MatchRecord("a", "b", MatchOutcome.A)])
         assert table.ratings == {"a": 1016.0, "b": 984.0}
+
+    def test_huge_k_factor_reaches_the_expected_score_limit(self):
+        # after the first match the gap is 1e300, whose odds overflow a float
+        records = parse_match_log("a,b,A\nb,a,A\n")
+        table = tournament(records, k_factor=1e300)
+        assert table.ratings == {"a": -5e299, "b": 5e299}
+
+    def test_rating_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="must be finite, got inf"):
+            tournament([MatchRecord("a", "b", MatchOutcome.A)], initial=1.5e308, k_factor=1e308)
 
     def test_order_changes_ratings_not_sum(self):
         r = rng(5)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ctxpack.codebook import fit_codebook, quantize
 from ctxpack.drift import builtin_metrics, drift_report
 from ctxpack.errors import ExcessHistory, IndivisibleDims, InsufficientData, ShortHistory
-from ctxpack.packing import LatentVideo, apply_schedule, handle_tail, patchify
+from ctxpack.packing import LatentVideo, apply_schedule
 from ctxpack.schedule import (
     Frames,
     Generate,
@@ -40,10 +40,6 @@ def block_digest(blocks):
         (b.time_span, b.kernel, b.time_phase, b.row_phases, b.col_phases, b.grid.dtype, b.grid.tobytes())
         for b in blocks
     ]
-
-
-def token_digest(tokens):
-    return [(t.time_span, t.cell, t.kernel, t.phase, t.feature.dtype, t.feature.tobytes()) for t in tokens]
 
 
 @st.composite
@@ -102,28 +98,34 @@ class TestPacking:
         mostly,
     )
     def test_handle_tail(self, mode, coarsest, frames, hwc, seed, pad_spatial):
-        narrow, wide = widths(frames, *hwc, seed)
+        # the entry takes the newest p_f frames and sets the coarsest kernel
+        schedule = PackingSchedule((Tail(mode), Frames(coarsest.p_f, coarsest), Generate(1)))
+        narrow, wide = widths(frames + coarsest.p_f, *hwc, seed)
         try:
-            expected = handle_tail(wide, mode, coarsest, t_offset=3, pad_spatial=pad_spatial)
+            expected = apply_schedule(wide, schedule, pad_spatial=pad_spatial)
         except IndivisibleDims:
             with pytest.raises(IndivisibleDims):
-                handle_tail(narrow, mode, coarsest, t_offset=3, pad_spatial=pad_spatial)
+                apply_schedule(narrow, schedule, pad_spatial=pad_spatial)
             return
-        got = handle_tail(narrow, mode, coarsest, t_offset=3, pad_spatial=pad_spatial)
-        assert token_digest(got) == token_digest(expected)
+        got = apply_schedule(narrow, schedule, pad_spatial=pad_spatial)
+        assert got.tail_span == expected.tail_span == (0, frames)
+        assert block_digest(got.blocks) == block_digest(expected.blocks)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(KERNELS), dims(), seeds, mostly)
     def test_patchify(self, kernel, hwc, seed, pad_spatial):
-        narrow, wide = widths(kernel.p_f, *hwc, seed)
+        # five deleted tail frames put the one kernel group at times 5..
+        schedule = PackingSchedule((Tail(TailMode.DELETE), Frames(kernel.p_f, kernel), Generate(1)))
+        narrow, wide = widths(5 + kernel.p_f, *hwc, seed)
         try:
-            expected = patchify(wide, kernel, t_offset=5, pad_spatial=pad_spatial)
+            expected = apply_schedule(wide, schedule, pad_spatial=pad_spatial)
         except IndivisibleDims:
             with pytest.raises(IndivisibleDims):
-                patchify(narrow, kernel, t_offset=5, pad_spatial=pad_spatial)
+                apply_schedule(narrow, schedule, pad_spatial=pad_spatial)
             return
-        got = patchify(narrow, kernel, t_offset=5, pad_spatial=pad_spatial)
-        assert token_digest(got) == token_digest(expected)
+        got = apply_schedule(narrow, schedule, pad_spatial=pad_spatial)
+        assert got.blocks[0].time_span == (5, 5 + kernel.p_f)
+        assert block_digest(got.blocks) == block_digest(expected.blocks)
 
     @pytest.mark.parametrize("h, w", [(64, 64), (60, 50)])
     @pytest.mark.parametrize("seed", range(4))
@@ -136,9 +138,11 @@ class TestPacking:
         values = rng.normal(size=(32, h, w, 1)) * np.exp2(rng.uniform(-14, 14, (32, h, w, 1)))
         narrow = LatentVideo(values.astype(np.float32))
         wide = LatentVideo(narrow.array.astype(np.float64))
-        kernel = KernelSpec(32, 64, 64)
-        got = patchify(narrow, kernel, pad_spatial=True)
-        assert token_digest(got) == token_digest(patchify(wide, kernel, pad_spatial=True))
+        schedule = PackingSchedule((Frames(32, KernelSpec(32, 64, 64)), Generate(1)))
+        got = apply_schedule(narrow, schedule, pad_spatial=True)
+        expected = apply_schedule(wide, schedule, pad_spatial=True)
+        assert got.blocks[0].size == 1
+        assert block_digest(got.blocks) == block_digest(expected.blocks)
 
 
 class TestDriftAndCodebook:

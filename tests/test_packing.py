@@ -18,8 +18,6 @@ from ctxpack.packing import (
     LatentVideo,
     apply_schedule,
     build_symmetric_schedule,
-    handle_tail,
-    patchify,
     resolve_kernel,
 )
 from ctxpack.planner import plan_vanilla
@@ -47,6 +45,24 @@ def video(t, h=64, w=64, c=3, seed=0):
 
 def constant_video(t, h, w, c, value):
     return LatentVideo(np.full((t, h, w, c), float(value)))
+
+
+def entry_block(frames, kernel, *, pad_spatial=False):
+    """The one entry block of an ``f{p}k…_g1`` pack: ``frames`` pooled as
+    one kernel group."""
+    schedule = parse_schedule(f"f{kernel.p_f}{kernel.token}_g1")
+    return apply_schedule(frames, schedule, pad_spatial=pad_spatial).blocks[0]
+
+
+def history_blocks(ctx):
+    """The entry and tail blocks: those outside the generated section."""
+    a, b = ctx.generate_span
+    return [blk for blk in ctx.blocks if blk.time_span[1] <= a or blk.time_span[0] >= b]
+
+
+def tail_blocks(ctx):
+    a, b = ctx.tail_span
+    return [blk for blk in ctx.blocks if a <= blk.time_span[0] and blk.time_span[1] <= b]
 
 
 def pooled_mean_oracle(data, p_f, p_h, p_w, gt, gr, gc):
@@ -194,106 +210,116 @@ class TestResolveKernel:
 
 
 class TestPatchify:
+    """One kernel group pooled through a ``td_f{p}k…_g1`` pack."""
+
     def test_constant_video_gives_constant_features(self):
         for kernel in [KernelSpec(1, 2, 2), KernelSpec(2, 4, 4), KernelSpec(4, 8, 8)]:
-            v = constant_video(kernel.p_f, 16, 16, 3, 2.5)
-            for token in patchify(v, kernel):
-                assert np.allclose(token.feature, 2.5)
+            block = entry_block(constant_video(kernel.p_f, 16, 16, 3, 2.5), kernel)
+            assert np.allclose(block.grid, 2.5)
 
     def test_single_window_mean(self):
         v = LatentVideo(np.array([[[ [1.0], [2.0]], [[3.0], [4.0]]]]))  # 1x2x2x1
-        tokens = patchify(v, KernelSpec(1, 2, 2))
-        assert len(tokens) == 1
-        assert tokens[0].feature[0] == pytest.approx(2.5)
+        block = entry_block(v, KernelSpec(1, 2, 2))
+        assert block.size == 1
+        assert block.grid[0, 0, 0] == pytest.approx(2.5)
 
     def test_token_count(self):
-        assert len(patchify(video(4), KernelSpec(4, 8, 8))) == 64
+        assert entry_block(video(4), KernelSpec(4, 8, 8)).size == 64
 
     def test_features_match_brute_force(self):
         kernel = KernelSpec(2, 4, 4)
         v = video(2, 8, 8, 3, seed=5)
-        tokens = patchify(v, kernel)
-        for token in tokens:
-            r, c = token.cell
-            expected = pooled_mean_oracle(v.data, 2, 4, 4, 0, r, c)
-            np.testing.assert_allclose(token.feature, expected, atol=1e-12)
+        block = entry_block(v, kernel)
+        assert block.grid.shape == (2, 2, 3)
+        for r in range(2):
+            for c in range(2):
+                expected = pooled_mean_oracle(v.data, 2, 4, 4, 0, r, c)
+                np.testing.assert_allclose(block.grid[r, c], expected, atol=1e-12)
 
     def test_linearity(self):
         kernel = KernelSpec(2, 4, 4)
         a, b = 2.5, -1.25
         v1, v2 = video(2, 8, 8, 2, seed=1), video(2, 8, 8, 2, seed=2)
         combined = LatentVideo(a * v1.data + b * v2.data)
-        for tc, t1, t2 in zip(
-            patchify(combined, kernel), patchify(v1, kernel), patchify(v2, kernel)
-        ):
-            np.testing.assert_allclose(tc.feature, a * t1.feature + b * t2.feature, atol=1e-9)
-
-    def test_wrong_slice_length(self):
-        with pytest.raises(ValueError):
-            patchify(video(3), KernelSpec(2, 4, 4))
+        g1, g2 = entry_block(v1, kernel).grid, entry_block(v2, kernel).grid
+        np.testing.assert_allclose(entry_block(combined, kernel).grid, a * g1 + b * g2, atol=1e-9)
 
     def test_indivisible_dims(self):
         with pytest.raises(IndivisibleDims):
-            patchify(video(1, 60, 104), KernelSpec(1, 8, 8))
+            entry_block(video(1, 60, 104), KernelSpec(1, 8, 8))
 
     def test_zero_pad_opt_in(self):
-        tokens = patchify(video(1, 60, 104), KernelSpec(1, 8, 8), pad_spatial=True)
-        assert len(tokens) == 8 * 13
+        block = entry_block(video(1, 60, 104), KernelSpec(1, 8, 8), pad_spatial=True)
+        assert block.size == 8 * 13
 
     def test_provenance(self):
-        tokens = patchify(video(2, 8, 8), KernelSpec(2, 4, 4), t_offset=10)
+        ctx = apply_schedule(video(12, 8, 8), parse_schedule("td_f2k2_g1"))
+        tokens = ctx.tokens[:4]
+        assert ctx.blocks[0].time_span == (10, 12)
         assert tokens[0].time_span == (10, 12)
         assert tokens[0].phase == (10.5, 1.5, 1.5)
         assert [t.cell for t in tokens] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 class TestHandleTail:
+    """Each tail mode through ``td_g1``, ``ta_g1`` and ``tc_g1`` packs."""
+
     def test_delete(self):
-        assert handle_tail(video(5), TailMode.DELETE) == []
+        ctx = apply_schedule(video(5), parse_schedule("td_g1"))
+        assert ctx.tail_span == (0, 5)
+        assert tail_blocks(ctx) == []
 
     def test_append_token_count(self):
-        tokens = handle_tail(video(3), TailMode.APPEND)
-        assert len(tokens) == 3 * 2 * 2
-        assert tokens[0].kernel == KernelSpec(1, 32, 32)
+        blocks = tail_blocks(apply_schedule(video(3), parse_schedule("ta_g1")))
+        assert [b.size for b in blocks] == [2 * 2] * 3
+        assert [b.time_span for b in blocks] == [(0, 1), (1, 2), (2, 3)]
+        assert blocks[0].kernel == KernelSpec(1, 32, 32)
 
     def test_append_clipped_windows_preserve_constants(self):
         v = constant_video(2, 40, 50, 2, -3.0)
-        tokens = handle_tail(v, TailMode.APPEND)
-        assert len(tokens) == 2 * 2 * 2  # ceil(40/32) * ceil(50/32) per frame
-        for token in tokens:
-            assert np.allclose(token.feature, -3.0)
+        blocks = tail_blocks(apply_schedule(v, parse_schedule("ta_g1")))
+        # ceil(40/32) * ceil(50/32) per frame
+        assert [b.grid.shape for b in blocks] == [(2, 2, 2)] * 2
+        for block in blocks:
+            assert np.allclose(block.grid, -3.0)
 
     def test_compress_constant(self):
-        tokens = handle_tail(constant_video(8, 64, 64, 3, 1.5), TailMode.COMPRESS, KernelSpec(4, 8, 8))
-        assert len(tokens) == 64
-        for token in tokens:
-            assert np.allclose(token.feature, 1.5)
-            assert token.time_span == (0, 8)
+        # the entry takes the newest 4 frames and sets the coarsest kernel
+        v = constant_video(12, 64, 64, 3, 1.5)
+        (block,) = tail_blocks(apply_schedule(v, parse_schedule("tc_f4k4_g1")))
+        assert block.kernel == KernelSpec(4, 8, 8)
+        assert block.size == 64
+        assert np.allclose(block.grid, 1.5)
+        assert block.time_span == (0, 8)
 
     def test_compress_matches_two_step_oracle(self):
-        v = video(4, 16, 16, 2, seed=9)
-        kernel = KernelSpec(2, 4, 4)
-        tokens = handle_tail(v, TailMode.COMPRESS, kernel, t_offset=3)
-        averaged = v.data.mean(axis=0, keepdims=True)
-        for token in tokens:
-            r, c = token.cell
-            expected = pooled_mean_oracle(averaged, 1, 4, 4, 0, r, c)
-            np.testing.assert_allclose(token.feature, expected, atol=1e-12)
-        assert tokens[0].time_span == (3, 7)
+        # f1k1 binds frame 0 and f2k2 frames 1..3, so the tail is frames
+        # 3..7, packed after them at times 4..8
+        v = video(7, 16, 16, 2, seed=9)
+        ctx = apply_schedule(v, parse_schedule("f1k1_g1_f2k2_tc"))
+        (block,) = tail_blocks(ctx)
+        assert block.kernel == KernelSpec(2, 4, 4)
+        averaged = v.data[3:].mean(axis=0, keepdims=True)
+        for r in range(4):
+            for c in range(4):
+                expected = pooled_mean_oracle(averaged, 1, 4, 4, 0, r, c)
+                np.testing.assert_allclose(block.grid[r, c], expected, atol=1e-12)
+        assert block.time_span == ctx.tail_span == (4, 8)
 
     def test_empty_tail(self):
-        assert handle_tail(video(0), TailMode.APPEND) == []
+        ctx = apply_schedule(video(0), parse_schedule("ta_g1"))
+        assert ctx.tail_span == (0, 0)
+        assert history_blocks(ctx) == []
 
     def test_compress_defaults_to_base_kernel(self):
+        # a schedule without entries compresses its tail at the base kernel
         v = video(3, 6, 10, 2, seed=4)
-        default = handle_tail(v, TailMode.COMPRESS, t_offset=2)
-        base = handle_tail(v, TailMode.COMPRESS, BASE_KERNEL, t_offset=2)
-        assert len(default) == len(base) == 15
-        for got, want in zip(default, base):
-            assert (got.time_span, got.cell, got.kernel, got.phase) == (
-                want.time_span, want.cell, want.kernel, want.phase
-            )
-            assert got.feature.tobytes() == want.feature.tobytes()
+        (block,) = tail_blocks(apply_schedule(v, parse_schedule("tc_g1")))
+        assert block.kernel == BASE_KERNEL
+        assert block.size == 15
+        averaged = v.data.mean(axis=0, keepdims=True)
+        expected = averaged.reshape(1, 3, 2, 5, 2, 2).mean(axis=(0, 2, 4))
+        np.testing.assert_allclose(block.grid, expected, atol=1e-12)
 
 
 class TestApplySchedule:
@@ -301,34 +327,34 @@ class TestApplySchedule:
         s = parse_schedule("td_f16k4f2k2f1k1_g9")
         ctx = apply_schedule(video(19), s)
         assert ctx.tail_frame_count == 0
-        assert len(ctx.history_tokens) == 1536 == 256 + 256 + 1024
+        assert sum(b.size for b in history_blocks(ctx)) == 1536 == 256 + 256 + 1024
         assert ctx.budget == len(ctx.tokens) == tokens_for_schedule(s, 64, 64, 0) == 10752
 
     def test_long_history_feeds_tail(self):
         s = parse_schedule("td_f16k4f2k2f1k1_g9")
         ctx = apply_schedule(video(100), s)
         assert ctx.tail_frame_count == 81
-        assert len(ctx.history_tokens) == 1536
+        assert sum(b.size for b in history_blocks(ctx)) == 1536
         assert ctx.budget == tokens_for_schedule(s, 64, 64, 81)
 
     def test_empty_history(self):
         ctx = apply_schedule(video(0), parse_schedule("td_g9"))
-        assert ctx.history_tokens == ()
+        assert history_blocks(ctx) == []
         assert ctx.budget == 9 * 1024
 
     def test_newest_frames_go_to_finest_entry(self):
         s = parse_schedule("td_f16k4f2k2f1k1_g9")
         v = video(30, 8, 8, 1, seed=3)
         ctx = apply_schedule(v, s)
-        finest = [t for t in ctx.history_tokens if t.kernel == KernelSpec(1, 2, 2)]
-        grid = np.array([t.feature[0] for t in finest]).reshape(4, 4)
+        (finest,) = [b for b in history_blocks(ctx) if b.kernel == KernelSpec(1, 2, 2)]
+        assert finest.grid.shape == (4, 4, 1)
         expected = pooled_mean_oracle(v.data[29:30], 1, 2, 2, 0, 0, 0)
-        np.testing.assert_allclose(grid[0, 0], expected[0], atol=1e-12)
+        np.testing.assert_allclose(finest.grid[0, 0], expected, atol=1e-12)
 
     def test_history_timeline_is_disjoint_and_complete(self):
         s = parse_schedule("td_f16k4f2k2f1k1_g9")
         ctx = apply_schedule(video(25), s)
-        spans = {t.time_span for t in ctx.history_tokens}
+        spans = {b.time_span for b in history_blocks(ctx)}
         covered = sorted(i for a, b in spans for i in range(a, b))
         # tail occupies [0, 6); entries cover [6, 25); generate is [25, 34)
         assert ctx.tail_span == (0, 6)
@@ -345,10 +371,10 @@ class TestApplySchedule:
         ctx = apply_schedule(v, s, pad_history=True)
         assert ctx.budget == tokens_for_schedule(s, 8, 8, 0)
         # the coarsest entry's oldest group is all replicas of frame 0
-        coarse = [t for t in ctx.history_tokens if t.kernel == KernelSpec(4, 8, 8)]
-        oldest = [t for t in coarse if t.time_span == (0, 4)]
+        coarse = [b for b in history_blocks(ctx) if b.kernel == KernelSpec(4, 8, 8)]
+        (oldest,) = [b for b in coarse if b.time_span == (0, 4)]
         expected = v.data[0].reshape(-1, 1).mean(axis=0)
-        np.testing.assert_allclose(oldest[0].feature, expected, atol=1e-12)
+        np.testing.assert_allclose(oldest.grid[0, 0], expected, atol=1e-12)
 
     def test_pad_from_empty_history_still_fails(self):
         with pytest.raises(ShortHistory):
@@ -402,32 +428,33 @@ class TestApplySchedule:
         assert ctx.tail_frame_count == 18
         assert ctx.generate_span == (1, 10)
         assert ctx.tail_span == (31, 49)
-        first = min(ctx.history_tokens, key=lambda t: t.time_span)
+        first = min(history_blocks(ctx), key=lambda b: b.time_span)
         expected = pooled_mean_oracle(v.data[0:1], 1, 2, 2, 0, 0, 0)
-        np.testing.assert_allclose(first.feature, expected, atol=1e-12)
+        np.testing.assert_allclose(first.grid[0, 0], expected, atol=1e-12)
 
     def test_endpoint_schedule_binds_newest_to_post_entry(self):
         s = parse_schedule("td_f16k4f2k2f1k1_g9_x_f1k1")
         v = video(20, 8, 8, 1, seed=7)
         ctx = apply_schedule(v, s)
         assert ctx.tail_frame_count == 0
-        post = max(ctx.history_tokens, key=lambda t: t.time_span)
+        post = max(history_blocks(ctx), key=lambda b: b.time_span)
         expected = pooled_mean_oracle(v.data[19:20], 1, 2, 2, 0, 0, 0)
-        np.testing.assert_allclose(post.feature, expected, atol=1e-12)
+        np.testing.assert_allclose(post.grid[0, 0], expected, atol=1e-12)
 
     @pytest.mark.parametrize("name", ["td_f4k2f1k1_g2", "ta_f4k2f1k1_g2", "tc_f4k2f1k1_g2"])
     def test_constant_conservation(self, name):
         s = parse_schedule(name)
         ctx = apply_schedule(constant_video(12, 32, 32, 2, 7.25), s)
-        for token in ctx.history_tokens:
-            assert np.allclose(token.feature, 7.25)
+        for block in history_blocks(ctx):
+            assert np.allclose(block.grid, 7.25)
 
     def test_generate_placeholders_are_zero_at_base_kernel(self):
         ctx = apply_schedule(video(1, 8, 8), parse_schedule("td_f1k1_g2"))
-        gen = ctx.generate_tokens
-        assert len(gen) == 2 * 16
-        assert all(t.kernel == KernelSpec(1, 2, 2) for t in gen)
-        assert all(not t.feature.any() for t in gen)
+        a, b = ctx.generate_span
+        gen = [blk for blk in ctx.blocks if a <= blk.time_span[0] and blk.time_span[1] <= b]
+        assert [blk.size for blk in gen] == [16, 16]
+        assert all(blk.kernel == KernelSpec(1, 2, 2) for blk in gen)
+        assert all(not blk.grid.any() for blk in gen)
 
     def test_budget_matches_accounting_with_spatial_pad(self):
         s = parse_schedule("td_f4k2f1k1_g1")
