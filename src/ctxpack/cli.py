@@ -23,13 +23,7 @@ from .drift import (
     rank_buckets,
     tournament,
 )
-from .errors import (
-    FpltFormatError,
-    IndivisibleDims,
-    PlanError,
-    ScheduleError,
-    UnsupportedKernel,
-)
+from .errors import IndivisibleDims, PlanError, ScheduleError, UnsupportedKernel
 from .packing import apply_schedule
 from .planner import (
     plan_endpoint,
@@ -38,19 +32,12 @@ from .planner import (
     plan_vanilla,
     serialize_plan,
 )
-from .schedule import Frames, Generate, SamplingMode, Tail, parse_schedule
+from .schedule import Frames, Generate, SamplingMode, Skip, Tail, parse_schedule
 
 USAGE_ERRORS = (ScheduleError, IndivisibleDims, UnsupportedKernel, PlanError)
 
 
-def _segment_text(seg) -> str:
-    if isinstance(seg, Tail):
-        return f"tail {seg.mode.value}"
-    if isinstance(seg, Frames):
-        return f"frames f{seg.count}{seg.kernel.token}"
-    if isinstance(seg, Generate):
-        return f"generate g{seg.count}"
-    return "skip x"
+_SEGMENT_KINDS = {Tail: "tail", Frames: "frames", Generate: "generate", Skip: "skip"}
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -61,7 +48,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     print(f"entries={len(schedule.frames_entries)}")
     print(f"generate={schedule.generate.count}")
     for i, seg in enumerate(schedule.segments, start=1):
-        print(f"segment {i}: {_segment_text(seg)}")
+        print(f"segment {i}: {_SEGMENT_KINDS[type(seg)]} {seg.token}")
     return 0
 
 
@@ -69,13 +56,9 @@ def cmd_budget(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
     table = segment_tokens(schedule, args.height, args.width, args.tail_frames, pad=args.pad)
     for seg, tokens in table:
-        if isinstance(seg, Frames):
-            label = f"entry f{seg.count}{seg.kernel.token}"
-        elif isinstance(seg, Generate):
-            label = f"generate g{seg.count}"
-        else:
-            label = f"tail {seg.mode.value} frames={args.tail_frames}"
-        print(f"{label} tokens={tokens}")
+        kind = "entry" if isinstance(seg, Frames) else _SEGMENT_KINDS[type(seg)]
+        frames = f" frames={args.tail_frames}" if isinstance(seg, Tail) else ""
+        print(f"{kind} {seg.token}{frames} tokens={tokens}")
     print(f"total {sum(tokens for _, tokens in table)}")
     return 0
 
@@ -84,14 +67,20 @@ def _parse_spans(text: str) -> list[tuple[int, int]]:
     spans = []
     for part in text.split(","):
         lo, _, hi = part.partition("..")
-        spans.append((int(lo), int(hi)))
+        try:
+            start, stop = int(lo), int(hi)
+        except ValueError:
+            raise PlanError(f"--endpoints: {part!r} is not a span start..stop") from None
+        if stop < start:
+            raise PlanError(f"--endpoints: span {part!r} stops before it starts")
+        spans.append((start, stop))
     return spans
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
     mode = schedule.sampling_mode
-    if args.endpoints:
+    if args.endpoints is not None:
         plan = plan_multi_endpoint(
             args.total, args.section, schedule, _parse_spans(args.endpoints)
         )
@@ -267,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as exc:
         print(f"ctxpack: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, FpltFormatError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"ctxpack: {exc}", file=sys.stderr)
         return 3
 

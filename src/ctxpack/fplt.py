@@ -8,6 +8,7 @@ exactly 28 + 4*T*H*W*C bytes.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -30,19 +31,17 @@ _HEADER = struct.Struct("<4sII4I")
 def write_tensor(path: str | Path, array: np.ndarray, *, flags: int = 0) -> None:
     """Write a 4-D array as FPLT atomically.
 
-    A little-endian float32 array is written from its own buffer; any
-    other dtype is converted one frame at a time, so no copy of the whole
-    payload is made.
+    The payload is written one frame at a time: a contiguous little-endian
+    float32 frame from its own buffer, any other frame from a float32 copy
+    of that frame alone, so no copy of the whole payload is made.
     """
     arr = np.asarray(array)
     if arr.ndim != 4:
         raise FpltFormatError(f"tensor must be 4D (T,H,W,C), got shape {arr.shape}")
-    header = _HEADER.pack(MAGIC, VERSION, flags, *arr.shape)
-    parts = (arr,) if arr.dtype == np.dtype("<f4") else arr
     with _replacing(path) as fh:
-        fh.write(header)
-        for part in parts:
-            fh.write(np.ascontiguousarray(part, dtype="<f4"))
+        fh.write(_HEADER.pack(MAGIC, VERSION, flags, *arr.shape))
+        for frame in arr:
+            fh.write(np.ascontiguousarray(frame, "<f4"))
 
 
 def write_atomic(path: str | Path, *chunks: bytes | np.ndarray) -> None:
@@ -94,8 +93,17 @@ def _header(fh: BinaryIO, path: str | Path, *, video: bool = False) -> tuple[int
     return flags, tuple(shape)
 
 
-def _short_payload(path: str | Path, got: int, count: int) -> FpltFormatError:
-    return FpltFormatError(f"{path}: payload ended after {got} of {count} values")
+def _read_payload(
+    fh: BinaryIO, path: str | Path, shape: tuple[int, ...], piece: np.ndarray, frames: slice
+) -> None:
+    """Read the payload's frames ``frames`` into ``piece``, raising if the
+    file ends first. Both readers fill their array through this one step."""
+    got = fh.readinto(piece)
+    if got != piece.nbytes:
+        frame_values = math.prod(shape[1:])
+        done = frames.start * frame_values + got // 4
+        count = shape[0] * frame_values
+        raise FpltFormatError(f"{path}: payload ended after {done} of {count} values")
 
 
 def read_tensor(path: str | Path) -> tuple[np.ndarray, int]:
@@ -103,11 +111,9 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, int]:
     size before the payload is read into one array."""
     with open(path, "rb") as fh:
         flags, shape = _header(fh, path)
-        count = math.prod(shape)
-        payload = np.fromfile(fh, dtype="<f4", count=count)
-    if payload.size != count:
-        raise _short_payload(path, payload.size, count)
-    return payload.reshape(shape), flags
+        payload = np.empty(shape, "<f4")
+        _read_payload(fh, path, shape, payload, slice(0, shape[0]))
+    return payload, flags
 
 
 def write_video(path: str | Path, video: LatentVideo) -> None:
@@ -124,14 +130,7 @@ def read_video(path: str | Path) -> LatentVideo:
     """
     with open(path, "rb") as fh:
         _, shape = _header(fh, path, video=True)
-        frame_values = math.prod(shape[1:])
-
-        def read(piece: np.ndarray, frames: slice) -> None:
-            got = fh.readinto(piece)
-            if got != piece.nbytes:
-                done = frames.start * frame_values + got // 4
-                raise _short_payload(path, done, shape[0] * frame_values)
-
+        read = functools.partial(_read_payload, fh, path, shape)
         return LatentVideo._filled(shape, np.dtype("<f4"), read)
 
 

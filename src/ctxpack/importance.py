@@ -4,9 +4,14 @@ The hybrid score of a history frame against a target estimate is
 
     score = sim_cos(frame, target) + time_weight * sim_time(t_frame, t_target)
 
-and sorting descending by it yields a permutation whose position maps to
-the compression level each frame receives. With a large time weight the
-order degenerates to pure recency; with zero it is pure feature match.
+and sorting descending by it yields a permutation, most important frame
+first. With a large time weight the order degenerates to pure recency;
+with zero it is pure feature match.
+
+The packer binds frames by time, and its finest entry, next to the
+generated section, binds the newest frame. A ranking is therefore packed
+reversed, ``reorder_frames(history, order[::-1])``, so that the most
+important frames get the finest entries.
 """
 
 from __future__ import annotations
@@ -91,13 +96,10 @@ def _cosine_sum(
     dots = np.multiply(f, x, dtype=np.float64).sum(axis=-1)
     nf = _pixel_norms(f)
     zero = (nf == 0) | zero_x
-    if not zero.any():
-        # the same elements the masked form below selects, so the same bits
-        return float((dots / (nf * nx)).sum())
-    if not zero_substitute:
+    if zero.any() and not zero_substitute:
         raise ZeroVectorPixel(f"{int(zero.sum())} pixel vectors have zero norm")
-    denom = np.where(zero, 1.0, nf * nx)
-    return float(np.where(zero, 0.0, dots / denom).sum())
+    # a masked pixel is never divided and contributes 0
+    return float(np.divide(dots, nf * nx, out=np.zeros_like(dots), where=~zero).sum())
 
 
 def sim_time(frame_time: float, target_time: float) -> float:
@@ -176,21 +178,15 @@ def importance_scores(
 
 
 def _fast_cosines(
-    frames: np.ndarray,
-    terms: tuple[np.ndarray, np.ndarray, np.ndarray],
-    zero_substitute: bool,
+    frames: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each frame's cosine term by a chunked einsum, and which frames must
     be scored exactly instead: those with a pixel whose norm, or the
-    target's, lies outside ``_NORM_RANGE``. Zero-norm target pixels are
-    masked as ``_cosine_sum`` masks them when ``zero_substitute`` is set;
-    otherwise they, like zero-norm frame pixels, send the frame to the
-    exact scorer, which raises."""
-    x, nx, zero_x = terms
+    target's, lies outside ``_NORM_RANGE``. A zero norm lies outside it,
+    so the exact scorer masks or raises for every zero-norm pixel."""
+    x, nx, _ = terms
     lo, hi = _NORM_RANGE
-    masked = zero_x if zero_substitute else np.zeros_like(zero_x)
-    masking = masked.any()
-    target_bad = not (masked | ((nx >= lo) & (nx <= hi))).all()
+    target_bad = not ((nx >= lo) & (nx <= hi)).all()
     t = frames.shape[0]
     step = max(1, _CHUNK_BYTES // (8 * x.size))
     buffer = np.empty((min(step, t), *x.shape))  # refilled, so one chunk is ever held
@@ -202,14 +198,11 @@ def _fast_cosines(
         f[...] = frames[start : start + k]
         dots = np.einsum("thwc,hwc->thw", f, x)
         nf = np.sqrt(np.einsum("thwc,thwc->thw", f, f))
+        # a zero norm makes nan and a tiny one inf; both frames are rescored
         with np.errstate(divide="ignore", invalid="ignore"):
-            pixel_cos = dots / (nf * nx)
-        if masking:
-            pixel_cos = np.where(masked, 0.0, pixel_cos)
-            nf = np.where(masked, 1.0, nf)
+            cos[start : start + k] = (dots / (nf * nx)).reshape(k, -1).sum(-1)
         nf = nf.reshape(k, -1)
         rescore[start : start + k] = target_bad | (nf.min(-1) < lo) | (nf.max(-1) > hi)
-        cos[start : start + k] = pixel_cos.reshape(k, -1).sum(-1)
     return cos, rescore
 
 
@@ -239,7 +232,7 @@ def sort_by_importance(
         return sorted(indices, key=lambda i: (-scores[i], -float(times[i]), i))
 
     t = frames.shape[0]
-    cos, rescore = _fast_cosines(frames, terms, zero_substitute)
+    cos, rescore = _fast_cosines(frames, terms)
     scores = cos + time_weight * np.asarray(time_terms, dtype=np.float64)
     for i in np.flatnonzero(rescore).tolist():  # index order: the first bad frame raises
         scores[i] = exact(i)

@@ -389,18 +389,14 @@ def apply_schedule(
     lo = pre_spans[0].start if pre_spans else middle
     hi = post_spans[-1].stop if post_spans else middle
 
-    if schedule.tail_at_start:
-        tail_block = data[:lo]
-    elif schedule.tail_at_end:
-        tail_block = data[hi:]
-    elif hi < total:
+    # the bound range starts at frame 0 unless the tail comes first
+    tail_block = data[:lo] if schedule.tail_at_start else data[hi:]
+    n_tail = tail_block.shape[0]
+    if n_tail and schedule.tail is None:
         raise ExcessHistory(
             f"history of {total} frames exceeds schedule capacity "
             f"{cap_pre + cap_post} and there is no tail marker"
         )
-    else:
-        tail_block = data[:0]
-    n_tail = tail_block.shape[0]
 
     if hi - lo < cap_pre + cap_post and not pad_history:
         raise ShortHistory(

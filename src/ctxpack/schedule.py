@@ -88,6 +88,10 @@ BASE_KERNEL = KernelSpec(1, 2, 2)
 class Tail:
     mode: TailMode
 
+    @property
+    def token(self) -> str:
+        return self.mode.value
+
 
 @dataclass(frozen=True)
 class Frames:
@@ -98,10 +102,16 @@ class Frames:
         if self.count < 1:
             raise InvalidSchedule(f"frame count must be >= 1, got {self.count}")
 
+    @property
+    def token(self) -> str:
+        return f"f{self.count}{self.kernel.token}"
+
 
 @dataclass(frozen=True)
 class Skip:
-    pass
+    @property
+    def token(self) -> str:
+        return "x"
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,10 @@ class Generate:
     def __post_init__(self) -> None:
         if self.count < 1:
             raise InvalidSchedule(f"generate count must be >= 1, got {self.count}")
+
+    @property
+    def token(self) -> str:
+        return f"g{self.count}"
 
 
 Segment = Union[Tail, Frames, Skip, Generate]
@@ -309,22 +323,12 @@ def format_schedule(schedule: PackingSchedule) -> str:
     is joined with underscores, and the discretize flag appends ``+D``.
     """
     _validate_segments(schedule.segments)
+    segments = schedule.segments
     groups: list[str] = []
-    run: list[str] = []
-    for seg in schedule.segments:
-        if isinstance(seg, Frames):
-            run.append(f"f{seg.count}{seg.kernel.token}")
-            continue
-        if run:
-            groups.append("".join(run))
-            run = []
-        if isinstance(seg, Tail):
-            groups.append(seg.mode.value)
-        elif isinstance(seg, Generate):
-            groups.append(f"g{seg.count}")
+    for prev, seg in zip((None, *segments), segments):
+        if isinstance(prev, Frames) and isinstance(seg, Frames):
+            groups[-1] += seg.token
         else:
-            groups.append("x")
-    if run:
-        groups.append("".join(run))
+            groups.append(seg.token)
     name = "_".join(groups)
     return name + "+D" if schedule.discretize_history else name

@@ -212,6 +212,26 @@ class TestPlanCommand:
             "ITER 5 TARGET 36..45 INPUTS 17..33@k4,33..35@k2,35..36@k1,45..45@k1\n"
         )
 
+    @pytest.mark.parametrize(
+        "endpoints,message",
+        [
+            ("9-18", "'9-18' is not a span start..stop"),
+            ("18..9", "span '18..9' stops before it starts"),
+            (",9..18", "'' is not a span start..stop"),
+            ("9..18,", "'' is not a span start..stop"),
+            ("", "'' is not a span start..stop"),
+        ],
+    )
+    def test_bad_endpoints_exit_2_naming_the_option(self, capsys, endpoints, message):
+        rc = main([
+            "plan", "td_f16k4f2k2f1k1_g9_x_f1k1",
+            "--total", "45", "--section", "9", "--endpoints", endpoints,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ctxpack: --endpoints: {message}\n"
+
     @pytest.mark.parametrize("total,section", [("27", "0"), ("0", "9"), ("-27", "9")])
     def test_size_below_one_exits_2(self, capsys, total, section):
         rc = main(["plan", "td_f16k4f2k2f1k1_g9", "--total", total, "--section", section])

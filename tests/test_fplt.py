@@ -181,6 +181,19 @@ class TestCopies:
         write_tensor(reference, self.ARRAY)
         assert path.read_bytes() == reference.read_bytes()
 
+    def test_strided_view_writes_frame_by_frame(self, tmp_path):
+        # every array goes through the one per-frame loop: a non-contiguous
+        # float32 view is not copied whole, and it, its contiguous copy and
+        # the same values as big-endian floats write the same bytes
+        view = self.ARRAY[:, :, ::2]
+        path = tmp_path / "t.fplt"
+        _, peak = self.traced_peak(lambda: write_tensor(path, view))
+        assert peak < 2 * view[0].nbytes
+        for i, same in enumerate([np.ascontiguousarray(view), view.astype(">f4")]):
+            reference = tmp_path / f"r{i}.fplt"
+            write_tensor(reference, same)
+            assert path.read_bytes() == reference.read_bytes()
+
     def test_read_peak_one_payload(self, tmp_path):
         path = tmp_path / "t.fplt"
         write_tensor(path, self.ARRAY)

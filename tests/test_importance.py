@@ -16,7 +16,8 @@ from ctxpack.importance import (
     sim_time,
     sort_by_importance,
 )
-from ctxpack.packing import LatentVideo
+from ctxpack.packing import LatentVideo, _pool_block, apply_schedule
+from ctxpack.schedule import BASE_KERNEL, parse_schedule
 
 
 def rng(seed=0):
@@ -260,6 +261,29 @@ class TestReorderFrames:
         assert out.array.dtype == np.float32
         assert not out.array.flags.writeable
         assert out.array.tobytes() == v.array[order].tobytes()
+
+
+class TestRankingIntoPacker:
+    """The packer's finest entry binds the newest frame, so a ranking,
+    most important first, is packed reversed."""
+
+    def f1k1_grid(self, video, order):
+        schedule = parse_schedule("td_f16k4f2k2f1k1_g9")
+        context = apply_schedule(reorder_frames(video, order), schedule)
+        return next(b.grid for b in context.blocks if b.time_span == (18, 19))
+
+    def test_reversed_ranking_gives_top_frame_the_finest_entry(self):
+        video = LatentVideo(rng(27).normal(size=(19, 8, 8, 2)).astype(np.float32))
+        times = [float(t) for t in range(19)]
+        order = sort_by_importance(video, times, video.array[4], 19.0, 0.5)
+        assert order[0] == 4
+
+        def pooled(i):
+            return _pool_block(video.array[i : i + 1], BASE_KERNEL, False)
+
+        assert self.f1k1_grid(video, order[::-1]).tobytes() == pooled(order[0]).tobytes()
+        # as ranked, the finest entry gets the lowest-ranked frame
+        assert self.f1k1_grid(video, order).tobytes() == pooled(order[-1]).tobytes()
 
 
 @st.composite
