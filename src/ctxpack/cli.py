@@ -161,12 +161,9 @@ def cmd_drift(args: argparse.Namespace) -> int:
 def cmd_elo(args: argparse.Namespace) -> int:
     records = parse_match_log(Path(args.matches).read_text())
     table = tournament(records, initial=args.initial)
-    ranks = rank_buckets(table)
-    for player, rating in sorted(table.ratings.items(), key=lambda kv: (-kv[1], kv[0])):
-        if args.ranks:
-            print(f"{player}={rating:.1f} rank={ranks[player]}")
-        else:
-            print(f"{player}={rating:.1f}")
+    for player, rank in rank_buckets(table).items():
+        line = f"{player}={table.ratings[player]:.1f}"
+        print(f"{line} rank={rank}" if args.ranks else line)
     return 0
 
 

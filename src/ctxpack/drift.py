@@ -30,7 +30,6 @@ class SegmentMetric:
 
     name: str
     evaluate: Callable[[np.ndarray], float]
-    value_range: str = "unbounded"
 
 
 def _segments(video: LatentVideo | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,9 +76,9 @@ def _frame_difference(frames: np.ndarray) -> float:
 def builtin_metrics() -> list[SegmentMetric]:
     """Analytic stand-ins for learned quality predictors."""
     return [
-        SegmentMetric("mean-luminance", _mean_luminance, "range of channel 0"),
-        SegmentMetric("sharpness-proxy", _laplacian_variance, ">= 0"),
-        SegmentMetric("dynamics-proxy", _frame_difference, ">= 0"),
+        SegmentMetric("mean-luminance", _mean_luminance),
+        SegmentMetric("sharpness-proxy", _laplacian_variance),
+        SegmentMetric("dynamics-proxy", _frame_difference),
     ]
 
 
@@ -209,7 +208,8 @@ def parse_match_log(text: str) -> list[MatchRecord]:
 
 def rank_buckets(table: RatingTable, tie_margin: float = DEFAULT_TIE_MARGIN) -> dict[str, int]:
     """Chain players into rank buckets while consecutive gaps stay within
-    the tie margin; bucket 1 holds the highest ratings."""
+    the tie margin; bucket 1 holds the highest ratings. The dict runs in
+    rating order, best first, ties by name."""
     ordered = sorted(table.ratings.items(), key=lambda kv: (-kv[1], kv[0]))
     ranks: dict[str, int] = {}
     bucket = 0

@@ -63,9 +63,10 @@ def sim_cos(
 ) -> float:
     """Sum of per-pixel cosine similarities; range [-H*W, H*W].
 
-    Both frames must be finite (H, W, C) arrays of one shape, or
-    ``ValueError`` is raised. A pixel vector with zero norm raises unless
-    ``zero_substitute`` is set, in which case that pixel contributes 0.
+    Both frames must be finite (H, W, C) arrays of one shape whose pixel
+    norms multiply within float64, or ``ValueError`` is raised. A pixel
+    vector with zero norm raises unless ``zero_substitute`` is set, in
+    which case that pixel contributes 0.
     """
     f = _frame_array(frame, "frame")
     x = _frame_array(target, "target")
@@ -75,8 +76,10 @@ def sim_cos(
 
 def _pixel_norms(a: np.ndarray) -> np.ndarray:
     """Per-pixel float64 norms: the same bits as ``np.linalg.norm(a, axis=-1)``,
-    which sums ``a.conj() * a``, without that function's copy of ``a``."""
-    return np.sqrt(np.square(a, dtype=np.float64).sum(axis=-1))
+    which sums ``a.conj() * a``, without that function's copy of ``a``. A
+    norm that overflows is inf, without a warning; the scorer rejects it."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.square(a, dtype=np.float64).sum(axis=-1))
 
 
 def _target_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,15 +94,20 @@ def _cosine_sum(
 ) -> float:
     """``sim_cos`` of a float32 or float64 frame already checked for shape
     and finiteness against ``_target_terms`` of the target. Products are
-    taken in float64, so a float32 frame scores as its float64 copy."""
+    taken in float64, so a float32 frame scores as its float64 copy. A
+    pixel whose two norms multiply past float64 raises ``ValueError``."""
     x, nx, zero_x = target
-    dots = np.multiply(f, x, dtype=np.float64).sum(axis=-1)
     nf = _pixel_norms(f)
+    with np.errstate(over="ignore"):
+        norms = nf * nx
+    if not np.isfinite(norms).all():
+        raise ValueError("pixel norms overflow float64; rescale the frames and target")
+    dots = np.multiply(f, x, dtype=np.float64).sum(axis=-1)
     zero = (nf == 0) | zero_x
     if zero.any() and not zero_substitute:
         raise ZeroVectorPixel(f"{int(zero.sum())} pixel vectors have zero norm")
     # a masked pixel is never divided and contributes 0
-    return float(np.divide(dots, nf * nx, out=np.zeros_like(dots), where=~zero).sum())
+    return float(np.divide(dots, norms, out=np.zeros_like(dots), where=~zero).sum())
 
 
 def sim_time(frame_time: float, target_time: float) -> float:
@@ -198,8 +206,9 @@ def _fast_cosines(
         f[...] = frames[start : start + k]
         dots = np.einsum("thwc,hwc->thw", f, x)
         nf = np.sqrt(np.einsum("thwc,thwc->thw", f, f))
-        # a zero norm makes nan and a tiny one inf; both frames are rescored
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # a zero norm makes nan, a tiny one inf and a huge one may
+        # overflow; all such frames are rescored
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             cos[start : start + k] = (dots / (nf * nx)).reshape(k, -1).sum(-1)
         nf = nf.reshape(k, -1)
         rescore[start : start + k] = target_bad | (nf.min(-1) < lo) | (nf.max(-1) > hi)
@@ -236,10 +245,6 @@ def sort_by_importance(
     scores = cos + time_weight * np.asarray(time_terms, dtype=np.float64)
     for i in np.flatnonzero(rescore).tolist():  # index order: the first bad frame raises
         scores[i] = exact(i)
-    if not np.isfinite(scores).all():
-        # Only an exactly scored frame can get here. NaN has no rank, so
-        # the per-frame scores are sorted as they are.
-        return ranked(range(t), [exact(i) for i in range(t)])
     # The fast and exact terms of one pixel each lie within (C + 2)·eps of
     # the true cosine when its norms are in _NORM_RANGE, and numpy's
     # pairwise sum of P = H·W such terms adds at most

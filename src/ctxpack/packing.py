@@ -239,32 +239,45 @@ def resolve_kernel(requested: KernelSpec) -> KernelResolution:
 
 
 def _pool_block(block: np.ndarray, kernel: KernelSpec, pad_spatial: bool) -> np.ndarray:
-    """Mean-pool a (p_f, H, W, C) block into an (H', W', C) float64 grid.
+    """Mean-pool a (T, H, W, C) block into an (H', W', C) float64 grid.
 
-    The mean accumulates in float64 over the block itself. A block whose
-    H or W is not a whole number of kernel windows is copied, zero-padded
-    at its bottom and right edges; a one-channel block is cast first.
+    Each window's float64 sum over the block itself is divided by the
+    pixel count of a whole window, T·p_h·p_w, so a window clipped at the
+    bottom or right edge reads as zero-padded. Only a one-channel block
+    is copied: cast to float64, and zero-padded if H or W is not a whole
+    number of kernel windows.
     """
     t, h, w, c = block.shape
-    pad_h, pad_w = -h % kernel.p_h, -w % kernel.p_w
-    # the grid must equal the block's float64 mean bit for bit: with more
-    # than one channel each output sums its inputs in memory order either
-    # way, but one channel leaves numpy contiguous runs to sum pairwise,
-    # which a cast would split at its buffer size
-    dtype = np.float64 if c == 1 else block.dtype
-    if pad_h or pad_w:
-        if not pad_spatial:
-            raise IndivisibleDims(
-                f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}"
+    p_h, p_w = kernel.p_h, kernel.p_w
+    if (h % p_h or w % p_w) and not pad_spatial:
+        raise IndivisibleDims(f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}")
+    if c == 1:
+        # numpy sums one channel's contiguous runs pairwise, and the zeros
+        # of the padding decide the pairs, as would a cast split at its
+        # buffer size; with more channels each output sums in memory order
+        block = block.astype(np.float64, copy=False)
+        if h % p_h or w % p_w:
+            block = np.pad(block, ((0, 0), (0, -h % p_h), (0, -w % p_w), (0, 0)))
+            h, w = block.shape[1:3]
+    grid = np.empty((-(-h // p_h), -(-w // p_w), c))
+    for r0, r1, dh in _runs(h, p_h):
+        for c0, c1, dw in _runs(w, p_w):
+            # numpy starts every sum at +0.0, so a clipped window of -0.0
+            # sums to +0.0, as its zero-padded form does
+            part = block[:, r0:r1, c0:c1].reshape(t, (r1 - r0) // dh, dh, (c1 - c0) // dw, dw, c)
+            grid[r0 // p_h : -(-r1 // p_h), c0 // p_w : -(-c1 // p_w)] = part.sum(
+                axis=(0, 2, 4), dtype=np.float64
             )
-        padded = np.zeros((t, h + pad_h, w + pad_w, c), dtype)
-        padded[:, :h, :w] = block
-        block = padded
-    grid = block.astype(dtype, copy=False).reshape(
-        t, (h + pad_h) // kernel.p_h, kernel.p_h, (w + pad_w) // kernel.p_w, kernel.p_w, c
-    ).mean(axis=(0, 2, 4), dtype=np.float64)
+    grid /= t * p_h * p_w
     grid.setflags(write=False)
     return grid
+
+
+def _runs(size: int, step: int) -> list[tuple[int, int, int]]:
+    """``(start, stop, window)`` runs over ``size`` positions: the whole
+    windows of ``step``, then the clipped last window, if any."""
+    whole = size - size % step
+    return [r for r in ((0, whole, step), (whole, size, size - whole)) if r[0] < r[1]]
 
 
 def _windows(size: int, step: int) -> list[tuple[int, int]]:
@@ -409,8 +422,6 @@ def apply_schedule(
     blocks: list[PackedBlock] = []
     cursor = 0
     spans = iter(pre_spans + post_spans)
-    # a short entry pads with its side's outermost bound frame
-    edge = data[lo:middle][:1]
     generate_span = tail_span = None
     for seg in schedule.segments:
         if isinstance(seg, Tail):
@@ -425,13 +436,14 @@ def apply_schedule(
             zero_grid = _pool_block(zero_frame, BASE_KERNEL, pad_spatial)
             blocks += [_block(zero_grid, BASE_KERNEL, (t, t + 1)) for t in range(*generate_span)]
             cursor += seg.count
-            edge = data[middle:hi][-1:]
         elif isinstance(seg, Frames):
             span = next(spans)
             frames = data[span.start : span.stop]
             deficit = seg.count - span.length
             if deficit:
-                pad = np.repeat(edge, deficit, axis=0)
+                # a short entry pads with its side's outermost bound frame
+                edge = hi - 1 if generate_span else lo
+                pad = np.repeat(data[edge : edge + 1], deficit, axis=0)
                 frames = np.concatenate([frames, pad] if generate_span else [pad, frames])
             p_f = seg.kernel.p_f
             if seg.count % p_f:

@@ -123,9 +123,12 @@ def _sections(start: int, stop: int, section: int) -> list[Span]:
     return [Span(s, min(s + section, stop)) for s in range(start, stop, section)]
 
 
-def _check_sizes(total: int, section: int) -> None:
+def _check_request(total: int, section: int, schedule: PackingSchedule, mode: SamplingMode) -> None:
+    """Sizes first, then the sampling order the schedule implies."""
     if section < 1 or total < 1:
         raise PlanError(f"section {section} and total {total} must both be >= 1")
+    if schedule.sampling_mode is not mode:
+        raise ModeMismatch(f"schedule {schedule.name!r} does not imply {mode.value} sampling")
 
 
 def _iteration(
@@ -167,9 +170,7 @@ def plan_vanilla(
 ) -> GenerationPlan:
     """Forward sampling: sections in temporal order, conditioned on the
     most recent preceding frames."""
-    _check_sizes(total, section)
-    if schedule.sampling_mode is not SamplingMode.VANILLA:
-        raise ModeMismatch(f"schedule {schedule.name!r} does not imply vanilla sampling")
+    _check_request(total, section, schedule, SamplingMode.VANILLA)
     if total % section and not allow_partial:
         raise PlanError(f"total {total} is not a multiple of section {section}")
     iterations = _fill(schedule, 0, total, section, None)
@@ -180,9 +181,7 @@ def plan_vanilla(
 def plan_endpoint(total: int, section: int, schedule: PackingSchedule) -> GenerationPlan:
     """Anchor-first sampling: generate the first and last sections together,
     then fill the gap in temporal order, conditioned on both sides."""
-    _check_sizes(total, section)
-    if schedule.sampling_mode is not SamplingMode.ENDPOINT_ANCHORED:
-        raise ModeMismatch(f"schedule {schedule.name!r} does not imply endpoint sampling")
+    _check_request(total, section, schedule, SamplingMode.ENDPOINT_ANCHORED)
     if total < 2 * section:
         raise TooShort(f"total {total} cannot hold two sections of {section}")
     if total % section:
@@ -210,9 +209,7 @@ def plan_inverted(
     the already-generated future (through the trailing entries). The
     earliest section may be partial so it abuts the user frames exactly.
     """
-    _check_sizes(total, section)
-    if schedule.sampling_mode is not SamplingMode.INVERTED:
-        raise ModeMismatch(f"schedule {schedule.name!r} does not imply inverted sampling")
+    _check_request(total, section, schedule, SamplingMode.INVERTED)
     if user_frames < 0:
         raise PlanError("user_frames must be >= 0")
     if total <= user_frames:
@@ -253,9 +250,7 @@ def plan_multi_endpoint(
     anchor whose entries would reach back past the earlier anchors into
     frames no anchor generates raises ``PlanError`` naming those frames.
     """
-    _check_sizes(total, section)
-    if schedule.sampling_mode is not SamplingMode.ENDPOINT_ANCHORED:
-        raise ModeMismatch(f"schedule {schedule.name!r} does not imply endpoint sampling")
+    _check_request(total, section, schedule, SamplingMode.ENDPOINT_ANCHORED)
     anchors = sorted(
         (s if isinstance(s, Span) else Span(*s) for s in endpoints),
         key=lambda s: s.start,

@@ -207,41 +207,31 @@ class PackingSchedule:
         return format_schedule(self)
 
 
+def _anchored(side: list[Segment], other: list[Segment]) -> bool:
+    """``side``, read outward from the generated section, is the gap and
+    one or more frame entries, and ``other`` holds frame entries only."""
+    frames = all(isinstance(s, Frames) for s in (*side[1:], *other))
+    return len(side) > 1 and isinstance(side[0], Skip) and frames
+
+
 def classify_sampling_mode(schedule: PackingSchedule) -> SamplingMode:
     """Derive the sampling order a schedule implies.
 
     Vanilla: no gap, generate is the temporally last non-tail segment.
     Endpoint-anchored: ends with generate, gap, then trailing frame entries.
-    Inverted: starts with frame entries, gap, generate; tail only at the
-    temporally late end. Anything else is unclassified.
+    Inverted: the mirror image, frame entries, gap, then generate; tail
+    only at the temporally late end. Anything else is unclassified.
     """
     core = [s for s in schedule.segments if not isinstance(s, Tail)]
-    n_skips = sum(isinstance(s, Skip) for s in core)
     gi = next(i for i, s in enumerate(core) if isinstance(s, Generate))
+    leading, trailing = core[:gi], core[gi + 1 :]
 
-    if n_skips == 0 and gi == len(core) - 1:
+    if not trailing and not any(isinstance(s, Skip) for s in leading):
         return SamplingMode.VANILLA
-
-    if n_skips == 1:
-        trailing = core[gi + 1 :]
-        leading = core[:gi]
-        if (
-            not schedule.tail_at_end
-            and len(trailing) >= 2
-            and isinstance(trailing[0], Skip)
-            and all(isinstance(s, Frames) for s in trailing[1:])
-            and all(isinstance(s, Frames) for s in leading)
-        ):
-            return SamplingMode.ENDPOINT_ANCHORED
-        if (
-            not schedule.tail_at_start
-            and len(leading) >= 2
-            and isinstance(leading[-1], Skip)
-            and all(isinstance(s, Frames) for s in leading[:-1])
-            and all(isinstance(s, Frames) for s in trailing)
-        ):
-            return SamplingMode.INVERTED
-
+    if not schedule.tail_at_end and _anchored(trailing, leading):
+        return SamplingMode.ENDPOINT_ANCHORED
+    if not schedule.tail_at_start and _anchored(leading[::-1], trailing):
+        return SamplingMode.INVERTED
     return SamplingMode.UNCLASSIFIED
 
 
@@ -322,7 +312,6 @@ def format_schedule(schedule: PackingSchedule) -> str:
     Adjacent frame entries concatenate without separators; everything else
     is joined with underscores, and the discretize flag appends ``+D``.
     """
-    _validate_segments(schedule.segments)
     segments = schedule.segments
     groups: list[str] = []
     for prev, seg in zip((None, *segments), segments):

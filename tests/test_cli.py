@@ -416,6 +416,15 @@ class TestEloCommand:
         assert main(["elo", str(log), "--ranks"]) == 0
         assert capsys.readouterr().out == "a=1016.0 rank=1\nb=984.0 rank=2\n"
 
+    @pytest.mark.parametrize("ranks", [[], ["--ranks"]])
+    @pytest.mark.parametrize("match", ["a,b,D\n", "b,a,D\n"])
+    def test_tied_ratings_print_by_name(self, tmp_path, capsys, ranks, match):
+        log = tmp_path / "matches.csv"
+        log.write_text(match)
+        assert main(["elo", str(log), *ranks]) == 0
+        suffix = " rank=1" if ranks else ""
+        assert capsys.readouterr().out == f"a=1000.0{suffix}\nb=1000.0{suffix}\n"
+
     def test_unknown_outcome_exits_3(self, tmp_path, capsys):
         log = tmp_path / "matches.csv"
         log.write_text("a,b,Q\n")

@@ -6,9 +6,10 @@ from a small grammar per subcommand: valid and invalid schedule names;
 sizes of 0, -1, huge, ``nan`` and the infinities; missing, empty,
 truncated and codebook-for-video files; a directory or a path under a
 missing directory as an output. Every case stays tiny: histories are at
-most 3x4x6x2, sizes at most 10^4 (``--k`` also draws 2^40, which no
-k x C centroid array could hold) and kernels at most k8, because pooling
-allocates the whole zero-padded kernel window.
+most 3x4x6x2 and sizes at most 10^4 (``--k`` also draws 2^40, which no
+k x C centroid array could hold). Kernels go up to k64: both videos have
+two or more channels, whose windows pooling sums in place, without a
+zero-padded copy of the kernel window.
 """
 
 import contextlib
@@ -82,6 +83,8 @@ NAMES = [
     "f1k1_x_g9_f1k1f4k2_td",
     "td_f2k2_g9_x_f1k1",
     "td_f16k4f2k2f1k1_g9_x_f1k1",
+    "f32k32_g1",
+    "tc_f64k64_g1",
 ]
 BAD_NAMES = [
     "td_f1k1_g9+D",
@@ -100,11 +103,11 @@ BAD_NAMES = [
 
 @st.composite
 def composed_names(draw):
-    """A name built from a tail, entries of at most k8, a gap and ``+D``."""
+    """A name built from a tail, entries of at most k32, a gap and ``+D``."""
     entry = st.builds(
         "f{}k{}{}".format,
         st.sampled_from([1, 2, 3, 16]),
-        st.sampled_from([1, 2, 4, 8]),
+        st.sampled_from([1, 2, 4, 8, 32]),
         st.sampled_from(["", "", "h1w1", "h4w2"]),
     )
     pre = "".join(draw(st.lists(entry, max_size=3)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,36 @@ class TestSortByImportance:
         target[1, 1, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             importance_scores(wrap(v), [0.0, 1.0, 2.0], target, 2.0, 0.5)
+
+
+class TestNormOverflow:
+    """Pixel norms whose product overflows float64 are rejected before any
+    numpy warning; norms just inside the range rank as at unit scale."""
+
+    def case(self, scale):
+        history = rng(20).normal(size=(4, 3, 5, 2)) * scale
+        return history, [0.0, 1.0, 2.0, 3.0], history[3]
+
+    def test_overflowing_norms_raise_without_warning(self):
+        history, times, target = self.case(1e155)
+        calls = [
+            lambda: sim_cos(history[0], target),
+            lambda: importance_scores(history, times, target, 3.0, 0.0),
+            lambda: sort_by_importance(history, times, target, 3.0, 0.0),
+        ]
+        for call in calls:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="pixel norms overflow float64"):
+                    call()
+
+    def test_large_finite_norms_rank_as_at_unit_scale(self):
+        history, times, target = self.case(1e150)
+        scores = [s.score for s in importance_scores(history, times, target, 3.0, 0.0)]
+        order = sort_by_importance(history, times, target, 3.0, 0.0)
+        assert all(math.isfinite(s) for s in scores)
+        assert order == sorted(range(4), key=lambda i: (-scores[i], -times[i], i))
+        assert order == sort_by_importance(*self.case(1.0), 3.0, 0.0)
 
 
 class TestReorderFrames:

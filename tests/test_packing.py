@@ -16,6 +16,7 @@ from ctxpack.errors import (
 from ctxpack.packing import (
     KernelResolution,
     LatentVideo,
+    _pool_block,
     apply_schedule,
     build_symmetric_schedule,
     resolve_kernel,
@@ -169,6 +170,54 @@ class TestLatentVideo:
         assert peak < group64 / 4
         expected = v.data.reshape(8, 4, 16, 4, 16, 16).mean(axis=(0, 2, 4))
         assert ctx.blocks[0].grid.tobytes() == expected.tobytes()
+
+
+class TestPoolWithoutPadding:
+    """A grid with two or more channels is pooled in place: each window's
+    sum over the block divided by a whole window's size, bit for bit the
+    mean of the zero-padded block."""
+
+    @staticmethod
+    def padded_mean(block, kernel):
+        t, h, w, c = block.shape
+        padded = np.zeros((t, h + -h % kernel.p_h, w + -w % kernel.p_w, c), block.dtype)
+        padded[:, :h, :w] = block
+        rows, cols = padded.shape[1] // kernel.p_h, padded.shape[2] // kernel.p_w
+        windows = padded.reshape(t, rows, kernel.p_h, cols, kernel.p_w, c)
+        return windows.mean(axis=(0, 2, 4), dtype=np.float64)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [2, 3, 16])
+    @pytest.mark.parametrize("fill", ["normal", "-0.0", "mostly -0.0"])
+    def test_matches_zero_padded_mean(self, dtype, c, fill):
+        gen = rng(c)
+        for kernel in [KernelSpec(1, 2, 2), KernelSpec(2, 3, 5), KernelSpec(4, 8, 8), KernelSpec(3, 16, 1)]:
+            for h, w in [(2, 2), (7, 9), (8, 8), (13, 4)]:
+                shape = (kernel.p_f, h, w, c)
+                block = np.full(shape, -0.0) if fill != "normal" else gen.normal(size=shape)
+                if fill == "mostly -0.0":
+                    hits = gen.random(shape) < 0.1
+                    block[hits] = gen.normal(size=hits.sum())
+                block = block.astype(dtype)
+                got = _pool_block(block, kernel, pad_spatial=True)
+                assert got.tobytes() == self.padded_mean(block, kernel).tobytes()
+
+    def test_large_kernel_peak(self):
+        # the zero-padded 64-frame k64 block alone would be 16 MiB
+        v = LatentVideo(rng(7).normal(size=(1, 2, 2, 4)).astype(np.float32))
+        pads = dict(pad_history=True, pad_spatial=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            apply_schedule(v, parse_schedule("f64k64_g1"), **pads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        ctx = apply_schedule(v, parse_schedule("f512k512_g1"), **pads)
+        expected = v.data.sum(axis=(0, 1, 2)) / (1024 * 1024)
+        np.testing.assert_allclose(ctx.blocks[0].grid[0, 0], expected, rtol=1e-12)
 
 
 class TestResolveKernel:

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +9,7 @@ from ctxpack.errors import (
     InvalidSchedule,
     MisplacedTail,
     MultipleGenerate,
+    ScheduleError,
     UnknownToken,
 )
 from ctxpack.schedule import (
@@ -203,6 +206,22 @@ class TestClassify:
     def test_classify_matches_property(self):
         s = parse_schedule("td_f1k1_g9")
         assert classify_sampling_mode(s) is s.sampling_mode
+
+    def test_endpoint_and_inverted_are_mirror_images(self):
+        # every parseable name of up to six of these tokens
+        tokens = ["td", "ta", "f1k1", "f2k2", "x", "g9"]
+        checked = 0
+        for n in range(1, 7):
+            for combo in itertools.product(tokens, repeat=n):
+                try:
+                    s = parse_schedule("_".join(combo))
+                except ScheduleError:
+                    continue
+                mirrored = PackingSchedule(s.segments[::-1])
+                endpoint = s.sampling_mode is SamplingMode.ENDPOINT_ANCHORED
+                assert endpoint == (mirrored.sampling_mode is SamplingMode.INVERTED), s.name
+                checked += 1
+        assert checked == 4193
 
 
 simple_kernels = st.sampled_from([1, 2, 4, 8, 16]).map(KernelSpec.simplified)
