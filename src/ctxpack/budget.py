@@ -34,18 +34,19 @@ TAIL_POOL = (1, 32, 32)
 def _fraction(value: Numeric, what: str) -> Fraction:
     try:
         return Fraction(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise TypeError(f"{what} must be a rational number, got {value!r}") from exc
 
 
 @dataclass(frozen=True)
 class BudgetParams:
-    """Inputs of the context-length formula.
+    """Inputs of the context-length formulas, and their one input rule.
 
     tokens_per_frame: cost of one frame at the base kernel (often written
     L_f); ratio: per-level compression factor, must exceed 1;
     section_frames: size of the generated section; history_frames: number
-    of conditioning frames.
+    of conditioning frames. ``per_frame_length`` and ``length_bound``
+    check their arguments by building one.
     """
 
     tokens_per_frame: int
@@ -69,26 +70,22 @@ def per_frame_length(tokens_per_frame: int, ratio: Numeric, level: int) -> Fract
     """Token cost of the history frame at compression level ``level``."""
     if level < 0:
         raise ValueError("level must be >= 0")
-    r = _fraction(ratio, "ratio")
-    return Fraction(tokens_per_frame) / r**level
+    params = BudgetParams(tokens_per_frame, ratio, 1, level)
+    return Fraction(params.tokens_per_frame) / params.ratio**level
 
 
 def total_length(params: BudgetParams) -> Fraction:
     """Exact context length of a section plus geometrically packed history."""
     lf = Fraction(params.tokens_per_frame)
-    base = params.section_frames * lf
-    if params.history_frames == 0:
-        return base
     inv = 1 / params.ratio
-    return base + lf * (1 - inv**params.history_frames) / (1 - inv)
+    return params.section_frames * lf + lf * (1 - inv**params.history_frames) / (1 - inv)
 
 
 def length_bound(tokens_per_frame: int, ratio: Numeric, section_frames: int) -> Fraction:
     """Limit of ``total_length`` as the history grows without bound."""
-    r = _fraction(ratio, "ratio")
-    if r <= 1:
-        raise ValueError("ratio must be > 1")
-    return (section_frames + r / (r - 1)) * Fraction(tokens_per_frame)
+    params = BudgetParams(tokens_per_frame, ratio, section_frames, 0)
+    r = params.ratio
+    return (params.section_frames + r / (r - 1)) * Fraction(params.tokens_per_frame)
 
 
 @dataclass(frozen=True)
@@ -127,9 +124,12 @@ def _fraction_bits(frac: Fraction, first_level: int) -> list[int]:
 def decompose_rate(budget: Numeric) -> RateDecomposition:
     """Express a dyadic budget (in base-frame units) as series edits.
 
-    Budgets of at least 2 keep the base series and duplicate levels;
-    smaller budgets keep the base series and drop levels. Non-dyadic
-    budgets are rejected rather than rounded.
+    The gap ``|budget - 2|`` is edited into the base series: its whole
+    part as level-0 edits, each set bit of its fraction as the level of
+    that bit (the first bit after the point is level 1). Budgets of at
+    least 2 duplicate those levels; smaller budgets drop them, and as the
+    gap is then under 2, no level is dropped twice. Non-dyadic budgets
+    are rejected rather than rounded.
     """
     b = _fraction(budget, "budget")
     if b <= 0:
@@ -137,19 +137,12 @@ def decompose_rate(budget: Numeric) -> RateDecomposition:
     if b.denominator & (b.denominator - 1):
         raise NonDyadicBudget(f"budget {b} has no terminating binary expansion")
 
+    gap = abs(b - 2)
+    whole = int(gap)
+    levels = (0,) * whole + tuple(_fraction_bits(gap - whole, 1))
     if b >= 2:
-        extra = b - 2
-        whole = int(extra)
-        dups = [0] * whole + _fraction_bits(extra - whole, 1)
-        return RateDecomposition(True, tuple(dups), ())
-
-    deficit = 2 - b  # in (0, 2), so at most one copy of each level
-    drops = []
-    if deficit >= 1:
-        drops.append(0)
-        deficit -= 1
-    drops += _fraction_bits(deficit, 1)
-    return RateDecomposition(True, (), tuple(drops))
+        return RateDecomposition(True, levels, ())
+    return RateDecomposition(True, (), levels)
 
 
 def _grid(size: int, step: int, axis: str, pad: bool) -> int:
@@ -197,7 +190,8 @@ def tail_tokens(
     if tail_frames <= 0 or mode is TailMode.DELETE:
         return 0
     if mode is TailMode.APPEND:
-        return tail_frames * math.ceil(height / TAIL_POOL[1]) * math.ceil(width / TAIL_POOL[2])
+        # one (1, 32, 32) group per frame, edge windows clipped
+        return tokens_for_entry(tail_frames, KernelSpec(*TAIL_POOL), height, width, pad=True)
     # compress: all tail frames averaged into one coarsest-kernel group
     return tokens_for_entry(coarsest.p_f, coarsest, height, width, pad=pad)
 

@@ -210,6 +210,8 @@ def rank_buckets(table: RatingTable, tie_margin: float = DEFAULT_TIE_MARGIN) -> 
     """Chain players into rank buckets while consecutive gaps stay within
     the tie margin; bucket 1 holds the highest ratings. The dict runs in
     rating order, best first, ties by name."""
+    if not tie_margin >= 0:
+        raise ValueError(f"tie margin must be >= 0, got {tie_margin!r}")
     ordered = sorted(table.ratings.items(), key=lambda kv: (-kv[1], kv[0]))
     ranks: dict[str, int] = {}
     bucket = 0

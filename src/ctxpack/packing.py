@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -438,21 +438,23 @@ def apply_schedule(
             cursor += seg.count
         elif isinstance(seg, Frames):
             span = next(spans)
-            frames = data[span.start : span.stop]
-            deficit = seg.count - span.length
-            if deficit:
-                # a short entry pads with its side's outermost bound frame
-                edge = hi - 1 if generate_span else lo
-                pad = np.repeat(data[edge : edge + 1], deficit, axis=0)
-                frames = np.concatenate([frames, pad] if generate_span else [pad, frames])
             p_f = seg.kernel.p_f
-            if seg.count % p_f:
-                if not pad_history:
-                    raise IndivisibleDims(
-                        f"entry of {seg.count} frames is not divisible by kernel step {p_f}"
-                    )
-                # round up to whole kernel steps with the entry's newest frame
-                frames = np.concatenate([frames, np.repeat(frames[-1:], -seg.count % p_f, axis=0)])
+            if seg.count % p_f and not pad_history:
+                raise IndivisibleDims(
+                    f"entry of {seg.count} frames is not divisible by kernel step {p_f}"
+                )
+            frames = data[span.start : span.stop]
+            short = seg.count - span.length
+            if short or seg.count % p_f:
+                # a short entry fills with its side's outermost bound frame,
+                # then rounds up to whole kernel steps with its newest
+                idx = list(range(span.start, span.stop))
+                if generate_span:
+                    idx += [span.stop - 1] * short
+                else:
+                    idx = [span.start] * short + idx
+                idx += idx[-1:] * (-seg.count % p_f)
+                frames = data[idx]
             for t in range(0, len(frames), p_f):
                 grid = _pool_block(frames[t : t + p_f], seg.kernel, pad_spatial)
                 blocks.append(_block(grid, seg.kernel, (cursor, cursor + p_f)))
@@ -468,20 +470,3 @@ def apply_schedule(
         )
     return PackedContext(tuple(blocks), schedule, budget, generate_span, tail_span)
 
-
-def build_symmetric_schedule(
-    entries: Sequence[Frames],
-    generate_count: int,
-    *,
-    discretize_history: bool = False,
-) -> PackingSchedule:
-    """Mirror a half-progression around the generated section.
-
-    The finest entries sit at both temporal ends and the coarsest meet in
-    the middle, so both ends of the history carry equal weight. The
-    mirrored halves' token budgets add to twice the half's budget.
-    """
-    if not entries or not all(isinstance(e, Frames) for e in entries):
-        raise InvalidSchedule("symmetric schedule needs at least one frames entry")
-    segments = (*entries, Generate(generate_count), *reversed(entries))
-    return PackingSchedule(segments, discretize_history)

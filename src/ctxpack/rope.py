@@ -9,6 +9,7 @@ and blank positions are simply skipped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +47,8 @@ def axial_frequencies(dim: int, base: float = DEFAULT_BASE) -> np.ndarray:
     """Per-channel angular frequencies for one axis."""
     if dim < 1:
         raise ValueError("axis needs at least one channel")
+    if not (math.isfinite(base) and base > 1):
+        raise ValueError(f"base must be finite and > 1, got {base!r}")
     return np.asarray(base, dtype=np.float64) ** (-2.0 * np.arange(dim) / dim)
 
 
@@ -70,6 +73,10 @@ def generate_phases(
 ) -> PhaseGrid:
     """Build axial phases over given time indices and dense spatial cells."""
     ti = list(time_indices)
+    if not all(math.isfinite(t) for t in ti):
+        raise ValueError(f"time indices must be finite: {ti}")
+    if height_cells < 1 or width_cells < 1:
+        raise ValueError(f"cell counts must be >= 1, got {height_cells}x{width_cells}")
     if any(b <= a for a, b in zip(ti, ti[1:])):
         raise NonMonotonicIndices(f"time indices must be strictly increasing: {ti}")
     if channels % 3:

@@ -46,6 +46,34 @@ class TestPerFrameLength:
             per_frame_length(1024, 2, -1)
 
 
+class TestFormulaInputs:
+    """The length formulas take BudgetParams' one input rule."""
+
+    @pytest.mark.parametrize(
+        "formula, args, message",
+        [
+            (per_frame_length, (1560, 0, 1), "ratio must be > 1"),
+            (per_frame_length, (1560, -2, 1), "ratio must be > 1"),
+            (per_frame_length, (1560, 1, 3), "ratio must be > 1"),
+            (per_frame_length, (-5, 2, 1), "tokens_per_frame must be >= 1"),
+            (length_bound, (1560, 2, -3), "section_frames must be >= 1"),
+            (length_bound, (0, 2, 1), "tokens_per_frame must be >= 1"),
+        ],
+    )
+    def test_rejected_with_params_message(self, formula, args, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            formula(*args)
+
+    def test_level_checked_first(self):
+        with pytest.raises(ValueError, match="^level must be >= 0$"):
+            per_frame_length(0, 1, -1)
+
+    @pytest.mark.parametrize("ratio", [float("inf"), float("nan"), None, "half"])
+    def test_non_rational_ratio_rejected(self, ratio):
+        with pytest.raises(TypeError, match="^ratio must be a rational number"):
+            length_bound(1560, ratio, 1)
+
+
 class TestTotalLength:
     def test_empty_history(self):
         assert total_length(BudgetParams(1024, 2, 1, 0)) == 1024
@@ -137,6 +165,11 @@ class TestDecomposeRate:
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError):
             decompose_rate(0)
+
+    @pytest.mark.parametrize("budget", [float("inf"), float("-inf"), float("nan"), "two"])
+    def test_non_rational_rejected(self, budget):
+        with pytest.raises(TypeError, match="^budget must be a rational number"):
+            decompose_rate(budget)
 
     @settings(max_examples=300, deadline=None)
     @given(numerator=st.integers(1, 8 * 1024), power=st.integers(0, 10))

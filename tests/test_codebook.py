@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -248,6 +249,27 @@ class TestQuantize:
         cb = Codebook(rng(8).normal(size=(4, 3)))
         with pytest.raises(ChannelMismatch):
             quantize(LatentVideo(np.zeros((1, 2, 2, 2))), cb)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (1, 2, 2)])
+    def test_codebook_needs_k_by_c_matrix(self, shape):
+        message = f"centroids must be a (K, C) matrix, got shape {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Codebook(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_codebook_needs_finite_centroids(self, bad):
+        with pytest.raises(ValueError, match="centroids must be finite"):
+            Codebook([[0.0, bad]])
+
+    @pytest.mark.parametrize(
+        "indices",
+        [np.zeros((2, 2), dtype=int), np.zeros((1, 2, 2)), np.zeros((1, 1, 2, 2), dtype=int)],
+    )
+    def test_index_map_needs_3d_integer_grid(self, indices):
+        with pytest.raises(ValueError, match="index map must be a 3D integer grid"):
+            IndexMap(indices)
 
 
 class TestDequantize:

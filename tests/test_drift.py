@@ -255,6 +255,10 @@ class TestMatchLog:
         with pytest.raises(ValueError):
             parse_match_log("a,b\n")
 
+    def test_empty_name(self):
+        with pytest.raises(ValueError, match="player names must be non-empty"):
+            parse_match_log(",b,A\n")
+
 
 class TestRankBuckets:
     def make_table(self, ratings):
@@ -277,6 +281,12 @@ class TestRankBuckets:
     def test_exactly_margin_still_ties(self):
         table = self.make_table({"x": 1016.0, "y": 1000.0})
         assert rank_buckets(table) == {"x": 1, "y": 1}
+
+    @pytest.mark.parametrize("margin", [float("nan"), -1.0])
+    def test_bad_margin_rejected(self, margin):
+        table = self.make_table({"x": 1000.0, "y": 1000.0})
+        with pytest.raises(ValueError, match=f"tie margin must be >= 0, got {margin!r}"):
+            rank_buckets(table, margin)
 
     def test_published_ranges_reproduce_their_ranks(self):
         for representative in ("low", "mid", "high"):

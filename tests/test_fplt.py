@@ -122,6 +122,12 @@ class TestErrors:
         with pytest.raises(FpltFormatError):
             read_codebook(path)
 
+    def test_codebook_reader_rejects_non_1x1_tensor(self, tmp_path):
+        path = tmp_path / "cb.fplt"
+        write_tensor(path, np.zeros((2, 1, 2, 2), dtype=np.float32), flags=fplt.FLAG_CODEBOOK)
+        with pytest.raises(FpltFormatError, match=r"must be 1x1xKxC, got \(2, 1, 2, 2\)"):
+            read_codebook(path)
+
     def test_non_4d_rejected(self, tmp_path):
         with pytest.raises(FpltFormatError):
             write_tensor(tmp_path / "x.fplt", np.zeros((2, 2), dtype=np.float32))

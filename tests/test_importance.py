@@ -37,6 +37,10 @@ def kendall_tau_distance(p, q):
 
 
 class TestSimCos:
+    def test_frame_not_3d_rejected(self):
+        with pytest.raises(ValueError, match=r"expected an \(H, W, C\) frame, got shape \(2, 2\)"):
+            sim_cos(np.ones((2, 2)), np.ones((2, 2, 1)))
+
     def test_identical_frame(self):
         f = rng(1).normal(size=(4, 4, 3))
         assert sim_cos(f, f) == pytest.approx(16.0, abs=1e-12)
@@ -104,6 +108,11 @@ class TestSimCos:
 class TestSimTime:
     def test_zero_delta(self):
         assert sim_time(4.0, 4.0) == 1.0
+
+    @pytest.mark.parametrize("times", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, 1.0)])
+    def test_non_finite_time_rejected(self, times):
+        with pytest.raises(ValueError, match="times must be finite"):
+            sim_time(*times)
 
     def test_one_second(self):
         assert abs(sim_time(1.0, 2.0) - math.exp(-1)) < 1e-15

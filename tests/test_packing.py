@@ -18,7 +18,6 @@ from ctxpack.packing import (
     LatentVideo,
     _pool_block,
     apply_schedule,
-    build_symmetric_schedule,
     resolve_kernel,
 )
 from ctxpack.planner import plan_vanilla
@@ -379,6 +378,11 @@ class TestApplySchedule:
         assert sum(b.size for b in history_blocks(ctx)) == 1536 == 256 + 256 + 1024
         assert ctx.budget == len(ctx.tokens) == tokens_for_schedule(s, 64, 64, 0) == 10752
 
+    def test_no_tail_marker_counts_no_tail_frames(self):
+        ctx = apply_schedule(video(1, 8, 8), parse_schedule("f1k1_g1"))
+        assert ctx.tail_span is None
+        assert ctx.tail_frame_count == 0
+
     def test_long_history_feeds_tail(self):
         s = parse_schedule("td_f16k4f2k2f1k1_g9")
         ctx = apply_schedule(video(100), s)
@@ -519,9 +523,15 @@ class TestApplySchedule:
 
 
 class TestSymmetricSchedule:
+    """A half-progression mirrored around the generated section."""
+
+    @staticmethod
+    def mirrored(half, generate_count):
+        return PackingSchedule((*half, Generate(generate_count), *reversed(half)))
+
     def test_mirrors_around_generate(self):
         half = [Frames(1, KernelSpec.simplified(1)), Frames(2, KernelSpec.simplified(2))]
-        s = build_symmetric_schedule(half, 9)
+        s = self.mirrored(half, 9)
         assert s.segments == (
             half[0],
             half[1],
@@ -532,12 +542,12 @@ class TestSymmetricSchedule:
 
     def test_single_entry_mirror(self):
         half = [Frames(1, KernelSpec.simplified(1))]
-        s = build_symmetric_schedule(half, 1)
+        s = self.mirrored(half, 1)
         assert [seg for seg in s.segments if isinstance(seg, Frames)] == half * 2
 
     def test_budget_doubles(self):
         half = [Frames(1, KernelSpec.simplified(1)), Frames(4, KernelSpec.simplified(2))]
-        s = build_symmetric_schedule(half, 9)
+        s = self.mirrored(half, 9)
         half_tokens = sum(tokens_for_entry(e.count, e.kernel, 64, 64) for e in half)
         mirrored_tokens = sum(
             tokens_for_entry(e.count, e.kernel, 64, 64) for e in s.frames_entries
@@ -546,13 +556,9 @@ class TestSymmetricSchedule:
 
     def test_packs_with_exact_capacity(self):
         half = [Frames(2, KernelSpec.simplified(1)), Frames(4, KernelSpec.simplified(2))]
-        s = build_symmetric_schedule(half, 3)
+        s = self.mirrored(half, 3)
         ctx = apply_schedule(video(12, 16, 16), s)
         assert ctx.budget == tokens_for_schedule(s, 16, 16, 0)
-
-    def test_empty_half_rejected(self):
-        with pytest.raises(InvalidSchedule):
-            build_symmetric_schedule([], 9)
 
 
 PROPERTY_KERNELS = [KernelSpec(1, 2, 2), KernelSpec(2, 4, 4), KernelSpec(4, 8, 8), KernelSpec(2, 2, 2)]

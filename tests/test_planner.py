@@ -121,6 +121,10 @@ class TestInverted:
         for it in plan.iterations:
             assert it.inputs[0].span == Span(0, 1)
 
+    def test_negative_user_frames_rejected(self):
+        with pytest.raises(PlanError, match="user_frames must be >= 0"):
+            plan_inverted(28, 9, INVERTED, user_frames=-1)
+
     def test_first_iteration_has_no_future_bindings(self):
         plan = plan_inverted(28, 9, INVERTED)
         first = plan.iterations[0]
@@ -256,6 +260,12 @@ PLANNERS = {
         total, section, ENDPOINT, [(0, 9)]
     ),
 }
+
+
+class TestSpan:
+    def test_stop_before_start_rejected(self):
+        with pytest.raises(ValueError, match="span stop 2 before start 3"):
+            Span(3, 2)
 
 
 class TestSizes:

@@ -52,6 +52,28 @@ class TestGeneratePhases:
         with pytest.raises(ValueError):
             generate_phases([0], 2, 2, 13)
 
+    def test_no_channels_rejected(self):
+        with pytest.raises(ValueError, match="axis needs at least one channel"):
+            axial_frequencies(0)
+
+    @pytest.mark.parametrize("base", [0.0, -2.0, 0.5, 1.0, float("inf"), float("nan")])
+    def test_base_not_above_one_rejected(self, base):
+        with pytest.raises(ValueError, match=rf"base must be finite and > 1, got {base!r}"):
+            axial_frequencies(4, base)
+        with pytest.raises(ValueError, match=rf"base must be finite and > 1, got {base!r}"):
+            generate_phases([0], 2, 2, 12, base=base)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"time indices must be finite: \[0, "):
+            generate_phases([0, bad], 2, 2, 12)
+
+    @pytest.mark.parametrize("cells", [(0, 2), (2, 0), (-1, 2)])
+    def test_cell_count_below_one_rejected(self, cells):
+        h, w = cells
+        with pytest.raises(ValueError, match=f"cell counts must be >= 1, got {h}x{w}"):
+            generate_phases([0], h, w, 12)
+
 
 class TestPoolPhases:
     def test_identity_kernel(self):

@@ -137,6 +137,30 @@ class TestParseErrors:
         with pytest.raises(UnknownToken):
             parse_schedule("td_f1k1_g9é")
 
+    def test_non_string_rejected(self):
+        with pytest.raises(TypeError, match="schedule name must be a string"):
+            parse_schedule(3)
+
+
+class TestSegmentChecks:
+    """The segment classes check their own fields, without the parser."""
+
+    def test_kernel_dim_below_one(self):
+        with pytest.raises(InvalidSchedule, match=r"kernel dims must all be >= 1, got \(0, 2, 2\)"):
+            KernelSpec(0, 2, 2)
+
+    def test_frame_count_below_one(self):
+        with pytest.raises(InvalidSchedule, match="frame count must be >= 1, got 0"):
+            Frames(0, k(1))
+
+    def test_generate_count_below_one(self):
+        with pytest.raises(InvalidSchedule, match="generate count must be >= 1, got 0"):
+            Generate(0)
+
+    def test_no_segments(self):
+        with pytest.raises(EmptySchedule, match="schedule has no segments"):
+            PackingSchedule(())
+
 
 class TestFormat:
     def test_minimal(self):
