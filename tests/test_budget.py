@@ -136,21 +136,21 @@ class TestLengthBound:
 class TestDecomposeRate:
     def test_duplicate_half_and_eighth(self):
         decomp = decompose_rate(2.625)
-        assert decomp == RateDecomposition(True, (1, 3), ())
+        assert decomp == RateDecomposition((1, 3), ())
         assert decomp.value() == Fraction(21, 8)
 
     def test_exact_base_sum(self):
-        assert decompose_rate(2) == RateDecomposition(True, (), ())
+        assert decompose_rate(2) == RateDecomposition((), ())
 
     def test_duplicate_one_and_half(self):
-        assert decompose_rate(3.5) == RateDecomposition(True, (0, 1), ())
+        assert decompose_rate(3.5) == RateDecomposition((0, 1), ())
 
     def test_integer_extra_duplicates_level_zero(self):
-        assert decompose_rate(5) == RateDecomposition(True, (0, 0, 0), ())
+        assert decompose_rate(5) == RateDecomposition((0, 0, 0), ())
 
     def test_below_two_uses_drops(self):
         decomp = decompose_rate(1.75)
-        assert decomp.base_included and not decomp.duplicated_levels
+        assert not decomp.duplicated_levels
         assert decomp.value() == Fraction(7, 4)
 
     def test_drops_are_distinct_levels(self):

@@ -1,4 +1,5 @@
 import os
+import sys
 from hashlib import sha256
 
 import numpy as np
@@ -48,6 +49,14 @@ class TestParseCommand:
     def test_unknown_token_named(self, capsys):
         assert main(["parse", "td_f1k1_q9"]) == 2
         assert "'q'" in capsys.readouterr().err
+
+    @pytest.mark.skipif(
+        not 0 < getattr(sys, "get_int_max_str_digits", lambda: 0)() < 5000,
+        reason="int() converts a 5000-digit string on this Python",
+    )
+    def test_count_too_long_for_int_exits_2(self, capsys):
+        assert main(["parse", "g" + "9" * 5000]) == 2
+        assert capsys.readouterr().err == "ctxpack: count 99999999... has 5000 digits\n"
 
     def test_skip_segment_output(self, capsys):
         assert main(["parse", "f1k1_x_g9_f1k1f2k2f16k4_td"]) == 0

@@ -98,6 +98,7 @@ BAD_NAMES = [
     "td_",
     "_",
     "",
+    "g" + "9" * 5000,
 ]
 
 

@@ -63,7 +63,9 @@ class TestGeneratePhases:
         with pytest.raises(ValueError, match=rf"base must be finite and > 1, got {base!r}"):
             generate_phases([0], 2, 2, 12, base=base)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="10**400")]
+    )
     def test_non_finite_time_rejected(self, bad):
         with pytest.raises(ValueError, match=r"time indices must be finite: \[0, "):
             generate_phases([0, bad], 2, 2, 12)

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -93,15 +94,15 @@ class TestParse:
 
 class TestParseErrors:
     def test_empty(self):
-        with pytest.raises(EmptySchedule):
+        with pytest.raises(EmptySchedule, match="schedule has no segments"):
             parse_schedule("")
 
     def test_only_separators(self):
-        with pytest.raises(EmptySchedule):
+        with pytest.raises(EmptySchedule, match="schedule has no segments"):
             parse_schedule("___")
 
     def test_flag_alone(self):
-        with pytest.raises(EmptySchedule):
+        with pytest.raises(EmptySchedule, match="schedule has no segments"):
             parse_schedule("+D")
 
     def test_multiple_generate(self):
@@ -121,21 +122,44 @@ class TestParseErrors:
             parse_schedule("td_ta_g9")
 
     @pytest.mark.parametrize(
-        "bad",
-        ["zz", "f16_g9", "tq_g9", "g", "f1k2h4_g9", "g9+d", "g9 ", "k1_g9"],
+        "bad,position",
+        [
+            pytest.param(bad, position, id=bad)
+            for bad, position in [
+                ("zz", 0),
+                ("f16_g9", 0),
+                ("tq_g9", 0),
+                ("g", 0),
+                ("f1k2h4_g9", 4),
+                ("g9+d", 2),
+                ("g9 ", 2),
+                ("k1_g9", 0),
+                ("f\u0661k1_g9", 0),
+            ]
+        ],
     )
-    def test_unknown_tokens(self, bad):
-        with pytest.raises(UnknownToken):
+    def test_unknown_tokens(self, bad, position):
+        """The first position where no token starts is named."""
+        with pytest.raises(UnknownToken, match=re.escape(f"at position {position} in {bad!r}")):
             parse_schedule(bad)
 
-    @pytest.mark.parametrize("bad", ["g0", "f0k1_g9", "f1k0_g9"])
-    def test_nonpositive_counts(self, bad):
-        with pytest.raises(InvalidSchedule):
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            pytest.param("g0", "generate count must be >= 1, got 0", id="g0"),
+            pytest.param("f0k1_g9", "frame count must be >= 1, got 0", id="f0k1_g9"),
+            pytest.param("f1k0_g9", r"kernel dims must all be >= 1, got \(0, 0, 0\)", id="f1k0_g9"),
+            pytest.param("f1k1h0w2_g9", r"kernel dims must all be >= 1, got \(1, 0, 2\)", id="f1k1h0w2_g9"),
+        ],
+    )
+    def test_nonpositive_counts(self, bad, message):
+        """Counts below 1 are rejected by the segment types, not the parser."""
+        with pytest.raises(InvalidSchedule, match=message):
             parse_schedule(bad)
 
     def test_non_ascii(self):
-        with pytest.raises(UnknownToken):
-            parse_schedule("td_f1k1_g9é")
+        with pytest.raises(UnknownToken, match="'\u00e9' at position 10 in"):
+            parse_schedule("td_f1k1_g9\u00e9")
 
     def test_non_string_rejected(self):
         with pytest.raises(TypeError, match="schedule name must be a string"):
