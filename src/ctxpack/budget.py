@@ -28,7 +28,8 @@ from .schedule import (
 
 Numeric = Union[int, float, Fraction]
 
-TAIL_POOL = (1, 32, 32)
+TAIL_KERNEL = KernelSpec(1, 32, 32)
+TAIL_POOL = TAIL_KERNEL.dims
 
 
 def _fraction(value: Numeric, what: str) -> Fraction:
@@ -190,7 +191,7 @@ def tail_tokens(
         return 0
     if mode is TailMode.APPEND:
         # one (1, 32, 32) group per frame, edge windows clipped
-        return tokens_for_entry(tail_frames, KernelSpec(*TAIL_POOL), height, width, pad=True)
+        return tokens_for_entry(tail_frames, TAIL_KERNEL, height, width, pad=True)
     # compress: all tail frames averaged into one coarsest-kernel group
     return tokens_for_entry(coarsest.p_f, coarsest, height, width, pad=pad)
 

@@ -80,6 +80,9 @@ def _parse_spans(text: str) -> list[tuple[int, int]]:
 def cmd_plan(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
     mode = schedule.sampling_mode
+    user_frames = {} if args.user_frames is None else {"user_frames": args.user_frames}
+    if user_frames and (args.endpoints is not None or mode is not SamplingMode.INVERTED):
+        raise PlanError("--user-frames applies only to an inverted schedule without --endpoints")
     if args.endpoints is not None:
         plan = plan_multi_endpoint(
             args.total, args.section, schedule, _parse_spans(args.endpoints)
@@ -89,7 +92,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     elif mode is SamplingMode.ENDPOINT_ANCHORED:
         plan = plan_endpoint(args.total, args.section, schedule)
     elif mode is SamplingMode.INVERTED:
-        plan = plan_inverted(args.total, args.section, schedule, user_frames=args.user_frames)
+        plan = plan_inverted(args.total, args.section, schedule, **user_frames)
     else:
         raise PlanError(f"schedule {args.name!r} does not imply a sampling order")
     sys.stdout.write(serialize_plan(plan))
@@ -190,7 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name")
     p.add_argument("--total", type=int, required=True)
     p.add_argument("--section", type=int, required=True)
-    p.add_argument("--user-frames", type=int, default=1, help="leading user-supplied frames (inverted mode)")
+    p.add_argument(
+        "--user-frames", type=int, help="leading user-supplied frames (inverted mode; default 1)"
+    )
     p.add_argument("--endpoints", help="anchor spans a..b,c..d for multi-endpoint plans")
     p.set_defaults(func=cmd_plan)
 

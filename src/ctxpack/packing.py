@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .budget import TAIL_POOL, tokens_for_schedule
+from .budget import TAIL_KERNEL, tokens_for_schedule
 from .errors import (
     ExcessHistory,
     IndivisibleDims,
@@ -238,20 +238,27 @@ def resolve_kernel(requested: KernelSpec) -> KernelResolution:
     )
 
 
-def _pool_block(block: np.ndarray, kernel: KernelSpec, pad_spatial: bool) -> np.ndarray:
-    """Mean-pool a (T, H, W, C) block into an (H', W', C) float64 grid.
+def _pool_block(
+    block: np.ndarray, kernel: KernelSpec, pad_spatial: bool, clipped: bool = False
+) -> np.ndarray:
+    """Mean-pool (T, H, W, C) frames ``p_f`` at a time, or all T if fewer,
+    into a read-only (T // p_f, H', W', C) float64 stack of grids.
 
-    Each window's float64 sum over the block itself is divided by the
-    pixel count of a whole window, T·p_h·p_w, so a window clipped at the
-    bottom or right edge reads as zero-padded. Only a one-channel block
-    is copied: cast to float64, and zero-padded if H or W is not a whole
-    number of kernel windows.
+    A window's float64 sum is divided by a whole window's pixel count (the
+    zero-padded mean), or, if ``clipped``, by the pixels it holds. Only a
+    one-channel block is copied, whole groups of about ``_CHECK_BYTES`` at
+    a time.
     """
     t, h, w, c = block.shape
-    p_h, p_w = kernel.p_h, kernel.p_w
+    p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
     if (h % p_h or w % p_w) and not pad_spatial:
         raise IndivisibleDims(f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}")
-    if c == 1:
+    if c == 1 and t > (step := p_f * max(1, _CHECK_BYTES // (8 * p_f * h * w))):
+        pieces = np.split(block, range(step, t, step))
+        grids = np.concatenate([_pool_block(b, kernel, pad_spatial, clipped) for b in pieces])
+        grids.setflags(write=False)
+        return grids
+    if c == 1 and not clipped:
         # numpy sums one channel's contiguous runs pairwise, and the zeros
         # of the padding decide the pairs, as would a cast split at its
         # buffer size; with more channels each output sums in memory order
@@ -259,18 +266,26 @@ def _pool_block(block: np.ndarray, kernel: KernelSpec, pad_spatial: bool) -> np.
         if h % p_h or w % p_w:
             block = np.pad(block, ((0, 0), (0, -h % p_h), (0, -w % p_w), (0, 0)))
             h, w = block.shape[1:3]
-    grid = np.empty((-(-h // p_h), -(-w // p_w), c))
+    grids = np.empty((t // p_f, -(-h // p_h), -(-w // p_w), c))
     for r0, r1, dh in _runs(h, p_h):
         for c0, c1, dw in _runs(w, p_w):
+            out = grids[:, r0 // p_h : -(-r1 // p_h), c0 // p_w : -(-c1 // p_w)]
+            part = block[:, r0:r1, c0:c1].reshape(-1, p_f, out.shape[1], dh, out.shape[2], dw, c)
             # numpy starts every sum at +0.0, so a clipped window of -0.0
             # sums to +0.0, as its zero-padded form does
-            part = block[:, r0:r1, c0:c1].reshape(t, (r1 - r0) // dh, dh, (c1 - c0) // dw, dw, c)
-            grid[r0 // p_h : -(-r1 // p_h), c0 // p_w : -(-c1 // p_w)] = part.sum(
-                axis=(0, 2, 4), dtype=np.float64
-            )
-    grid /= t * p_h * p_w
-    grid.setflags(write=False)
-    return grid
+            if clipped and c == 1:
+                # numpy sums a one-channel window slice as one pairwise run
+                # over its pixels, not row by row as it sums this reshape
+                runs = np.ascontiguousarray(part.transpose(0, 2, 4, 6, 1, 3, 5), np.float64)
+                runs.reshape(*out.shape, -1).sum(axis=-1, out=out)
+            else:
+                part.sum(axis=(1, 3, 5), dtype=np.float64, out=out)
+            if clipped:
+                out /= p_f * dh * dw
+    if not clipped:
+        grids /= p_f * p_h * p_w
+    grids.setflags(write=False)
+    return grids
 
 
 def _runs(size: int, step: int) -> list[tuple[int, int, int]]:
@@ -309,45 +324,6 @@ def _block(
     rows = tuple(map(_centre, _windows(h, kernel.p_h)))
     cols = tuple(map(_centre, _windows(w, kernel.p_w)))
     return PackedBlock(time_span, kernel, _centre(time_span), rows, cols, grid)
-
-
-def _tail_blocks(
-    block: np.ndarray,
-    mode: TailMode,
-    coarsest: KernelSpec,
-    t_offset: int,
-    pad_spatial: bool,
-) -> list[PackedBlock]:
-    """Pack leftover frames per the tail mode, from time ``t_offset`` on.
-
-    Delete drops them. Append pools each frame spatially by (1, 32, 32)
-    with clipped edge windows, one coarse pixel grid per frame. Compress
-    averages all tail frames into a single frame and pools it with the
-    schedule's coarsest kernel; its block spans the whole tail.
-    """
-    n, h, w = block.shape[:3]
-    if mode is TailMode.DELETE or n == 0:
-        return []
-
-    if mode is TailMode.APPEND:
-        kernel = KernelSpec(*TAIL_POOL)
-        rows = _windows(h, kernel.p_h)
-        cols = _windows(w, kernel.p_w)
-        # one mean per window over every tail frame at once; each frame's
-        # sum runs in the same order as a per-frame mean would
-        grids = np.empty((n, len(rows), len(cols), block.shape[3]))
-        for r, (r0, r1) in enumerate(rows):
-            for c, (c0, c1) in enumerate(cols):
-                grids[:, r, c] = block[:, r0:r1, c0:c1].mean(axis=(1, 2), dtype=np.float64)
-        grids.setflags(write=False)
-        return [
-            _block(grids[t], kernel, (t_offset + t, t_offset + t + 1), (h, w))
-            for t in range(n)
-        ]
-
-    # compress
-    grid = _pool_block(block.mean(axis=0, keepdims=True, dtype=np.float64), coarsest, pad_spatial)
-    return [_block(grid, coarsest, (t_offset, t_offset + n))]
 
 
 def apply_schedule(
@@ -426,14 +402,23 @@ def apply_schedule(
     for seg in schedule.segments:
         if isinstance(seg, Tail):
             tail_span = (cursor, cursor + n_tail)
-            blocks += _tail_blocks(
-                tail_block, seg.mode, schedule.coarsest_kernel, cursor, pad_spatial
-            )
+            if n_tail and seg.mode is TailMode.APPEND:
+                # one grid per frame, pooled by the tail kernel's clipped windows
+                grids = _pool_block(tail_block, TAIL_KERNEL, pad_spatial=True, clipped=True)
+                for t, grid in enumerate(grids, cursor):
+                    blocks.append(_block(grid, TAIL_KERNEL, (t, t + 1), (h, w)))
+            elif n_tail and seg.mode is TailMode.COMPRESS:
+                # the tail's mean frame, pooled by the coarsest kernel, spans the tail
+                kernel = schedule.coarsest_kernel
+                (grid,) = _pool_block(
+                    tail_block.mean(axis=0, keepdims=True, dtype=np.float64), kernel, pad_spatial
+                )
+                blocks.append(_block(grid, kernel, tail_span))
             cursor += n_tail
         elif isinstance(seg, Generate):
             generate_span = (cursor, cursor + seg.count)
             zero_frame = np.zeros((1, h, w, channels), np.float32)
-            zero_grid = _pool_block(zero_frame, BASE_KERNEL, pad_spatial)
+            (zero_grid,) = _pool_block(zero_frame, BASE_KERNEL, pad_spatial)
             blocks += [_block(zero_grid, BASE_KERNEL, (t, t + 1)) for t in range(*generate_span)]
             cursor += seg.count
         elif isinstance(seg, Frames):
@@ -455,8 +440,7 @@ def apply_schedule(
                     idx = [span.start] * short + idx
                 idx += idx[-1:] * (-seg.count % p_f)
                 frames = data[idx]
-            for t in range(0, len(frames), p_f):
-                grid = _pool_block(frames[t : t + p_f], seg.kernel, pad_spatial)
+            for grid in _pool_block(frames, seg.kernel, pad_spatial):
                 blocks.append(_block(grid, seg.kernel, (cursor, cursor + p_f)))
                 cursor += p_f
 

@@ -241,6 +241,31 @@ class TestPlanCommand:
         assert captured.out == ""
         assert captured.err == f"ctxpack: --endpoints: {message}\n"
 
+    def test_inverted_user_frames(self, capsys):
+        rc = main([
+            "plan", "f1k1_x_g9_f1k1f2k2f16k4_td",
+            "--total", "28", "--section", "9", "--user-frames", "5",
+        ])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0].startswith("ITER 1 TARGET 19..28")
+        assert lines[-1].startswith("ITER 3 TARGET 5..10")
+
+    @pytest.mark.parametrize(
+        "name,extra",
+        [
+            ("td_f1k1_g9", []),
+            ("td_f16k4f2k2f1k1_g9_x_f1k1", []),
+            ("f1k1_x_g9_f1k1f2k2f16k4_td", ["--endpoints", "0..9"]),
+        ],
+    )
+    def test_user_frames_outside_inverted_plans_exit_2(self, capsys, name, extra):
+        rc = main(["plan", name, "--total", "18", "--section", "9", "--user-frames", "5", *extra])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ctxpack: --user-frames applies only to an inverted")
+
     @pytest.mark.parametrize("total,section", [("27", "0"), ("0", "9"), ("-27", "9")])
     def test_size_below_one_exits_2(self, capsys, total, section):
         rc = main(["plan", "td_f16k4f2k2f1k1_g9", "--total", total, "--section", section])

@@ -97,7 +97,7 @@ class TestPacking:
         seeds,
         mostly,
     )
-    def test_handle_tail(self, mode, coarsest, frames, hwc, seed, pad_spatial):
+    def test_tail_modes(self, mode, coarsest, frames, hwc, seed, pad_spatial):
         # the entry takes the newest p_f frames and sets the coarsest kernel
         schedule = PackingSchedule((Tail(mode), Frames(coarsest.p_f, coarsest), Generate(1)))
         narrow, wide = widths(frames + coarsest.p_f, *hwc, seed)
@@ -113,7 +113,7 @@ class TestPacking:
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(KERNELS), dims(), seeds, mostly)
-    def test_patchify(self, kernel, hwc, seed, pad_spatial):
+    def test_entry_pooling(self, kernel, hwc, seed, pad_spatial):
         # five deleted tail frames put the one kernel group at times 5..
         schedule = PackingSchedule((Tail(TailMode.DELETE), Frames(kernel.p_f, kernel), Generate(1)))
         narrow, wide = widths(5 + kernel.p_f, *hwc, seed)

@@ -690,3 +690,21 @@ class TestBlockPackerOracle:
         assert ctx.features.shape == stacked.shape
         assert ctx.features.tobytes() == stacked.tobytes()
         assert ctx.tokens is ctx.tokens
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("c", [1, 2, 16])
+    @pytest.mark.parametrize("h, w", [(33, 70), (60, 104), (64, 64)])
+    @pytest.mark.parametrize("mode", ["ta", "tc"])
+    def test_tails_match_per_token_oracle(self, mode, h, w, c, dtype):
+        # windows taller than 32 rows and values spread over 2^±14, where
+        # the order of a one-channel window's sum shows in its last bits
+        gen = rng(h * w + c)
+        shape = (7, h, w, c)
+        spread = gen.normal(size=shape) * 2.0 ** gen.integers(-14, 15, shape)
+        history = LatentVideo(spread.astype(dtype))
+        schedule = parse_schedule(f"{mode}_f2k2f1k1_g1")
+        expected, generate_span, tail_span = apply_schedule_oracle(history, schedule, pad_spatial=True)
+        ctx = apply_schedule(history, schedule, pad_spatial=True)
+        assert (ctx.generate_span, ctx.tail_span) == (generate_span, tail_span) == ((7, 8), (0, 4))
+        assert [t.time_span for t in ctx.tokens] == [t.time_span for t in expected]
+        assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
