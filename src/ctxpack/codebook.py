@@ -19,8 +19,10 @@ import numpy as np
 from .errors import ChannelMismatch, IndexOutOfRange, InsufficientData
 from .packing import LatentVideo
 
-# Bytes of the float64 (rows, K) score matrix one search chunk may hold.
+# Bytes of the float32 (rows, K) score matrix one search chunk may hold;
+# a float64 (rows, K, C) recheck block is held to the same budget.
 _SCORE_BYTES = 4 << 20
+_F32 = np.finfo(np.float32)
 
 
 @dataclass(frozen=True)
@@ -67,46 +69,68 @@ class IndexMap:
         object.__setattr__(self, "indices", arr)
 
 
-def _nearest(pixels: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(
+    pixels: np.ndarray, centroids: np.ndarray, *, distances: bool = True
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Nearest-centroid index and squared distance per pixel, chunked.
 
-    Ranks centroids by ``-2 x.c + |c|^2`` through a matmul (``|x|^2`` is
-    constant per row). A row whose best-to-second margin is not clearly
-    above the float error of that score and of the direct distance is
-    re-ranked by the direct ``sum((x - c)^2)``, so the result is the
-    direct formula's argmin, ties to the lowest index. Pixels may be
-    float32; each chunk is cast to float64 before it is scored.
+    Ranks centroids by the float32 score ``-2 x.c + |c|^2`` through a
+    matmul (``|x|^2`` is constant per row). A row whose best-to-second
+    margin is not clearly above the float32 error of that score is
+    re-ranked by the direct float64 ``sum((x - c)^2)``, and so is every
+    row of a chunk whose magnitudes could overflow float32. The result is
+    the direct formula's argmin, ties to the lowest index. Pixels may be
+    float32: only the rechecked rows, and with ``distances`` the distance
+    pass, widen them to float64. Without ``distances`` the second result
+    is None.
     """
     n, (k, c) = pixels.shape[0], centroids.shape
-    rows = max(1, _SCORE_BYTES // (8 * k))
-    exact_rows = max(1, rows // c)  # keeps the (rows, K, C) recheck in budget
+    rows = max(1, _SCORE_BYTES // (4 * k))
+    exact_rows = max(1, _SCORE_BYTES // (8 * k * c))  # the (rows, K, C) recheck
     assign = np.empty(n, dtype=np.int64)
-    d2 = np.empty(n, dtype=np.float64)
-    neg2ct = -2.0 * centroids.T
+    d2 = np.empty(n, dtype=np.float64) if distances else None
+    c_max = float(np.abs(centroids).max())
     c_sq = (centroids**2).sum(axis=1)
-    # Each of the two scores and two direct distances a comparison rests
-    # on is off by at most about (C + 2) * eps * (|x|^2 + max|c|^2); the
-    # ``tiny`` term covers underflow, where relative bounds fail.
-    rel = 8 * (c + 2) * np.finfo(np.float64).eps
-    floor = rel * c_sq.max() + np.finfo(np.float64).tiny
+    # A score's float32 error is at most about (C + 7) * eps32/2 *
+    # (|x|^2 + |c|^2): the casts of x and of c (eps32/2 * (|x|^2 + |c|^2)
+    # each), a C-term dot product in any order (C times that), rounding
+    # |c|^2 and the final add. A margin is the difference of two scores,
+    # so twice that; ``rel`` covers it more than twice over, and ``tiny``
+    # covers float32 underflow, where relative bounds fail. The float64
+    # error of the direct distance is far below either.
+    rel = 8 * (c + 2) * float(_F32.eps)
+    floor = rel * float(c_sq.max()) + float(_F32.tiny)
+    # The casts and scores stay below float32 max, with room for rounding,
+    # while max|x| and C * (2 max|x| max|c| + max|c|^2) stay below a
+    # quarter of it. A chunk that fails this is decided by the direct
+    # distance alone, and when max|c| alone fails it, every chunk is.
+    limit = float(_F32.max) / 4
+    if c * c_max * c_max < limit:
+        neg2ct = -2 * centroids.T.astype(np.float32)
+        c_sq32 = c_sq.astype(np.float32)
     for lo in range(0, n, rows):
-        chunk = pixels[lo : lo + rows].astype(np.float64, copy=False)
-        scores = chunk @ neg2ct
-        scores += c_sq
-        a = scores.argmin(axis=1)
+        chunk = pixels[lo : lo + rows]
         r = np.arange(chunk.shape[0])
-        best = scores[r, a]
-        scores[r, a] = np.inf
-        margin = scores.min(axis=1) - best
-        tol = rel * (chunk**2).sum(axis=1) + floor
-        # NaN or inf margins (overflow) fail the test and are rechecked.
-        recheck = np.flatnonzero(~(margin > tol))
+        x_max = float(np.abs(chunk).max())
+        if max(x_max, c * (2 * x_max * c_max + c_max * c_max)) < limit:
+            scores = chunk.astype(np.float32, copy=False) @ neg2ct
+            scores += c_sq32
+            a = scores.argmin(axis=1)
+            best = scores[r, a]
+            scores[r, a] = np.inf
+            margin = scores[r, scores.argmin(axis=1)] - best.astype(np.float64)
+            tol = rel * np.einsum("ij,ij->i", chunk, chunk, dtype=np.float64) + floor
+            recheck = np.flatnonzero(margin <= tol)  # an inf margin (K = 1) passes
+        else:
+            a = np.zeros(chunk.shape[0], dtype=np.int64)
+            recheck = r
         for s in range(0, recheck.size, exact_rows):
             sub = recheck[s : s + exact_rows]
             dist = ((chunk[sub, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
             a[sub] = dist.argmin(axis=1)
         assign[lo : lo + rows] = a
-        d2[lo : lo + rows] = ((chunk - centroids[a]) ** 2).sum(axis=1)
+        if d2 is not None:
+            d2[lo : lo + rows] = ((chunk - centroids[a]) ** 2).sum(axis=1)
     return assign, d2
 
 
@@ -115,7 +139,9 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
     A pixel at zero distance from every seed is never drawn, so each seed
     is a new distinct pixel, and the weights run out before seed ``k``
-    exactly when there are fewer than ``k`` distinct pixels.
+    exactly when there are fewer than ``k`` distinct pixels, or when the
+    squared distances of distinct pixels underflow float64. That underflow
+    raises ``ValueError``, as do weights that overflow float64.
     """
     n = pixels.shape[0]
     short = f"need at least {k} distinct pixels to fit {k} codebook entries"
@@ -123,14 +149,24 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         raise InsufficientData(short)
     centroids = np.empty((k, pixels.shape[1]), dtype=np.float64)
     centroids[0] = pixels[rng.integers(n)]
-    d2 = ((pixels - centroids[0]) ** 2).sum(axis=1)
-    for j in range(1, k):
+    # An overflow of the first weights is raised below, by name; a later
+    # one is an inf distance that np.minimum drops.
+    with np.errstate(over="ignore"):
+        d2 = ((pixels - centroids[0]) ** 2).sum(axis=1)
         total = d2.sum()
-        if total == 0:
-            raise InsufficientData(short)
-        idx = rng.choice(n, p=d2 / total)
-        centroids[j] = pixels[idx]
-        d2 = np.minimum(d2, ((pixels - centroids[j]) ** 2).sum(axis=1))
+        # later weights only shrink, so this one check covers them
+        if total == np.inf:
+            raise ValueError("squared distances between pixels overflow float64")
+        for j in range(1, k):
+            if total == 0:
+                # without underflow, zero weights mean j distinct pixels
+                if np.unique(pixels, axis=0).shape[0] < k:
+                    raise InsufficientData(short)
+                raise ValueError("squared distances between distinct pixels underflow float64")
+            idx = rng.choice(n, p=d2 / total)
+            centroids[j] = pixels[idx]
+            d2 = np.minimum(d2, ((pixels - centroids[j]) ** 2).sum(axis=1))
+            total = d2.sum()
     return centroids
 
 
@@ -156,8 +192,9 @@ def fit_codebook(
     improvement drops below ``tol`` or ``max_iters`` assignment passes run.
     Empty clusters are re-seeded to the point farthest from its centroid.
     Raises ``InsufficientData`` when the dataset has fewer than ``k``
-    distinct pixels, and ``ValueError`` when ``max_iters < 1`` or ``tol``
-    is negative or not finite.
+    distinct pixels, and ``ValueError`` when ``max_iters < 1``, when ``tol``
+    is negative or not finite, or when squared pixel distances overflow
+    float64 or underflow it between distinct pixels.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -204,7 +241,7 @@ def quantize(frames: LatentVideo, codebook: Codebook) -> IndexMap:
             f"video has {frames.channels} channels, codebook has {codebook.channels}"
         )
     pixels = frames.array.reshape(-1, frames.channels)
-    assign, _ = _nearest(pixels, codebook.centroids)
+    assign, _ = _nearest(pixels, codebook.centroids, distances=False)
     return IndexMap(assign.reshape(frames.array.shape[:3]))
 
 

@@ -106,6 +106,28 @@ def search_cases(draw):
     return centroids, pixels.reshape(t, h, w, c)
 
 
+@st.composite
+def scaled_search_cases(draw):
+    """``search_cases`` at magnitudes that cross the float32 overflow guard
+    of the search or reach float32 subnormals, as float32 videos, or with
+    float64 pixels less than one float32 ulp from a centroid."""
+    centroids, data = draw(search_cases())
+    scale = draw(st.sampled_from([1e-40, 2.0**-133, 1e-20, 1.0, 1e17, 1e18, 1e19, 2.0**64, 1e20, 1e30]))
+    centroids, data = centroids * scale, data * scale
+    how = draw(st.sampled_from(["float64", "float32", "sub-ulp"]))
+    if how == "float32":
+        if draw(st.booleans()):  # keeps exact centroid ties in float32
+            centroids = centroids.astype(np.float32).astype(np.float64)
+        data = data.astype(np.float32)
+    elif how == "sub-ulp":
+        pixels = data.reshape(-1, data.shape[-1])
+        for p in range(pixels.shape[0]):
+            c = centroids[draw(st.integers(0, len(centroids) - 1))]
+            ulp = np.spacing(np.abs(c).astype(np.float32)).astype(np.float64)
+            pixels[p] = c + draw(st.floats(-0.99, 0.99)) * ulp
+    return centroids, data
+
+
 # 1-D data on which the seed-215 fit empties a cluster after its first update.
 EMPTY_CLUSTER_PIXELS = np.array([0.0] + [2.4] * 9 + [3.0, 5.0, 5.8, 6.0])
 
@@ -188,6 +210,26 @@ class TestFitCodebook:
         with pytest.raises(InsufficientData, match="^need at least 4 distinct pixels to fit 4 codebook entries$"):
             fit_codebook([video_from(pixels, 2, 3, 4)], 4, seed=seed)
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "pixels,k,error,message",
+        [
+            ([1e200, -1e200, 0.0, 3e199], 2, ValueError,
+             "squared distances between pixels overflow float64"),
+            # four distinct pixels whose squared distances all underflow to 0
+            ([1e-200, 2e-200, 0.0, 3e-200], 3, ValueError,
+             "squared distances between distinct pixels underflow float64"),
+            ([1e-200, 1e-200, 0.0, -0.0], 3, InsufficientData,
+             "need at least 3 distinct pixels to fit 3 codebook entries"),
+        ],
+        ids=["overflow", "underflow", "too-few-tiny"],
+    )
+    def test_float64_extremes_name_the_cause(self, pixels, k, error, message, seed):
+        v = video_from(np.array(pixels)[:, None], 1, 2, 2)
+        with pytest.raises(error, match=f"^{message}$") as info:
+            fit_codebook([v], k, seed=seed)
+        assert type(info.value) is error
+
 
 class TestFitOracle:
     CASES = [
@@ -238,6 +280,18 @@ class TestQuantize:
     @settings(deadline=None, derandomize=True, max_examples=150)
     @given(search_cases())
     def test_matches_oracle_on_ties(self, case):
+        centroids, data = case
+        cb = Codebook(centroids)
+        v = LatentVideo(data)
+        idx = quantize(v, cb).indices.reshape(-1)
+        pixels = v.data.reshape(-1, v.channels)
+        assert [nearest_oracle(p, cb.centroids) for p in pixels] == idx.tolist()
+
+    @settings(deadline=None, derandomize=True, max_examples=300)
+    @given(scaled_search_cases())
+    def test_matches_oracle_across_float32_range(self, case):
+        # the search scores in float32; near-ties, subnormals and chunks
+        # that could overflow float32 must still get the float64 answer
         centroids, data = case
         cb = Codebook(centroids)
         v = LatentVideo(data)
