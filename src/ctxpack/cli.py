@@ -12,9 +12,8 @@ import functools
 import sys
 from pathlib import Path
 
-from . import fplt
+from . import codebook, fplt
 from .budget import segment_tokens
-from .codebook import fit_codebook, discretize_history
 from .drift import (
     DEFAULT_INITIAL_RATING,
     builtin_metrics,
@@ -134,20 +133,27 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 def cmd_codebook_fit(args: argparse.Namespace) -> int:
     videos = [fplt.read_video(p) for p in args.inputs]
-    codebook = fit_codebook(videos, args.k, args.seed, args.max_iters, args.tol)
-    fplt.write_codebook(args.output, codebook)
-    stats = codebook.fit_stats
+    fitted = codebook.fit_codebook(videos, args.k, args.seed, args.max_iters, args.tol)
+    fplt.write_codebook(args.output, fitted)
+    stats = fitted.fit_stats
     print(f"codebook {args.output}")
-    print(f"k {codebook.size}")
+    print(f"k {fitted.size}")
     print(f"iterations {stats.iterations}")
     print(f"inertia {stats.inertia!r}")
     return 0
 
 
 def cmd_quantize(args: argparse.Namespace) -> int:
-    video = fplt.read_video(args.input)
-    codebook = fplt.read_codebook(args.codebook)
-    fplt.write_video(args.output, discretize_history(video, codebook))
+    book = fplt.read_codebook(args.codebook)
+    rows = book.centroids.astype("<f4")
+    # The history streams through in runs of frames, each at most one
+    # search chunk of pixels and one score budget of float32 values, and
+    # each run's centroid rows go straight to the output file, so memory
+    # does not grow with the history's length.
+    pixels = codebook._SCORE_BYTES // (4 * max(book.size, book.channels))
+    with fplt._video_runs(args.input, pixels) as (shape, runs):
+        indices = (codebook.quantize(run, book).indices for run in runs)
+        fplt._write(args.output, shape, (rows.take(i, axis=0) for i in indices))
     print(f"quantized {args.output}")
     return 0
 

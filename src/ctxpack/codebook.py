@@ -96,8 +96,12 @@ def _nearest(
     # each), a C-term dot product in any order (C times that), rounding
     # |c|^2 and the final add. A margin is the difference of two scores,
     # so twice that; ``rel`` covers it more than twice over, and ``tiny``
-    # covers float32 underflow, where relative bounds fail. The float64
-    # error of the direct distance is far below either.
+    # covers float32 underflow, where relative bounds fail. |x|^2 is
+    # itself summed from the float32 x, so it may read low by about
+    # (C + 3) * eps32/2 of itself, and the tolerance is rounded to float32:
+    # both take far less than the slack in ``rel``. An |x|^2 that overflows
+    # float32 makes the tolerance infinite, so its row is rechecked. The
+    # float64 error of the direct distance is far below either bound.
     rel = 8 * (c + 2) * float(_F32.eps)
     floor = rel * float(c_sq.max()) + float(_F32.tiny)
     # The casts and scores stay below float32 max, with room for rounding,
@@ -113,13 +117,15 @@ def _nearest(
         r = np.arange(chunk.shape[0])
         x_max = float(np.abs(chunk).max())
         if max(x_max, c * (2 * x_max * c_max + c_max * c_max)) < limit:
-            scores = chunk.astype(np.float32, copy=False) @ neg2ct
+            x32 = chunk.astype(np.float32, copy=False)
+            tol = rel * np.einsum("ij,ij->i", x32, x32) + floor
+            scores = x32 @ neg2ct
+            del x32  # a float64 chunk's float32 copy, not held past the matmul
             scores += c_sq32
             a = scores.argmin(axis=1)
             best = scores[r, a]
             scores[r, a] = np.inf
             margin = scores[r, scores.argmin(axis=1)] - best.astype(np.float64)
-            tol = rel * np.einsum("ij,ij->i", chunk, chunk, dtype=np.float64) + floor
             recheck = np.flatnonzero(margin <= tol)  # an inf margin (K = 1) passes
         else:
             a = np.zeros(chunk.shape[0], dtype=np.int64)
@@ -143,17 +149,32 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     squared distances of distinct pixels underflow float64. That underflow
     raises ``ValueError``, as do weights that overflow float64.
     """
-    n = pixels.shape[0]
+    n, c = pixels.shape
     short = f"need at least {k} distinct pixels to fit {k} codebook entries"
     if k > n:  # before the k-row centroid array is allocated
         raise InsufficientData(short)
-    centroids = np.empty((k, pixels.shape[1]), dtype=np.float64)
+    centroids = np.empty((k, c), dtype=np.float64)
     centroids[0] = pixels[rng.integers(n)]
+    # d2 is each pixel's squared distance to its nearest seed so far. It is
+    # updated in place a chunk of rows at a time through one float64
+    # (rows, C) buffer of a quarter of the score budget, small enough to
+    # stay in cache; each row is the same reduction as
+    # ((pixels - seed) ** 2).sum(axis=1), so the seeds do not change.
+    rows = min(n, max(1, _SCORE_BYTES // (32 * c)))
+    diff, dist = np.empty((rows, c)), np.empty(rows)
+    d2 = np.full(n, np.inf)
+
+    def nearer(seed: np.ndarray) -> float:
+        for lo in range(0, n, rows):
+            part, near = diff[: n - lo], d2[lo : lo + rows]
+            np.square(np.subtract(pixels[lo : lo + rows], seed, out=part), out=part)
+            np.minimum(near, part.sum(axis=1, out=dist[: len(part)]), out=near)
+        return d2.sum()
+
     # An overflow of the first weights is raised below, by name; a later
     # one is an inf distance that np.minimum drops.
     with np.errstate(over="ignore"):
-        d2 = ((pixels - centroids[0]) ** 2).sum(axis=1)
-        total = d2.sum()
+        total = nearer(centroids[0])
         # later weights only shrink, so this one check covers them
         if total == np.inf:
             raise ValueError("squared distances between pixels overflow float64")
@@ -163,10 +184,8 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
                 if np.unique(pixels, axis=0).shape[0] < k:
                     raise InsufficientData(short)
                 raise ValueError("squared distances between distinct pixels underflow float64")
-            idx = rng.choice(n, p=d2 / total)
-            centroids[j] = pixels[idx]
-            d2 = np.minimum(d2, ((pixels - centroids[j]) ** 2).sum(axis=1))
-            total = d2.sum()
+            centroids[j] = pixels[rng.choice(n, p=d2 / total)]
+            total = nearer(centroids[j])
     return centroids
 
 

@@ -8,13 +8,12 @@ exactly 28 + 4*T*H*W*C bytes.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -29,19 +28,28 @@ _HEADER = struct.Struct("<4sII4I")
 
 
 def write_tensor(path: str | Path, array: np.ndarray, *, flags: int = 0) -> None:
-    """Write a 4-D array as FPLT atomically.
-
-    The payload is written one frame at a time: a contiguous little-endian
-    float32 frame from its own buffer, any other frame from a float32 copy
-    of that frame alone, so no copy of the whole payload is made.
-    """
+    """Write a 4-D array as FPLT atomically, one frame at a time."""
     arr = np.asarray(array)
     if arr.ndim != 4:
         raise FpltFormatError(f"tensor must be 4D (T,H,W,C), got shape {arr.shape}")
+    _write(path, arr.shape, arr, flags=flags)
+
+
+def _write(
+    path: str | Path, shape: tuple[int, ...], runs: Iterable[np.ndarray], *, flags: int = 0
+) -> None:
+    """Write an FPLT file atomically from its (T, H, W, C) ``shape`` and its
+    payload as ``runs`` of whole frames, in order.
+
+    Each run is written as it arrives: a contiguous little-endian float32
+    run from its own buffer, any other from a float32 copy of that run
+    alone, so no copy of the whole payload is made. ``runs`` may compute
+    each run as the write goes; if it raises, no file is kept.
+    """
     with _replacing(path) as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, flags, *arr.shape))
-        for frame in arr:
-            fh.write(np.ascontiguousarray(frame, "<f4"))
+        fh.write(_HEADER.pack(MAGIC, VERSION, flags, *shape))
+        for run in runs:
+            fh.write(np.ascontiguousarray(run, "<f4"))
 
 
 def write_atomic(path: str | Path, *chunks: bytes | np.ndarray) -> None:
@@ -94,14 +102,14 @@ def _header(fh: BinaryIO, path: str | Path, *, video: bool = False) -> tuple[int
 
 
 def _read_payload(
-    fh: BinaryIO, path: str | Path, shape: tuple[int, ...], piece: np.ndarray, frames: slice
+    fh: BinaryIO, path: str | Path, shape: tuple[int, ...], piece: np.ndarray, start: int
 ) -> None:
-    """Read the payload's frames ``frames`` into ``piece``, raising if the
-    file ends first. Both readers fill their array through this one step."""
+    """Read the payload's frames from ``start`` on into ``piece``, raising if
+    the file ends first. Both readers fill their arrays through this one step."""
     got = fh.readinto(piece)
     if got != piece.nbytes:
         frame_values = math.prod(shape[1:])
-        done = frames.start * frame_values + got // 4
+        done = start * frame_values + got // 4
         count = shape[0] * frame_values
         raise FpltFormatError(f"{path}: payload ended after {done} of {count} values")
 
@@ -112,7 +120,7 @@ def read_tensor(path: str | Path) -> tuple[np.ndarray, int]:
     with open(path, "rb") as fh:
         flags, shape = _header(fh, path)
         payload = np.empty(shape, "<f4")
-        _read_payload(fh, path, shape, payload, slice(0, shape[0]))
+        _read_payload(fh, path, shape, payload, 0)
     return payload, flags
 
 
@@ -130,8 +138,39 @@ def read_video(path: str | Path) -> LatentVideo:
     """
     with open(path, "rb") as fh:
         _, shape = _header(fh, path, video=True)
-        read = functools.partial(_read_payload, fh, path, shape)
-        return LatentVideo._filled(shape, np.dtype("<f4"), read)
+        return _snapshot(fh, path, shape, 0, shape[0])
+
+
+@contextmanager
+def _video_runs(
+    path: str | Path, pixels: int
+) -> Iterator[tuple[tuple[int, ...], Iterator[LatentVideo]]]:
+    """A latent video's (T, H, W, C), checked as ``read_video`` checks it
+    before any payload is read, and its frames as consecutive snapshots,
+    each of as many whole frames as ``pixels`` pixels hold (at least one),
+    read and checked as ``read_video`` reads and checks the whole. A video
+    of no frames is one empty run, so it meets the same shape checks."""
+    with open(path, "rb") as fh:
+        _, shape = _header(fh, path, video=True)
+        frames = shape[0]
+        # a frame of no pixels fails the first run's shape check
+        step = max(1, pixels // max(1, shape[1] * shape[2]))
+        yield shape, (
+            _snapshot(fh, path, shape, t, min(step, frames - t))
+            for t in range(0, max(frames, 1), step)
+        )
+
+
+def _snapshot(
+    fh: BinaryIO, path: str | Path, shape: tuple[int, ...], start: int, count: int
+) -> LatentVideo:
+    """The ``count`` frames from ``start`` on of the video whose payload
+    ``fh`` reads next, as a video over a new checked float32 array."""
+
+    def read(piece: np.ndarray, frames: slice) -> None:
+        _read_payload(fh, path, shape, piece, start + frames.start)
+
+    return LatentVideo._filled((count, *shape[1:]), np.dtype("<f4"), read)
 
 
 def write_codebook(path: str | Path, codebook: Codebook) -> None:

@@ -1,13 +1,26 @@
 import os
 import sys
+import tracemalloc
 from hashlib import sha256
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ctxpack import cli
+from ctxpack import cli, codebook
 from ctxpack.cli import build_parser, main
-from ctxpack.fplt import read_codebook, read_tensor, read_video, write_video
+from ctxpack.codebook import Codebook, discretize_history
+from ctxpack.fplt import (
+    read_codebook,
+    read_tensor,
+    read_video,
+    write_codebook,
+    write_tensor,
+    write_video,
+)
 from ctxpack.packing import LatentVideo
 from ctxpack.schedule import parse_schedule
 from packing_oracle import apply_schedule_oracle, pack_outputs_oracle
@@ -416,6 +429,96 @@ class TestCodebookCommands:
         assert rc == 3
         assert capsys.readouterr().err.startswith("ctxpack: ")
         assert not out.exists()
+
+
+# The nearest-centroid search scores in float32 only while max|x| and
+# C * (2 max|x| max|c| + max|c|^2) stay below this.
+GUARD = float(np.finfo(np.float32).max) / 4
+
+
+@st.composite
+def stream_cases(draw):
+    """A float32 history and codebook, and a score budget that cuts the
+    history into runs of one to three frames. Values are at unit scale, at
+    scales where the search's overflow guard passes some runs and fails
+    others, or large beside an all-zero codebook, where |x|^2 overflows
+    float32 and the guard passes."""
+    k, c = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    t = draw(st.sampled_from([0, 1]) | st.integers(2, 7))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    # with |x| and |c| at most s, C * (2 s s + s s) reaches the guard
+    s = (GUARD / (3 * c)) ** 0.5
+    scales = [(4, 4), (s / 2, s / 2), (s, s), (2 * s, 2 * s), (0, GUARD), (0, 1.9 * GUARD)]
+    centroid_scale, pixel_scale = draw(st.sampled_from(scales))
+    unit = st.floats(-1, 1, width=32)
+    centroids = draw(arrays(np.float32, (k, c), elements=unit)) * np.float32(centroid_scale)
+    frames = draw(arrays(np.float32, (t, h, w, c), elements=unit)) * np.float32(pixel_scale)
+    pixels = frames.reshape(-1, c)
+    for p in range(pixels.shape[0]):
+        if draw(st.booleans()):  # an exact tie when centroids repeat
+            pixels[p] = centroids[draw(st.integers(0, k - 1))]
+    # a run holds at most _SCORE_BYTES / (4 * max(K, C)) pixels
+    run = draw(st.integers(1, 3))
+    return centroids, frames, run * h * w * 4 * max(k, c)
+
+
+class TestQuantizeStream:
+    @settings(max_examples=150)
+    @given(stream_cases())
+    def test_matches_whole_history_path(self, tmp_path_factory, case):
+        centroids, frames, score_bytes = case
+        root = tmp_path_factory.mktemp("stream")
+        video, book, out, want = (root / n for n in ("v.fplt", "cb.fplt", "o.fplt", "w.fplt"))
+        write_tensor(video, frames)
+        write_codebook(book, Codebook(centroids))
+        write_video(want, discretize_history(read_video(video), read_codebook(book)))
+        with mock.patch.object(codebook, "_SCORE_BYTES", score_bytes):
+            assert main(["quantize", str(video), "--codebook", str(book), "-o", str(out)]) == 0
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_peak_does_not_grow_with_history(self, tmp_path):
+        # with K = 128 a run holds 8,192 pixels, 32 frames of 16x16, so the
+        # long history is 20 runs; holding it whole, as indices or as
+        # float64 rows would peak at many times the one-run quantize
+        book = tmp_path / "cb.fplt"
+        write_codebook(book, Codebook(rng(40).normal(size=(128, 16))))
+        argvs = []
+        for frames in (32, 640):
+            path = tmp_path / f"h{frames}.fplt"
+            write_tensor(path, rng(frames).normal(size=(frames, 16, 16, 16)).astype(np.float32))
+            argvs.append(["quantize", str(path), "--codebook", str(book), "-o", str(tmp_path / "o")])
+        assert main(argvs[0]) == 0  # builds the parser before anything is measured
+        peaks = []
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "flags, shape, extra, message",
+        [
+            (1, (1, 2, 2, 2), b"", "holds a codebook, not a latent video"),
+            (0, (3, 2, 2, 3), b"", "video has 3 channels, codebook has 2"),
+            (0, (0, 2, 2, 3), b"", "video has 3 channels, codebook has 2"),
+            (0, (3, 2, 2, 2), b"\0", "expected 124 bytes, found 125"),
+            (0, (3, 0, 2, 2), b"", "H, W, C must all be >= 1, got shape (3, 0, 2, 2)"),
+        ],
+    )
+    def test_rejected_input_keeps_no_output(self, tmp_path, capsys, flags, shape, extra, message):
+        video, book = tmp_path / "v.fplt", tmp_path / "cb.fplt"
+        write_tensor(video, np.ones(shape, dtype=np.float32), flags=flags)
+        video.write_bytes(video.read_bytes() + extra)
+        write_codebook(book, Codebook(np.eye(2)))
+        argv = ["quantize", str(video), "--codebook", str(book), "-o", str(tmp_path / "o.fplt")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.endswith(f"{message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "v.fplt"]
 
 
 class TestDriftCommand:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxpack import codebook as codebook_module
 from ctxpack import fplt
 from ctxpack.cli import main
 from ctxpack.codebook import Codebook
@@ -267,7 +268,11 @@ class TestReadVideo:
             ["quantize", "{video}", "--codebook", "{codebook}", "-o", "{out}"],
         ],
     )
-    def test_non_finite_exits_3(self, tmp_path, capsys, command):
+    def test_non_finite_exits_3(self, tmp_path, capsys, monkeypatch, command):
+        # quantize reads one frame per run here (a run holds at most
+        # _SCORE_BYTES / (4 * max(K, C)) pixels), so the NaN lies in the
+        # last of three runs, after two have gone to the output's temp file
+        monkeypatch.setattr(codebook_module, "_SCORE_BYTES", 4 * 2 * 16)
         arr = rng(8).normal(size=(3, 4, 4, 2)).astype(np.float32)
         arr[-1, 3, 3, 1] = np.nan
         video, codebook, out = tmp_path / "v.fplt", tmp_path / "cb.fplt", tmp_path / "o.fplt"
@@ -276,7 +281,7 @@ class TestReadVideo:
         names = {"video": video, "codebook": codebook, "out": out}
         assert main([part.format(**names) for part in command]) == 3
         assert "only finite values" in capsys.readouterr().err
-        assert not out.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "v.fplt"]
 
     def test_codebook_rejected_before_payload(self, tmp_path):
         # the payload holds a NaN, so only a check made before reading it
@@ -296,18 +301,32 @@ class TestReadVideo:
         with pytest.raises(ValueError, match=message):
             LatentVideo(read_tensor(path)[0])
 
-    def test_payload_shorter_than_its_size_check(self, tmp_path, monkeypatch):
+    def test_payload_shorter_than_its_size_check(self, tmp_path, capsys, monkeypatch):
         # a file that shrinks between the size check and the read
         arr = rng(9).normal(size=(40, 16, 16, 8)).astype(np.float32)
         path = tmp_path / "v.fplt"
         write_tensor(path, arr)
         path.write_bytes(path.read_bytes()[: 28 + 4 * 2048 * 33 + 8])
-        monkeypatch.setattr(fplt.os, "fstat", lambda fd: SimpleNamespace(st_size=28 + arr.nbytes))
+        # with K = 128, quantize reads runs of 8,192 pixels, 32 frames
+        # here, so the file ends in the second and last run
+        assert codebook_module._SCORE_BYTES // (4 * 128) == 32 * 16 * 16
+        codebook, out = tmp_path / "cb.fplt", tmp_path / "o.fplt"
+        write_codebook(codebook, Codebook(rng(10).normal(size=(128, 8))))
+        fstat, short = os.fstat, path.stat().st_size
+
+        def claimed(fd):
+            real = fstat(fd)
+            return SimpleNamespace(st_size=28 + arr.nbytes) if real.st_size == short else real
+
+        monkeypatch.setattr(fplt.os, "fstat", claimed)
         message = f"payload ended after {2048 * 33 + 2} of {arr.size} values$"
         with pytest.raises(FpltFormatError, match=message):
             read_video(path)
         with pytest.raises(FpltFormatError, match=message):
             read_tensor(path)
+        assert main(["quantize", str(path), "--codebook", str(codebook), "-o", str(out)]) == 3
+        assert re.search(message, capsys.readouterr().err)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "v.fplt"]
 
 
 @st.composite
