@@ -23,7 +23,7 @@ from .drift import (
     tournament,
 )
 from .errors import IndivisibleDims, PlanError, ScheduleError, UnsupportedKernel
-from .packing import apply_schedule
+from .packing import PackedContext, _reach, apply_schedule
 from .planner import (
     plan_endpoint,
     plan_inverted,
@@ -100,14 +100,26 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_pack(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
-    video = fplt.read_video(args.input)
+    # read only the frames the schedule packs: a td tail is never read
+    total, video = fplt._read_frames(args.input, functools.partial(_reach, schedule))
     context = apply_schedule(
-        video, schedule, pad_history=args.pad_history, pad_spatial=args.pad_spatial
+        video, schedule, pad_history=args.pad_history, pad_spatial=args.pad_spatial, _total=total
     )
-    features = context.features
-    fplt.write_tensor(args.output, features.reshape(1, 1, *features.shape))
+    sidecar = _write_packed(context, args.output, args.provenance)
+    print(f"budget {context.budget}")
+    print(f"tokens {args.output}")
+    print(f"provenance {sidecar}")
+    return 0
 
-    sidecar = Path(args.provenance or f"{args.output}.prov")
+
+def _write_packed(context: PackedContext, output: str, provenance: str | None) -> Path:
+    """Write a packed context's features to ``output`` and its provenance
+    to ``provenance`` (default ``<output>.prov``); return the sidecar's path."""
+    features = context.features
+    fplt.write_tensor(output, features.reshape(1, 1, *features.shape))
+
+    sidecar = Path(provenance or f"{output}.prov")
+    schedule = context.schedule
     lines = [
         f"schedule {schedule.name}",
         f"budget {context.budget}",
@@ -125,10 +137,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
                 lines.append(f"token {i} {span} cell={r},{c} {phase},{row},{col}")
                 i += 1
     fplt.write_atomic(sidecar, ("\n".join(lines) + "\n").encode())
-    print(f"budget {context.budget}")
-    print(f"tokens {args.output}")
-    print(f"provenance {sidecar}")
-    return 0
+    return sidecar
 
 
 def cmd_codebook_fit(args: argparse.Namespace) -> int:

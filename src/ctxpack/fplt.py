@@ -13,13 +13,13 @@ import os
 import struct
 from contextlib import contextmanager
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
 from .codebook import Codebook
 from .errors import FpltFormatError
-from .packing import LatentVideo
+from .packing import LatentVideo, _check_shape
 
 MAGIC = b"FPLT"
 VERSION = 1
@@ -83,12 +83,14 @@ def _replacing(path: str | Path) -> Iterator[BinaryIO]:
 def _header(fh: BinaryIO, path: str | Path, *, video: bool = False) -> tuple[int, tuple[int, ...]]:
     """Flags and (T, H, W, C) of an open file, checked before any payload
     is read: magic, version, the file's size against the header and, for
-    a video, the codebook flag."""
+    a video, the codebook flag and then the shape, as ``LatentVideo``
+    checks it, so a read of some frames names the whole file's shape."""
     size = os.fstat(fh.fileno()).st_size
     head = fh.read(_HEADER.size)
     if len(head) < _HEADER.size:
         raise FpltFormatError(f"{path}: truncated header ({size} bytes)")
-    magic, version, flags, *shape = _HEADER.unpack(head)
+    magic, version, flags, *dims = _HEADER.unpack(head)
+    shape = tuple(dims)
     if magic != MAGIC:
         raise FpltFormatError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
@@ -96,9 +98,11 @@ def _header(fh: BinaryIO, path: str | Path, *, video: bool = False) -> tuple[int
     expected = _HEADER.size + 4 * math.prod(shape)
     if size != expected:
         raise FpltFormatError(f"{path}: expected {expected} bytes, found {size}")
-    if video and flags & FLAG_CODEBOOK:
-        raise FpltFormatError(f"{path}: holds a codebook, not a latent video")
-    return flags, tuple(shape)
+    if video:
+        if flags & FLAG_CODEBOOK:
+            raise FpltFormatError(f"{path}: holds a codebook, not a latent video")
+        _check_shape(shape)
+    return flags, shape
 
 
 def _read_payload(
@@ -136,9 +140,21 @@ def read_video(path: str | Path) -> LatentVideo:
     checked for finiteness as it arrives. A NaN or infinite value raises
     ``ValueError``, as ``LatentVideo`` does.
     """
+    return _read_frames(path, lambda total: (0, total))[1]
+
+
+def _read_frames(
+    path: str | Path, reach: Callable[[int], tuple[int, int]]
+) -> tuple[int, LatentVideo]:
+    """A latent video's frame count T and its frames ``start .. stop``,
+    where ``(start, stop) = reach(T)``, read and checked as ``read_video``
+    reads and checks the whole, after the same header check. Only the
+    range's bytes are read: the read starts at the range's first frame."""
     with open(path, "rb") as fh:
         _, shape = _header(fh, path, video=True)
-        return _snapshot(fh, path, shape, 0, shape[0])
+        start, stop = reach(shape[0])
+        fh.seek(_HEADER.size + 4 * start * math.prod(shape[1:]))
+        return shape[0], _snapshot(fh, path, shape, start, stop - start)
 
 
 @contextmanager
@@ -149,12 +165,11 @@ def _video_runs(
     before any payload is read, and its frames as consecutive snapshots,
     each of as many whole frames as ``pixels`` pixels hold (at least one),
     read and checked as ``read_video`` reads and checks the whole. A video
-    of no frames is one empty run, so it meets the same shape checks."""
+    of no frames is one empty run, so what checks each run still runs."""
     with open(path, "rb") as fh:
         _, shape = _header(fh, path, video=True)
         frames = shape[0]
-        # a frame of no pixels fails the first run's shape check
-        step = max(1, pixels // max(1, shape[1] * shape[2]))
+        step = max(1, pixels // (shape[1] * shape[2]))
         yield shape, (
             _snapshot(fh, path, shape, t, min(step, frames - t))
             for t in range(0, max(frames, 1), step)

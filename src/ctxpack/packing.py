@@ -29,7 +29,7 @@ from .errors import (
     ShortHistory,
     UnsupportedKernel,
 )
-from .planner import bind_backward, bind_forward
+from .planner import Span, bind_backward, bind_forward
 from .schedule import (
     BASE_KERNEL,
     Frames,
@@ -51,6 +51,14 @@ LEARNED_KERNELS = (
 )
 
 
+def _check_shape(shape: tuple[int, ...]) -> None:
+    """Raise ``ValueError`` unless ``shape`` is a latent video's (T, H, W, C)."""
+    if len(shape) != 4:
+        raise ValueError(f"latent video must be 4D (T,H,W,C), got shape {shape}")
+    if min(shape[1:]) < 1:
+        raise ValueError(f"H, W, C must all be >= 1, got shape {shape}")
+
+
 def _fill_checked(
     shape: tuple[int, ...], dtype: np.dtype | type, fill: Callable[[np.ndarray, slice], None]
 ) -> np.ndarray:
@@ -60,10 +68,7 @@ def _fill_checked(
     about ``_CHECK_BYTES`` long, and is checked for finiteness as soon as
     it is filled, while it is still in cache.
     """
-    if len(shape) != 4:
-        raise ValueError(f"latent video must be 4D (T,H,W,C), got shape {shape}")
-    if min(shape[1:]) < 1:
-        raise ValueError(f"H, W, C must all be >= 1, got shape {shape}")
+    _check_shape(shape)
     arr = np.empty(shape, dtype)
     step = max(1, _CHECK_BYTES // (arr.itemsize * math.prod(shape[1:])))
     for t in range(0, shape[0], step):
@@ -326,12 +331,44 @@ def _block(
     return PackedBlock(time_span, kernel, _centre(time_span), rows, cols, grid)
 
 
+def _bind(
+    schedule: PackingSchedule, total: int
+) -> tuple[list[Span], list[Span], int, tuple[int, int]]:
+    """Bind a schedule's entries to a ``total``-frame history as the
+    planner's ``INPUTS`` do: the entries before the generated section end
+    where those after it begin, and each side fills from that point
+    outward. Returns the spans of the entries before and after the
+    generated section, the frame where they meet, and the bound range."""
+    pre = schedule.entries_before_generate
+    post = schedule.entries_after_generate
+    if schedule.tail_at_start:
+        middle = max(0, total - sum(e.count for e in post))
+    else:
+        middle = min(sum(e.count for e in pre), total)
+    pre_spans = [b.span for b in bind_backward(pre, middle)]
+    post_spans = [b.span for b in bind_forward(post, middle, total)]
+    lo = pre_spans[0].start if pre_spans else middle
+    hi = post_spans[-1].stop if post_spans else middle
+    return pre_spans, post_spans, middle, (lo, hi)
+
+
+def _reach(schedule: PackingSchedule, total: int) -> tuple[int, int]:
+    """The frames ``(start, stop)`` that packing a ``total``-frame history
+    under ``schedule`` reads: the bound range when a ``td`` tail deletes
+    the frames outside it, and every frame otherwise."""
+    tail = schedule.tail
+    if tail and tail.mode is TailMode.DELETE:
+        return _bind(schedule, total)[3]
+    return 0, total
+
+
 def apply_schedule(
     history: LatentVideo,
     schedule: PackingSchedule,
     *,
     pad_history: bool = False,
     pad_spatial: bool = False,
+    _total: int | None = None,
 ) -> PackedContext:
     """Pack a concrete history under a schedule.
 
@@ -346,6 +383,9 @@ def apply_schedule(
     tail sits at the end needs an entry after the generated section, and
     a ``+D`` schedule must be quantized first; either raises
     ``InvalidSchedule``.
+
+    Given ``_total``, the history holds only the frames ``_reach(schedule,
+    _total)`` of a ``_total``-frame history, which is packed as a whole.
     """
     h, w, channels = history.height, history.width, history.channels
     data = history.array
@@ -367,20 +407,16 @@ def apply_schedule(
         resolve_kernel(entry.kernel)
     cap_pre = sum(e.count for e in pre)
     cap_post = sum(e.count for e in post)
-    total = history.frame_count
+    total, first = history.frame_count, 0
+    if _total is not None:
+        first, stop = _reach(schedule, _total)
+        if stop - first != total:
+            raise ValueError(f"history of {total} frames is not frames {first}..{stop}")
+        total = _total
 
-    if schedule.tail_at_start:
-        middle = max(0, total - cap_post)
-    else:
-        middle = min(cap_pre, total)
-    pre_spans = [b.span for b in bind_backward(pre, middle)]
-    post_spans = [b.span for b in bind_forward(post, middle, total)]
-    lo = pre_spans[0].start if pre_spans else middle
-    hi = post_spans[-1].stop if post_spans else middle
-
+    pre_spans, post_spans, middle, (lo, hi) = _bind(schedule, total)
     # the bound range starts at frame 0 unless the tail comes first
-    tail_block = data[:lo] if schedule.tail_at_start else data[hi:]
-    n_tail = tail_block.shape[0]
+    n_tail = lo if schedule.tail_at_start else total - hi
     if n_tail and schedule.tail is None:
         raise ExcessHistory(
             f"history of {total} frames exceeds schedule capacity "
@@ -402,18 +438,21 @@ def apply_schedule(
     for seg in schedule.segments:
         if isinstance(seg, Tail):
             tail_span = (cursor, cursor + n_tail)
-            if n_tail and seg.mode is TailMode.APPEND:
-                # one grid per frame, pooled by the tail kernel's clipped windows
-                grids = _pool_block(tail_block, TAIL_KERNEL, pad_spatial=True, clipped=True)
-                for t, grid in enumerate(grids, cursor):
-                    blocks.append(_block(grid, TAIL_KERNEL, (t, t + 1), (h, w)))
-            elif n_tail and seg.mode is TailMode.COMPRESS:
-                # the tail's mean frame, pooled by the coarsest kernel, spans the tail
-                kernel = schedule.coarsest_kernel
-                (grid,) = _pool_block(
-                    tail_block.mean(axis=0, keepdims=True, dtype=np.float64), kernel, pad_spatial
-                )
-                blocks.append(_block(grid, kernel, tail_span))
+            # a td tail keeps its place on the timeline but is never read
+            if n_tail and seg.mode is not TailMode.DELETE:
+                # a ta or tc history is whole, so the tail is a slice of it
+                tail_block = data[:lo] if schedule.tail_at_start else data[hi:]
+                if seg.mode is TailMode.APPEND:
+                    # one grid per frame, pooled by the tail kernel's clipped windows
+                    grids = _pool_block(tail_block, TAIL_KERNEL, pad_spatial=True, clipped=True)
+                    for t, grid in enumerate(grids, cursor):
+                        blocks.append(_block(grid, TAIL_KERNEL, (t, t + 1), (h, w)))
+                else:
+                    # the tail's mean frame, pooled by the coarsest kernel, spans the tail
+                    kernel = schedule.coarsest_kernel
+                    mean = tail_block.mean(axis=0, keepdims=True, dtype=np.float64)
+                    (grid,) = _pool_block(mean, kernel, pad_spatial)
+                    blocks.append(_block(grid, kernel, tail_span))
             cursor += n_tail
         elif isinstance(seg, Generate):
             generate_span = (cursor, cursor + seg.count)
@@ -428,16 +467,17 @@ def apply_schedule(
                 raise IndivisibleDims(
                     f"entry of {seg.count} frames is not divisible by kernel step {p_f}"
                 )
-            frames = data[span.start : span.stop]
+            start, stop = span.start - first, span.stop - first
+            frames = data[start:stop]
             short = seg.count - span.length
             if short or seg.count % p_f:
                 # a short entry fills with its side's outermost bound frame,
                 # then rounds up to whole kernel steps with its newest
-                idx = list(range(span.start, span.stop))
+                idx = list(range(start, stop))
                 if generate_span:
-                    idx += [span.stop - 1] * short
+                    idx += [stop - 1] * short
                 else:
-                    idx = [span.start] * short + idx
+                    idx = [start] * short + idx
                 idx += idx[-1:] * (-seg.count % p_f)
                 frames = data[idx]
             for grid in _pool_block(frames, seg.kernel, pad_spatial):

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import os
 import sys
 import tracemalloc
 from hashlib import sha256
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctxpack import cli, codebook
+from ctxpack import cli, codebook, fplt
 from ctxpack.cli import build_parser, main
 from ctxpack.codebook import Codebook, discretize_history
 from ctxpack.fplt import (
@@ -21,7 +24,7 @@ from ctxpack.fplt import (
     write_tensor,
     write_video,
 )
-from ctxpack.packing import LatentVideo
+from ctxpack.packing import LatentVideo, apply_schedule
 from ctxpack.schedule import parse_schedule
 from packing_oracle import apply_schedule_oracle, pack_outputs_oracle
 
@@ -374,6 +377,145 @@ class TestPackCommand:
         after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert after.keys() == before.keys()
         assert after[failing] == before[failing]
+
+
+# td, ta and tc tails at the start and at the end (two inverted), no tail
+# (a full one, and one whose excess history raises), entries of a count
+# their kernel step does not divide, and the bench's own schedule
+PACK_NAMES = [
+    "td_f4k2f1k1_g2",
+    "ta_f4k2f1k1_g2",
+    "tc_f4k2f1k1_g2",
+    "td_f3k2_g1",
+    "f1k1_g2_f1k1f2k2_td",
+    "f1k1_x_g3_f1k1f4k2_td",
+    "f1k1_x_g3_f1k1f4k2_ta",
+    "f1k1_g2_f1k1f2k2_tc",
+    "f4k2f1k1_g2",
+    "f1k1_g2_f2k2",
+    "td_f16k4f2k2f1k1_g9",
+]
+
+
+@st.composite
+def pack_cases(draw):
+    """A schedule, a float32 history of 0-40 small frames and both pad flags.
+    Half the histories have at most 6 frames, so short entries are drawn."""
+    name = draw(st.sampled_from(PACK_NAMES))
+    frames = draw(st.integers(0, 6) | st.integers(0, 40))
+    shape = (frames, *(draw(st.integers(1, n)) for n in (9, 9, 3)))
+    frames = rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape).astype(np.float32)
+    flags = [f for f in ("--pad-history", "--pad-spatial") if draw(st.booleans())]
+    return name, frames, flags
+
+
+def pack_run(argv):
+    """Exit code and stderr of one ``main`` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestPackReadsBoundFrames:
+    @settings(max_examples=300, deadline=None)
+    @given(pack_cases())
+    def test_matches_whole_history_path(self, tmp_path_factory, case):
+        name, frames, flags = case
+        root = tmp_path_factory.mktemp("pack")
+        video, out, want = root / "v.fplt", root / "o.fplt", root / "w.fplt"
+        write_tensor(video, frames)
+        try:
+            context = apply_schedule(
+                read_video(video),
+                parse_schedule(name),
+                pad_history="--pad-history" in flags,
+                pad_spatial="--pad-spatial" in flags,
+            )
+        except cli.USAGE_ERRORS as exc:
+            expected = 2, f"ctxpack: {exc}\n"
+        except ValueError as exc:
+            expected = 3, f"ctxpack: {exc}\n"
+        else:
+            cli._write_packed(context, str(want), None)
+            expected = 0, ""
+        assert pack_run(["pack", name, str(video), "-o", str(out), *flags]) == expected
+        if expected[0] == 0:
+            assert out.read_bytes() == want.read_bytes()
+            assert (root / "o.fplt.prov").read_bytes() == (root / "w.fplt.prov").read_bytes()
+        else:
+            assert sorted(p.name for p in root.iterdir()) == ["v.fplt"]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "name, frame",
+        [
+            # of 40 frames, the first binds frames 21..40, the second 0..20
+            ("td_f16k4f2k2f1k1_g9", 0),
+            ("td_f16k4f2k2f1k1_g9", 20),
+            ("f1k1_x_g9_f1k1f2k2f16k4_td", 20),
+            ("f1k1_x_g9_f1k1f2k2f16k4_td", 39),
+        ],
+    )
+    def test_non_finite_deleted_frame_is_not_read(self, tmp_path, name, frame, bad):
+        arr = rng(11).normal(size=(40, 8, 8, 2)).astype(np.float32)
+        finite, broken = tmp_path / "finite.fplt", tmp_path / "broken.fplt"
+        write_tensor(finite, arr)
+        arr[frame, 7, 7, 1] = bad
+        write_tensor(broken, arr)
+        outputs = []
+        for video in (finite, broken):
+            out = tmp_path / f"{video.stem}.out"
+            assert pack_run(["pack", name, str(video), "-o", str(out), "--pad-spatial"]) == (0, "")
+            outputs.append((out.read_bytes(), Path(f"{out}.prov").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_peak_does_not_grow_with_history(self, tmp_path):
+        # a td pack of 200 frames reads the 19 that a 19-frame pack reads;
+        # reading all 200 32 KiB frames would peak at many times that
+        argvs = []
+        for frames in (19, 200):
+            path = tmp_path / f"h{frames}.fplt"
+            write_tensor(path, rng(frames).normal(size=(frames, 32, 32, 8)).astype(np.float32))
+            argvs.append(["pack", "td_f16k4f2k2f1k1_g9", str(path), "-o", str(tmp_path / "o")])
+        assert pack_run(argvs[0])[0] == 0  # builds the parser before anything is measured
+        peaks = []
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert pack_run(argv)[0] == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "flags, shape, extra, message",
+        [
+            (1, (40, 8, 8, 2), b"", "holds a codebook, not a latent video"),
+            (0, (40, 8, 8, 2), b"\0", "expected 20508 bytes, found 20509"),
+            (0, (40, 0, 8, 2), b"", "H, W, C must all be >= 1, got shape (40, 0, 8, 2)"),
+            (0, (40, 8, 8, 0), b"", "H, W, C must all be >= 1, got shape (40, 8, 8, 0)"),
+        ],
+    )
+    def test_rejected_file_fails_before_payload(
+        self, tmp_path, monkeypatch, flags, shape, extra, message
+    ):
+        # the td pack would read frames 21..40; the file's own shape is named
+        def no_read(*args):
+            raise AssertionError("payload read")
+
+        video = tmp_path / "v.fplt"
+        write_tensor(video, np.ones(shape, dtype=np.float32), flags=flags)
+        video.write_bytes(video.read_bytes() + extra)
+        monkeypatch.setattr(fplt, "_read_payload", no_read)
+        argv = ["pack", "td_f16k4f2k2f1k1_g9", str(video), "-o", str(tmp_path / "o.fplt")]
+        code, err = pack_run(argv)
+        assert code == 3
+        assert err.endswith(f"{message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.fplt"]
 
 
 class TestCodebookCommands:

@@ -266,6 +266,9 @@ class TestReadVideo:
             ["pack", "td_f1k1_g1", "{video}", "-o", "{out}"],
             ["drift", "{video}"],
             ["quantize", "{video}", "--codebook", "{codebook}", "-o", "{out}"],
+            # the NaN frame is these schedules' tail, which is read
+            ["pack", "f1k1_x_g1_f1k1_ta", "{video}", "-o", "{out}"],
+            ["pack", "f1k1_x_g1_f1k1_tc", "{video}", "-o", "{out}"],
         ],
     )
     def test_non_finite_exits_3(self, tmp_path, capsys, monkeypatch, command):
@@ -325,6 +328,10 @@ class TestReadVideo:
         with pytest.raises(FpltFormatError, match=message):
             read_tensor(path)
         assert main(["quantize", str(path), "--codebook", str(codebook), "-o", str(out)]) == 3
+        assert re.search(message, capsys.readouterr().err)
+        # a td pack reads frames 21..40 from the 21st frame on; the file ends
+        # inside them, and the count still runs from frame 0
+        assert main(["pack", "td_f16k4f2k2f1k1_g9", str(path), "-o", str(out)]) == 3
         assert re.search(message, capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "v.fplt"]
 

@@ -17,6 +17,7 @@ from ctxpack.packing import (
     KernelResolution,
     LatentVideo,
     _pool_block,
+    _reach,
     apply_schedule,
     resolve_kernel,
 )
@@ -520,6 +521,28 @@ class TestApplySchedule:
             apply_schedule(video(3), s)
         ctx = apply_schedule(video(3), s, pad_history=True)
         assert ctx.budget == tokens_for_schedule(s, 64, 64, 0, pad=True)
+
+    @pytest.mark.parametrize(
+        "name, reach",
+        [
+            ("td_f16k4f2k2f1k1_g9", (41, 60)),
+            ("f1k1_x_g9_f1k1f2k2f16k4_td", (0, 20)),
+            ("ta_f16k4f2k2f1k1_g9", (0, 60)),
+            ("f1k1_x_g9_f1k1f2k2f16k4_tc", (0, 60)),
+        ],
+    )
+    def test_reached_frames_pack_as_the_whole_history(self, name, reach):
+        s = parse_schedule(name)
+        assert _reach(s, 60) == reach
+        whole = video(60, 8, 8, 2, seed=4)
+        part = LatentVideo(whole.array[slice(*reach)])
+        got = apply_schedule(part, s, _total=60)
+        want = apply_schedule(whole, s)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert [b.time_span for b in got.blocks] == [b.time_span for b in want.blocks]
+        assert got.tail_span == want.tail_span
+        with pytest.raises(ValueError, match="history of 60 frames is not frames"):
+            apply_schedule(whole, s, _total=61)
 
 
 class TestSymmetricSchedule:
