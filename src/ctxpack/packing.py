@@ -334,11 +334,10 @@ def _block(
 def _bind(
     schedule: PackingSchedule, total: int
 ) -> tuple[list[Span], list[Span], int, tuple[int, int]]:
-    """Bind a schedule's entries to a ``total``-frame history as the
-    planner's ``INPUTS`` do: the entries before the generated section end
-    where those after it begin, and each side fills from that point
-    outward. Returns the spans of the entries before and after the
-    generated section, the frame where they meet, and the bound range."""
+    """The frames a ``total``-frame history binds, by the rule
+    ``apply_schedule`` states: the spans of the entries before and after
+    the generated section, the frame where the two sides meet, and the
+    bound range ``(lo, hi)``."""
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
     if schedule.tail_at_start:
