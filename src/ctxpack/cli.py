@@ -126,16 +126,23 @@ def _write_packed(context: PackedContext, output: str, provenance: str | None) -
         f"generate_span {context.generate_span[0]}..{context.generate_span[1]}",
         f"tail_frames {context.tail_frame_count}",
     ]
+    # the text of each cell around its time phase, formatted once for each
+    # block geometry: blocks of one kernel over one extent share it
+    cells: dict[tuple, list[tuple[str, str]]] = {}
     i = 0
     for block in context.blocks:
+        key = (block.kernel, block.row_phases, block.col_phases)
+        if (text := cells.get(key)) is None:
+            kernel = block.kernel.token
+            text = cells[key] = [
+                (f"cell={r},{c} kernel={kernel} phase=", f",{row!r},{col!r}")
+                for r, row in enumerate(block.row_phases)
+                for c, col in enumerate(block.col_phases)
+            ]
         span = f"span={block.time_span[0]}..{block.time_span[1]}"
-        phase = f"kernel={block.kernel.token} phase={block.time_phase!r}"
-        cols = [(c, repr(col)) for c, col in enumerate(block.col_phases)]
-        for r, row_phase in enumerate(block.row_phases):
-            row = repr(row_phase)
-            for c, col in cols:
-                lines.append(f"token {i} {span} cell={r},{c} {phase},{row},{col}")
-                i += 1
+        phase = repr(block.time_phase)
+        lines += [f"token {t} {span} {a}{phase}{b}" for t, (a, b) in enumerate(text, i)]
+        i += len(text)
     fplt.write_atomic(sidecar, ("\n".join(lines) + "\n").encode())
     return sidecar
 

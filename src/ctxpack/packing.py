@@ -250,9 +250,12 @@ def _pool_block(
     into a read-only (T // p_f, H', W', C) float64 stack of grids.
 
     A window's float64 sum is divided by a whole window's pixel count (the
-    zero-padded mean), or, if ``clipped``, by the pixels it holds. Only a
-    one-channel block is copied, whole groups of about ``_CHECK_BYTES`` at
-    a time.
+    zero-padded mean), or, if ``clipped``, by the pixels it holds. With two
+    or more channels the sum adds the window's pixels one at a time in
+    memory order (frame, row, column), starting from +0.0, as
+    ``sum(axis=(1, 3, 5), dtype=np.float64)`` of the windowed block does;
+    ``_window_sums`` keeps that order. A one-channel block is copied, whole
+    groups of about ``_CHECK_BYTES`` at a time, and its sums are numpy's.
     """
     t, h, w, c = block.shape
     p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
@@ -278,7 +281,9 @@ def _pool_block(
             part = block[:, r0:r1, c0:c1].reshape(-1, p_f, out.shape[1], dh, out.shape[2], dw, c)
             # numpy starts every sum at +0.0, so a clipped window of -0.0
             # sums to +0.0, as its zero-padded form does
-            if clipped and c == 1:
+            if c > 1:
+                _window_sums(part, out)
+            elif clipped:
                 # numpy sums a one-channel window slice as one pairwise run
                 # over its pixels, not row by row as it sums this reshape
                 runs = np.ascontiguousarray(part.transpose(0, 2, 4, 6, 1, 3, 5), np.float64)
@@ -291,6 +296,56 @@ def _pool_block(
         grids /= p_f * p_h * p_w
     grids.setflags(write=False)
     return grids
+
+
+def _window_sums(part: np.ndarray, out: np.ndarray) -> None:
+    """Write the float64 sum of each window of ``part``, a (G, p_f, R, dh,
+    Cc, dw, C) view with C >= 2, into ``out`` (G, R, Cc, C).
+
+    The sums are bit for bit ``part.sum(axis=(1, 3, 5), dtype=np.float64)``,
+    which adds each window's pixels one at a time in memory order, starting
+    from +0.0, over loops of only C values. Here a band of windows is
+    copied into one float64 buffer of at most ``_CHECK_BYTES``, one row per
+    window pixel, and the rows are summed in order: the same adds, over
+    rows as long as the band. A window too large for the buffer is a band
+    of its own, copied a run of its frames, rows or columns at a time, and
+    each run after the first is summed after a row of the running sums.
+    """
+    groups, p_f, rows, dh, cols, dw, c = part.shape
+    pixels = (p_f, dh, dw)
+    room = _CHECK_BYTES // 8
+    # windows per band: as many as the buffer holds whole, and at least
+    # enough for rows of 512 values, as numpy's cost per row shows below that
+    fit = max(room // (math.prod(pixels) * c), -(-512 // c))
+    n_c = min(cols, fit)
+    n_r = min(rows, fit // n_c)
+    n_g = min(groups, fit // (n_c * n_r))
+    width = n_g * n_r * n_c * c
+    # runs along the outermost pixel axis whose inner axes fit: whole
+    # windows if they fit, else after one row of running sums
+    head = int(math.prod(pixels) * width > room)
+    axis = next((a for a in range(3) if (math.prod(pixels[a + 1 :]) + head) * width <= room), 2)
+    inner = math.prod(pixels[axis + 1 :])
+    step = max(1, (room - head * width) // (inner * width))
+    buffer = np.empty((head + min(step, pixels[axis]) * inner) * width)
+    sums = np.empty(width)
+    for g0 in range(0, groups, n_g):
+        for r0 in range(0, rows, n_r):
+            for c0 in range(0, cols, n_c):
+                g, r, cc = slice(g0, g0 + n_g), slice(r0, r0 + n_r), slice(c0, c0 + n_c)
+                band = part[g, :, r, :, cc].transpose(1, 3, 5, 0, 2, 4, 6)
+                w = math.prod(band.shape[3:])
+                total = sums[:w]
+                lead = 0
+                for index in np.ndindex(*pixels[:axis]):
+                    for s in range(0, pixels[axis], step):
+                        run = band[(*index, slice(s, s + step))]
+                        table = buffer[: lead * w + run.size].reshape(-1, w)
+                        table[:lead] = total
+                        np.copyto(table[lead:].reshape(run.shape), run)
+                        table.sum(axis=0, out=total)
+                        lead = 1
+                out[g, r, cc] = total.reshape(band.shape[3:])
 
 
 def _runs(size: int, step: int) -> list[tuple[int, int, int]]:

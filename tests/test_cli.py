@@ -336,18 +336,32 @@ class TestPackCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "name",
+        "name, shape",
         [
-            "ta_f16k4f2k2f1k1_g9",
-            "tc_f16k4f2k2f1k1_g9",
-            "f1k1_x_g9_f1k1f2k2f16k4_td",
-            "f1k1_x_g9_f1k1f2k2f16k4_ta",
+            *(
+                pytest.param(name, (24, 60, 104, 2), id=name)
+                for name in [
+                    "ta_f16k4f2k2f1k1_g9",
+                    "tc_f16k4f2k2f1k1_g9",
+                    "f1k1_x_g9_f1k1f2k2f16k4_td",
+                    "f1k1_x_g9_f1k1f2k2f16k4_ta",
+                    "td_f16k4f2k2f1k1_g9",
+                ]
+            ),
+            # odd H and W: k1 entries and placeholders share their cell
+            # text, and k4's padded grid and the tail's clipped one both
+            # have one row, of different phases
+            pytest.param(
+                "f1k1_x_g9_f1k1f2k2f16k4_ta",
+                (23, 7, 37, 3),
+                id="f1k1_x_g9_f1k1f2k2f16k4_ta-23x7x37x3",
+            ),
         ],
     )
-    def test_outputs_match_per_token_formatter(self, tmp_path, name):
+    def test_outputs_match_per_token_formatter(self, tmp_path, name, shape):
         # 60x104 is indivisible by k4's 8x8 and by the 32x32 tail windows
         path = tmp_path / "latent.fplt"
-        write_video(path, LatentVideo(rng(3).normal(size=(24, 60, 104, 2)).astype(np.float32)))
+        write_video(path, LatentVideo(rng(3).normal(size=shape).astype(np.float32)))
         out = tmp_path / "packed.fplt"
         assert main(["pack", name, str(path), "-o", str(out), "--pad-history", "--pad-spatial"]) == 0
         tokens, generate_span, tail_span = apply_schedule_oracle(

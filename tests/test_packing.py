@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxpack.budget import tokens_for_entry, tokens_for_schedule
+from ctxpack.budget import TAIL_KERNEL, tokens_for_entry, tokens_for_schedule
 from ctxpack.errors import (
     ExcessHistory,
     IndivisibleDims,
@@ -220,6 +220,72 @@ class TestPoolWithoutPadding:
         np.testing.assert_allclose(ctx.blocks[0].grid[0, 0], expected, rtol=1e-12)
 
 
+def numpy_window_means(block, kernel, clipped):
+    """The grids ``_pool_block`` pools from a block of two or more channels,
+    with every run of whole or clipped windows summed by numpy's own
+    ``sum(axis=(1, 3, 5), dtype=np.float64)``."""
+    t, h, w, c = block.shape
+    p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
+    grids = np.empty((t // p_f, -(-h // p_h), -(-w // p_w), c))
+    row_runs = [(0, h - h % p_h, p_h), (h - h % p_h, h, h % p_h)]
+    col_runs = [(0, w - w % p_w, p_w), (w - w % p_w, w, w % p_w)]
+    for r0, r1, dh in row_runs:
+        for c0, c1, dw in col_runs:
+            if r0 == r1 or c0 == c1:
+                continue
+            out = grids[:, r0 // p_h : -(-r1 // p_h), c0 // p_w : -(-c1 // p_w)]
+            part = block[:, r0:r1, c0:c1].reshape(-1, p_f, out.shape[1], dh, out.shape[2], dw, c)
+            part.sum(axis=(1, 3, 5), dtype=np.float64, out=out)
+            out /= p_f * (dh * dw if clipped else p_h * p_w)
+    return grids
+
+
+@st.composite
+def window_cases(draw):
+    """A multi-channel block, a kernel and a divisor rule for ``_pool_block``.
+
+    The kernels reach every way a band of windows is copied: whole, in runs
+    of frames (k4 and k8 bands), of window rows (the 32x32 tail windows) and
+    of pixels (a 2048-pixel window row); k8 at C >= 16 is a window larger
+    than the buffer. H and W leave clipped last runs in about half the draws.
+    """
+    kernel = draw(
+        st.sampled_from(
+            [
+                KernelSpec(1, 2, 2),
+                KernelSpec(2, 3, 5),
+                KernelSpec(4, 8, 8),
+                KernelSpec(8, 16, 16),
+                TAIL_KERNEL,
+                KernelSpec(1, 1, 2048),
+            ]
+        )
+    )
+    h = draw(st.integers(0, 2)) * kernel.p_h + draw(st.integers(0, kernel.p_h - 1))
+    w = draw(st.integers(0, 2)) * kernel.p_w + draw(st.integers(0, min(kernel.p_w - 1, 40)))
+    shape = (draw(st.integers(1, 2)) * kernel.p_f, max(h, 1), max(w, 1), draw(st.integers(2, 17)))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    block = gen.normal(size=shape) * 2.0 ** gen.integers(-60, 61, size=shape)
+    block[gen.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = -0.0
+    # a window of nothing but -0.0 sums to +0.0
+    block[: kernel.p_f, : kernel.p_h, : kernel.p_w] = -0.0
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return block.astype(dtype), kernel, draw(st.booleans())
+
+
+class TestWindowSums:
+    """Multi-channel windows are summed through a bounded band buffer, bit
+    for bit as numpy sums the windowed block: each window's pixels added
+    one at a time in memory order, from +0.0."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(window_cases())
+    def test_matches_numpy_window_sums(self, case):
+        block, kernel, clipped = case
+        got = _pool_block(block, kernel, pad_spatial=True, clipped=clipped)
+        assert got.tobytes() == numpy_window_means(block, kernel, clipped).tobytes()
+
+
 class TestResolveKernel:
     def test_identity(self):
         assert resolve_kernel(KernelSpec(1, 2, 2)) == KernelResolution((1, 1, 1), KernelSpec(1, 2, 2))
@@ -258,7 +324,7 @@ class TestResolveKernel:
             resolve_kernel(KernelSpec(1, 2, 1))
 
 
-class TestPatchify:
+class TestEntryPooling:
     """One kernel group pooled through a ``td_f{p}k…_g1`` pack."""
 
     def test_constant_video_gives_constant_features(self):
@@ -310,7 +376,7 @@ class TestPatchify:
         assert [t.cell for t in tokens] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
-class TestHandleTail:
+class TestTailModes:
     """Each tail mode through ``td_g1``, ``ta_g1`` and ``tc_g1`` packs."""
 
     def test_delete(self):
