@@ -23,7 +23,7 @@ from .drift import (
     tournament,
 )
 from .errors import IndivisibleDims, PlanError, ScheduleError, UnsupportedKernel
-from .packing import PackedContext, _reach, apply_schedule
+from .packing import PackedBlock, PackedContext, _reach, apply_schedule
 from .planner import (
     plan_endpoint,
     plan_inverted,
@@ -126,25 +126,32 @@ def _write_packed(context: PackedContext, output: str, provenance: str | None) -
         f"generate_span {context.generate_span[0]}..{context.generate_span[1]}",
         f"tail_frames {context.tail_frame_count}",
     ]
-    # the text of each cell around its time phase, formatted once for each
-    # block geometry: blocks of one kernel over one extent share it
+    # blocks of one kernel over one extent share their cell text
     cells: dict[tuple, list[tuple[str, str]]] = {}
     i = 0
     for block in context.blocks:
         key = (block.kernel, block.row_phases, block.col_phases)
         if (text := cells.get(key)) is None:
-            kernel = block.kernel.token
-            text = cells[key] = [
-                (f"cell={r},{c} kernel={kernel} phase=", f",{row!r},{col!r}")
-                for r, row in enumerate(block.row_phases)
-                for c, col in enumerate(block.col_phases)
-            ]
+            text = cells[key] = _cell_text(block)
         span = f"span={block.time_span[0]}..{block.time_span[1]}"
         phase = repr(block.time_phase)
         lines += [f"token {t} {span} {a}{phase}{b}" for t, (a, b) in enumerate(text, i)]
         i += len(text)
     fplt.write_atomic(sidecar, ("\n".join(lines) + "\n").encode())
     return sidecar
+
+
+def _cell_text(block: PackedBlock) -> list[tuple[str, str]]:
+    """Each cell's ``.prov`` text before and after its block's time phase,
+    ``cell=r,c kernel=K phase=`` and ``,row,col``, in token order; each
+    row's and each column's text is formatted once."""
+    kernel = block.kernel.token
+    cols = [(f"{c} kernel={kernel} phase=", f",{col!r}") for c, col in enumerate(block.col_phases)]
+    text = []
+    for r, row in enumerate(block.row_phases):
+        head, tail = f"cell={r},", f",{row!r}"
+        text += [(head + before, tail + after) for before, after in cols]
+    return text
 
 
 def cmd_codebook_fit(args: argparse.Namespace) -> int:

@@ -255,7 +255,8 @@ def _pool_block(
     memory order (frame, row, column), starting from +0.0, as
     ``sum(axis=(1, 3, 5), dtype=np.float64)`` of the windowed block does;
     ``_window_sums`` keeps that order. A one-channel block is copied, whole
-    groups of about ``_CHECK_BYTES`` at a time, and its sums are numpy's.
+    groups of about ``_CHECK_BYTES`` at a time, and summed by numpy, which
+    sums one channel's runs pairwise.
     """
     t, h, w, c = block.shape
     p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
