@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from pathlib import Path
 
@@ -101,9 +102,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
 def cmd_pack(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
     # read only the frames the schedule packs: a td tail is never read
-    total, video = fplt._read_frames(args.input, functools.partial(_reach, schedule))
+    with fplt._open_video(args.input) as (shape, read):
+        video = read(*_reach(schedule, shape[0]))
     context = apply_schedule(
-        video, schedule, pad_history=args.pad_history, pad_spatial=args.pad_spatial, _total=total
+        video, schedule, pad_history=args.pad_history, pad_spatial=args.pad_spatial, _total=shape[0]
     )
     sidecar = _write_packed(context, args.output, args.provenance)
     print(f"budget {context.budget}")
@@ -137,7 +139,8 @@ def _write_packed(context: PackedContext, output: str, provenance: str | None) -
         phase = repr(block.time_phase)
         lines += [f"token {t} {span} {a}{phase}{b}" for t, (a, b) in enumerate(text, i)]
         i += len(text)
-    fplt.write_atomic(sidecar, ("\n".join(lines) + "\n").encode())
+    with fplt._replacing(sidecar) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
     return sidecar
 
 
@@ -172,9 +175,11 @@ def cmd_quantize(args: argparse.Namespace) -> int:
     # The history streams through in runs of frames, each at most one
     # search chunk of pixels and one score budget of float32 values, and
     # each run's centroid rows go straight to the output file, so memory
-    # does not grow with the history's length.
+    # stays flat in T. No frames make one empty run, which is still checked.
     pixels = codebook._SCORE_BYTES // (4 * max(book.size, book.channels))
-    with fplt._video_runs(args.input, pixels) as (shape, runs):
+    with fplt._open_video(args.input) as (shape, read):
+        frames, step = shape[0], max(1, pixels // (shape[1] * shape[2]))
+        runs = (read(t, min(t + step, frames)) for t in range(0, max(frames, 1), step))
         indices = (codebook.quantize(run, book).indices for run in runs)
         fplt._write(args.output, shape, (rows.take(i, axis=0) for i in indices))
     print(f"quantized {args.output}")
@@ -268,6 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", type=float, default=DEFAULT_INITIAL_RATING)
     p.add_argument("--ranks", action="store_true", help="append tie-bucketed ranks")
     p.set_defaults(func=cmd_elo)
+
+    # argparse takes "-inf" or "-1e3" after a space for an option name; read
+    # any value float() takes with a leading "-" as a value, on every Python
+    for takes_floats in (pf, p):
+        takes_floats._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.I)
 
     return parser
 

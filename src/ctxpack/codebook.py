@@ -195,7 +195,10 @@ def _pixel_matrix(dataset: Sequence[LatentVideo]) -> np.ndarray:
     channels = dataset[0].channels
     if any(v.channels != channels for v in dataset):
         raise ChannelMismatch("dataset videos have mixed channel counts")
-    return np.concatenate([v.array.reshape(-1, channels) for v in dataset], dtype=np.float64)
+    # float32 pixels stay float32, as a view of a lone video's snapshot:
+    # every cast to float64 in the fit is exact, so the fit is the same
+    pixels = [v.array.reshape(-1, channels) for v in dataset]
+    return pixels[0] if len(pixels) == 1 else np.concatenate(pixels)
 
 
 def fit_codebook(

@@ -4,6 +4,9 @@ Layout: 4-byte magic ``FPLT``, u32 version (1), u32 flags (bit 0 marks a
 codebook), four u32 dims (T, H, W, C), then T*H*W*C IEEE-754 float32
 values in C order (t-major, row-major, channel-last). Total size is
 exactly 28 + 4*T*H*W*C bytes.
+
+Every write goes through one atomic-replace step (``_replacing``), and
+every latent video read through one reader of frame ranges (``_open_video``).
 """
 
 from __future__ import annotations
@@ -52,19 +55,6 @@ def _write(
             fh.write(np.ascontiguousarray(run, "<f4"))
 
 
-def write_atomic(path: str | Path, *chunks: bytes | np.ndarray) -> None:
-    """Replace ``path`` with the concatenated ``chunks`` in one step.
-
-    The bytes go to a fresh temp file in the target's directory, which is
-    then renamed over the target, so a reader sees the old file or the
-    new one, never a partial write. The temp file is removed on failure.
-    Each chunk is written from its own buffer, without a joined copy.
-    """
-    with _replacing(path) as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-
-
 @contextmanager
 def _replacing(path: str | Path) -> Iterator[BinaryIO]:
     """An open temp file that replaces ``path`` when the block exits
@@ -109,7 +99,7 @@ def _read_payload(
     fh: BinaryIO, path: str | Path, shape: tuple[int, ...], piece: np.ndarray, start: int
 ) -> None:
     """Read the payload's frames from ``start`` on into ``piece``, raising if
-    the file ends first. Both readers fill their arrays through this one step."""
+    the file ends first; ``read_tensor`` and ``_open_video`` read through it."""
     got = fh.readinto(piece)
     if got != piece.nbytes:
         frame_values = math.prod(shape[1:])
@@ -132,6 +122,27 @@ def write_video(path: str | Path, video: LatentVideo) -> None:
     write_tensor(path, video.array)
 
 
+@contextmanager
+def _open_video(
+    path: str | Path,
+) -> Iterator[tuple[tuple[int, ...], Callable[[int, int], LatentVideo]]]:
+    """A video file's (T, H, W, C), checked before any payload is read, and
+    ``read(start, stop)``: frames ``start .. stop`` as a new checked float32
+    snapshot, read from frame ``start`` on. Ranges may come in any order."""
+    with open(path, "rb") as fh:
+        _, shape = _header(fh, path, video=True)
+
+        def read(start: int, stop: int) -> LatentVideo:
+            fh.seek(_HEADER.size + 4 * start * math.prod(shape[1:]))
+
+            def fill(piece: np.ndarray, frames: slice) -> None:
+                _read_payload(fh, path, shape, piece, start + frames.start)
+
+            return LatentVideo._filled((stop - start, *shape[1:]), np.dtype("<f4"), fill)
+
+        yield shape, read
+
+
 def read_video(path: str | Path) -> LatentVideo:
     """Read a latent video straight into its read-only float32 snapshot.
 
@@ -140,52 +151,8 @@ def read_video(path: str | Path) -> LatentVideo:
     checked for finiteness as it arrives. A NaN or infinite value raises
     ``ValueError``, as ``LatentVideo`` does.
     """
-    return _read_frames(path, lambda total: (0, total))[1]
-
-
-def _read_frames(
-    path: str | Path, reach: Callable[[int], tuple[int, int]]
-) -> tuple[int, LatentVideo]:
-    """A latent video's frame count T and its frames ``start .. stop``,
-    where ``(start, stop) = reach(T)``, read and checked as ``read_video``
-    reads and checks the whole, after the same header check. Only the
-    range's bytes are read: the read starts at the range's first frame."""
-    with open(path, "rb") as fh:
-        _, shape = _header(fh, path, video=True)
-        start, stop = reach(shape[0])
-        fh.seek(_HEADER.size + 4 * start * math.prod(shape[1:]))
-        return shape[0], _snapshot(fh, path, shape, start, stop - start)
-
-
-@contextmanager
-def _video_runs(
-    path: str | Path, pixels: int
-) -> Iterator[tuple[tuple[int, ...], Iterator[LatentVideo]]]:
-    """A latent video's (T, H, W, C), checked as ``read_video`` checks it
-    before any payload is read, and its frames as consecutive snapshots,
-    each of as many whole frames as ``pixels`` pixels hold (at least one),
-    read and checked as ``read_video`` reads and checks the whole. A video
-    of no frames is one empty run, so what checks each run still runs."""
-    with open(path, "rb") as fh:
-        _, shape = _header(fh, path, video=True)
-        frames = shape[0]
-        step = max(1, pixels // (shape[1] * shape[2]))
-        yield shape, (
-            _snapshot(fh, path, shape, t, min(step, frames - t))
-            for t in range(0, max(frames, 1), step)
-        )
-
-
-def _snapshot(
-    fh: BinaryIO, path: str | Path, shape: tuple[int, ...], start: int, count: int
-) -> LatentVideo:
-    """The ``count`` frames from ``start`` on of the video whose payload
-    ``fh`` reads next, as a video over a new checked float32 array."""
-
-    def read(piece: np.ndarray, frames: slice) -> None:
-        _read_payload(fh, path, shape, piece, start + frames.start)
-
-    return LatentVideo._filled((count, *shape[1:]), np.dtype("<f4"), read)
+    with _open_video(path) as (shape, read):
+        return read(0, shape[0])
 
 
 def write_codebook(path: str | Path, codebook: Codebook) -> None:

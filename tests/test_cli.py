@@ -575,6 +575,8 @@ class TestCodebookCommands:
     @pytest.mark.parametrize("flag,value", [
         ("--max-iters", "0"), ("--max-iters", "-2"),
         ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),
+        # a value with a leading "-" after a space, read as a value
+        ("--tol", "-inf"), ("--tol", "-1e-3"),
     ])
     def test_bad_fit_argument_exits_3(self, tmp_path, small_video_path, capsys, flag, value):
         out = tmp_path / "cb.fplt"
@@ -723,14 +725,33 @@ class TestEloCommand:
         log.write_text("a,b,Q\n")
         assert main(["elo", str(log)]) == 3
 
-    @pytest.mark.parametrize("initial", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "initial",
+        [
+            pytest.param(["--initial=nan"], id="nan"),
+            pytest.param(["--initial=inf"], id="inf"),
+            pytest.param(["--initial=-inf"], id="-inf"),
+            # a value with a leading "-" after a space is a value, not an
+            # option name, as in the "=" form
+            pytest.param(["--initial", "-inf"], id="space--inf"),
+            pytest.param(["--initial", "-nan"], id="space--nan"),
+            pytest.param(["--initial", "-Infinity"], id="space--Infinity"),
+        ],
+    )
     def test_non_finite_initial_exits_3(self, tmp_path, capsys, initial):
         log = tmp_path / "matches.csv"
         log.write_text("a,b,A\n")
-        assert main(["elo", str(log), f"--initial={initial}", "--ranks"]) == 3
+        assert main(["elo", str(log), *initial, "--ranks"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("ctxpack: initial rating must be finite")
+
+    @pytest.mark.parametrize("initial", [["--initial=-1e3"], ["--initial", "-1e3"]])
+    def test_negative_exponent_initial(self, tmp_path, capsys, initial):
+        log = tmp_path / "matches.csv"
+        log.write_text("a,b,A\n")
+        assert main(["elo", str(log), *initial]) == 0
+        assert capsys.readouterr().out == "a=-984.0\nb=-1016.0\n"
 
 
 class TestParserReuse:

@@ -231,6 +231,42 @@ class TestFitCodebook:
         assert type(info.value) is error
 
 
+class TestFitPixelWidth:
+    """The fit reads float32 pixels as they are: every cast to float64 in
+    it is exact, so the centroids do not depend on the snapshot's width."""
+
+    @pytest.mark.parametrize(
+        "widths", [(np.float32,), (np.float32, np.float32), (np.float32, float)]
+    )
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_same_fit_as_float64(self, widths, seed):
+        r = rng(40 + seed)
+        parts = [np.round(r.normal(size=(2, 5, 6, 3)) * 8) / 8 for _ in widths]
+        got = fit_codebook([LatentVideo(p.astype(w)) for p, w in zip(parts, widths)], 6, seed)
+        want = fit_codebook([LatentVideo(p) for p in parts], 6, seed)
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.fit_stats == want.fit_stats
+
+    def test_paper_shaped_float32_fit_peak(self):
+        # 19 frames of 60x104x16 float32 pixels are 7.2 MiB; a float64
+        # (n, C) copy of them would be 14.5 MiB more
+        r = rng(41)
+        means = r.normal(0.0, 2.0, (32, 16)).astype(np.float32)
+        noise = r.normal(0.0, 0.6, (19, 60, 104, 16)).astype(np.float32)
+        video = LatentVideo(means[r.integers(32, size=(19, 60, 104))] + noise)
+        del noise
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            fitted = fit_codebook([video], 128, seed=0, max_iters=7, tol=0.0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert fitted.fit_stats.iterations == 7
+        assert peak < 15 * 2**20
+
+
 class TestFitOracle:
     CASES = [
         ("normal", rng(20).normal(size=(300, 3)), 7),

@@ -1,8 +1,10 @@
+import math
 import os
 import re
 import struct
 import tracemalloc
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ctxpack import codebook as codebook_module
-from ctxpack import fplt
+from ctxpack import fplt, packing
 from ctxpack.cli import main
 from ctxpack.codebook import Codebook
 from ctxpack.errors import FpltFormatError
@@ -334,6 +336,53 @@ class TestReadVideo:
         assert main(["pack", "td_f16k4f2k2f1k1_g9", str(path), "-o", str(out)]) == 3
         assert re.search(message, capsys.readouterr().err)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "v.fplt"]
+
+
+@st.composite
+def video_reads(draw):
+    """A float32 video (T from 0), frames per finiteness check, the
+    ranges to read from one open file (runs in order, then ranges in any
+    order, some empty) and a frame that may hold a NaN."""
+    shape = (draw(st.integers(0, 7)), *(draw(st.integers(1, 3)) for _ in range(3)))
+    total = shape[0]
+    arr = draw(st.integers(0, 2**32 - 1).map(lambda s: rng(s).normal(size=shape)))
+    step = draw(st.integers(1, 3))
+    runs = [(t, min(t + step, total)) for t in range(0, total, step)]
+    bound = st.integers(0, total)
+    ranges = draw(st.lists(st.tuples(bound, bound).map(sorted), max_size=6))
+    nan_frame = draw(st.none() | st.integers(0, total - 1)) if total else None
+    return arr.astype(np.float32), draw(st.integers(1, 3)), runs + ranges, nan_frame
+
+
+class TestOpenVideo:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(video_reads())
+    def test_reads_equal_slices_of_the_whole(self, tmp_path_factory, case):
+        arr, per_check, ranges, nan_frame = case
+        if nan_frame is not None:
+            arr[nan_frame, -1, -1, -1] = np.nan
+        path = tmp_path_factory.mktemp("read") / "v.fplt"
+        write_tensor(path, arr)
+        whole = read_tensor(path)[0]
+        reads = []
+        check_bytes = per_check * 4 * math.prod(arr.shape[1:])
+        with mock.patch.object(packing, "_CHECK_BYTES", check_bytes):
+            with fplt._open_video(path) as (shape, read):
+                assert shape == arr.shape
+                for start, stop in ranges:
+                    if nan_frame is not None and start <= nan_frame < stop:
+                        with pytest.raises(ValueError, match="only finite values"):
+                            read(start, stop)
+                        continue
+                    # a NaN outside the range is never read
+                    got = read(start, stop).array
+                    assert got.dtype == np.float32
+                    assert got.shape == (stop - start, *arr.shape[1:])
+                    assert got.tobytes() == whole[start:stop].tobytes()
+                    assert not got.flags.writeable
+                    reads.append(got)
+        for i, got in enumerate(reads):
+            assert not any(np.shares_memory(got, other) for other in reads[:i])
 
 
 @st.composite
