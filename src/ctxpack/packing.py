@@ -4,12 +4,13 @@ Frames are grouped under each entry's kernel and mean-pooled into tokens.
 Mean pooling stands in for a learned input projection: it preserves the
 geometry, token counts, and linearity that the rest of the toolkit checks.
 
-Token order is deterministic: temporal first, then row-major within each
-kernel grid. Time spans are given on a packed timeline that runs tail,
-entries, and generated section in segment order, with gaps counted as
-zero-width at packing time.
-A token's phase is the centre of the windows it pools in time, rows and
-columns.
+Entries bind frames through the planner's one iteration rule,
+``planner._iteration``, and the spans it binds are packed in segment
+order. Token order is deterministic: temporal first, then row-major
+within each kernel grid. Time spans are given on a packed timeline that
+runs tail, entries, and generated section in segment order, with gaps
+counted as zero-width at packing time. A token's phase is the centre of
+the windows it pools in time, rows and columns.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     ShortHistory,
     UnsupportedKernel,
 )
-from .planner import Span, bind_backward, bind_forward
+from .planner import Iteration, Span, _iteration
 from .schedule import (
     BASE_KERNEL,
     Frames,
@@ -387,24 +388,17 @@ def _block(
     return PackedBlock(time_span, kernel, _centre(time_span), rows, cols, grid)
 
 
-def _bind(
-    schedule: PackingSchedule, total: int
-) -> tuple[list[Span], list[Span], int, tuple[int, int]]:
-    """The frames a ``total``-frame history binds, by the rule
-    ``apply_schedule`` states: the spans of the entries before and after
-    the generated section, the frame where the two sides meet, and the
-    bound range ``(lo, hi)``."""
-    pre = schedule.entries_before_generate
-    post = schedule.entries_after_generate
+def _bind(schedule: PackingSchedule, total: int) -> tuple[Iteration, int, tuple[int, int]]:
+    """The planner's iteration for a ``total``-frame history, with both
+    sides bound outward from the frame ``middle`` where they meet, and the
+    bound range ``(lo, hi)`` of its ``INPUTS``."""
     if schedule.tail_at_start:
-        middle = max(0, total - sum(e.count for e in post))
+        middle = max(0, total - sum(e.count for e in schedule.entries_after_generate))
     else:
-        middle = min(sum(e.count for e in pre), total)
-    pre_spans = [b.span for b in bind_backward(pre, middle)]
-    post_spans = [b.span for b in bind_forward(post, middle, total)]
-    lo = pre_spans[0].start if pre_spans else middle
-    hi = post_spans[-1].stop if post_spans else middle
-    return pre_spans, post_spans, middle, (lo, hi)
+        middle = min(sum(e.count for e in schedule.entries_before_generate), total)
+    iteration = _iteration(schedule, (), middle, Span(middle, total), Span(middle, middle))
+    spans = [b.span for b in iteration.inputs] or [Span(middle, middle)]
+    return iteration, middle, (spans[0].start, spans[-1].stop)
 
 
 def _reach(schedule: PackingSchedule, total: int) -> tuple[int, int]:
@@ -413,7 +407,7 @@ def _reach(schedule: PackingSchedule, total: int) -> tuple[int, int]:
     the frames outside it, and every frame otherwise."""
     tail = schedule.tail
     if tail and tail.mode is TailMode.DELETE:
-        return _bind(schedule, total)[3]
+        return _bind(schedule, total)[2]
     return 0, total
 
 
@@ -427,23 +421,21 @@ def apply_schedule(
 ) -> PackedContext:
     """Pack a concrete history under a schedule.
 
-    Entries bind frames exactly as the planner's ``INPUTS`` do: the
-    entries before the generated section end where those after it begin,
-    and each side fills from that point outward. Frames outside the bound
-    range form the tail. With ``pad_history`` a short entry replicates
-    its side's oldest (before) or newest (after) bound frame. The emitted
-    budget always equals ``tokens_for_schedule`` for the same dims and
-    tail count; the generated section contributes one zero-feature block
-    per frame at the base kernel, all sharing one grid. A schedule whose
-    tail sits at the end needs an entry after the generated section, and
-    a ``+D`` schedule must be quantized first; either raises
-    ``InvalidSchedule``.
+    Entries bind frames by the planner's one iteration rule,
+    ``planner._iteration``: the entries before the generated section end
+    where those after it begin, and each side fills from that point
+    outward. Frames outside the bound range form the tail. With
+    ``pad_history`` a short entry replicates its side's oldest (before) or
+    newest (after) bound frame. The emitted budget always equals
+    ``tokens_for_schedule`` for the same dims and tail count; the
+    generated section contributes one zero-feature block per frame at the
+    base kernel, all sharing one grid. A schedule whose tail sits at the
+    end needs an entry after the generated section, and a ``+D`` schedule
+    must be quantized first; either raises ``InvalidSchedule``.
 
     Given ``_total``, the history holds only the frames ``_reach(schedule,
     _total)`` of a ``_total``-frame history, which is packed as a whole.
     """
-    h, w, channels = history.height, history.width, history.channels
-    data = history.array
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
     if schedule.discretize_history:
@@ -460,8 +452,6 @@ def apply_schedule(
         )
     for entry in (*pre, *post):
         resolve_kernel(entry.kernel)
-    cap_pre = sum(e.count for e in pre)
-    cap_post = sum(e.count for e in post)
     total, first = history.frame_count, 0
     if _total is not None:
         first, stop = _reach(schedule, _total)
@@ -469,26 +459,40 @@ def apply_schedule(
             raise ValueError(f"history of {total} frames is not frames {first}..{stop}")
         total = _total
 
-    pre_spans, post_spans, middle, (lo, hi) = _bind(schedule, total)
+    iteration, middle, (lo, hi) = _bind(schedule, total)
     # the bound range starts at frame 0 unless the tail comes first
     n_tail = lo if schedule.tail_at_start else total - hi
+    capacity = sum(e.count for e in (*pre, *post))
     if n_tail and schedule.tail is None:
         raise ExcessHistory(
             f"history of {total} frames exceeds schedule capacity "
-            f"{cap_pre + cap_post} and there is no tail marker"
+            f"{capacity} and there is no tail marker"
         )
-
-    if hi - lo < cap_pre + cap_post and not pad_history:
-        raise ShortHistory(
-            f"history of {total} frames cannot fill entries needing "
-            f"{cap_pre + cap_post} frames"
-        )
-    if (cap_pre and lo == middle) or (cap_post and hi == middle):
+    if hi - lo < capacity and not pad_history:
+        raise ShortHistory(f"history of {total} frames cannot fill entries needing {capacity} frames")
+    if (pre and lo == middle) or (post and hi == middle):
         raise ShortHistory("cannot pad from an empty history")
+    return _pack(history, schedule, iteration, n_tail, first, pad_history, pad_spatial)
 
+
+def _pack(
+    history: LatentVideo,
+    schedule: PackingSchedule,
+    iteration: Iteration,
+    n_tail: int,
+    first: int,
+    pad_history: bool,
+    pad_spatial: bool,
+) -> PackedContext:
+    """Pack the segments of ``schedule`` in order: the entries pool the
+    spans of ``iteration.inputs``, whose frames ``history`` holds from
+    frame ``first`` on, and the tail takes ``n_tail`` frames. A ``Skip``
+    adds no width to the timeline."""
+    h, w, channels = history.height, history.width, history.channels
+    data = history.array
     blocks: list[PackedBlock] = []
     cursor = 0
-    spans = iter(pre_spans + post_spans)
+    spans = (b.span for b in iteration.inputs)
     generate_span = tail_span = None
     for seg in schedule.segments:
         if isinstance(seg, Tail):
@@ -496,7 +500,7 @@ def apply_schedule(
             # a td tail keeps its place on the timeline but is never read
             if n_tail and seg.mode is not TailMode.DELETE:
                 # a ta or tc history is whole, so the tail is a slice of it
-                tail_block = data[:lo] if schedule.tail_at_start else data[hi:]
+                tail_block = data[:n_tail] if schedule.tail_at_start else data[-n_tail:]
                 if seg.mode is TailMode.APPEND:
                     # one grid per frame, pooled by the tail kernel's clipped windows
                     grids = _pool_block(tail_block, TAIL_KERNEL, pad_spatial=True, clipped=True)
@@ -540,12 +544,7 @@ def apply_schedule(
                 cursor += p_f
 
     budget = sum(b.size for b in blocks)
-    expected = tokens_for_schedule(
-        schedule, h, w, n_tail, pad=pad_history or pad_spatial
-    )
+    expected = tokens_for_schedule(schedule, h, w, n_tail, pad=pad_history or pad_spatial)
     if budget != expected:
-        raise RuntimeError(
-            f"packed {budget} tokens but accounting expected {expected}"
-        )
+        raise RuntimeError(f"packed {budget} tokens but accounting expected {expected}")
     return PackedContext(tuple(blocks), schedule, budget, generate_span, tail_span)
-

@@ -451,3 +451,54 @@ class TestSortMatchesPerFrameOracle:
                 order()
             return
         assert order() == sorted(range(len(times)), key=lambda i: (-scores[i], -times[i], i))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        ranking_cases(),
+        st.booleans(),
+        st.sampled_from([0.0, 1.0, 1e9]),
+        st.sampled_from(["target", "frame", "both"]),
+        st.data(),
+    )
+    def test_zero_norm_pixels_keep_the_brute_force_order(
+        self, case, zero_substitute, weight, where, data
+    ):
+        video, target, times = case
+        values, target = video.array.copy(), target.copy()
+        pixel = st.tuples(st.integers(0, target.shape[0] - 1), st.integers(0, target.shape[1] - 1))
+        if where != "frame":
+            target[data.draw(pixel)] = 0.0
+        if where != "target" and times:
+            values[(data.draw(st.integers(0, len(times) - 1)), *data.draw(pixel))] = 0.0
+        video = LatentVideo(values)
+        substitute = dict(zero_substitute=zero_substitute)
+        try:
+            scores = [
+                sim_hybrid(frame, target, times[i], 2.0, weight, **substitute)
+                for i, frame in enumerate(video.array)
+            ]
+        except ZeroVectorPixel as exc:
+            with pytest.raises(ZeroVectorPixel, match=f"^{exc}$"):
+                sort_by_importance(video, times, target, 2.0, weight, **substitute)
+            return
+        order = sort_by_importance(video, times, target, 2.0, weight, **substitute)
+        assert order == sorted(range(len(times)), key=lambda i: (-scores[i], -times[i], i))
+
+    @pytest.mark.parametrize("zero_substitute", [False, True])
+    @pytest.mark.parametrize("overflow_first", [False, True])
+    def test_first_failing_frame_in_index_order_raises(self, zero_substitute, overflow_first):
+        # one frame's pixel norm times the target's overflows float64, and
+        # another frame has a zero-norm pixel; the target is in range
+        target = np.ones((2, 2, 3))
+        target[0, 0] = 1e100
+        overflow, zero = np.ones((2, 2, 3)), np.ones((2, 2, 3))
+        overflow[0, 0] = 1e250
+        zero[1, 1] = 0.0
+        frames = np.stack([overflow, zero] if overflow_first else [zero, overflow])
+        if overflow_first or zero_substitute:
+            expected, match = ValueError, "pixel norms overflow float64"
+        else:
+            expected, match = ZeroVectorPixel, "^1 pixel vectors have zero norm$"
+        for rank in (importance_scores, sort_by_importance):
+            with pytest.raises(expected, match=match):
+                rank(frames, [0.0, 1.0], target, 1.0, 0.5, zero_substitute=zero_substitute)

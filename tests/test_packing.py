@@ -16,12 +16,14 @@ from ctxpack.errors import (
 from ctxpack.packing import (
     KernelResolution,
     LatentVideo,
+    _bind,
+    _pack,
     _pool_block,
     _reach,
     apply_schedule,
     resolve_kernel,
 )
-from ctxpack.planner import plan_vanilla
+from ctxpack.planner import Span, plan_vanilla
 from ctxpack.schedule import (
     BASE_KERNEL,
     Frames,
@@ -34,6 +36,7 @@ from ctxpack.schedule import (
     parse_schedule,
 )
 from packing_oracle import apply_schedule_oracle
+from planner_oracle import bind_backward, bind_forward
 
 
 def rng(seed=0):
@@ -709,6 +712,29 @@ class TestPlannerBindingProperty:
                             )
             assert next(entry_tokens, None) is None
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(vanilla_cases(), st.booleans())
+    def test_pack_of_plan_iteration_is_apply_schedule(self, case, pad_spatial):
+        schedule, section, history = case
+        plan = plan_vanilla(history.frame_count, section, schedule, allow_partial=True)
+        for it in plan.iterations:
+            if it.targets[0].start == 0:
+                continue  # no frame to bind, so apply_schedule raises ShortHistory
+            prefix = LatentVideo(history.array[: it.targets[0].start])
+            want = apply_schedule(prefix, schedule, pad_history=True, pad_spatial=pad_spatial)
+            # the tail holds the frames before the plan's oldest input
+            got = _pack(prefix, schedule, it, it.inputs[0].span.start, 0, True, pad_spatial)
+            assert self.packed(got) == self.packed(want)
+
+    @staticmethod
+    def packed(ctx):
+        """Every field of a packed context, with each grid as its bytes."""
+        blocks = [
+            (b.time_span, b.kernel, b.time_phase, b.row_phases, b.col_phases, b.grid.tobytes())
+            for b in ctx.blocks
+        ]
+        return ctx.budget, ctx.generate_span, ctx.tail_span, ctx.schedule, blocks
+
 
 ORACLE_KERNELS = [
     KernelSpec(1, 2, 2),
@@ -751,6 +777,57 @@ def packing_cases(draw):
         draw(mostly),
         draw(mostly),
     )
+
+
+@st.composite
+def binding_cases(draw):
+    """A schedule of any sampling mode, its tail at the start, at the end or
+    absent and its gap before, after or without the generated section, with
+    a history length around its capacity."""
+    entries = st.lists(
+        st.builds(Frames, st.integers(1, 5), st.sampled_from(ORACLE_KERNELS)),
+        max_size=3,
+    )
+    layout = draw(st.sampled_from(["start", "end", "none"]))
+    pre = draw(entries)
+    # a tail at the end needs an entry after the generated section; a
+    # vanilla schedule has none
+    post = draw(entries.filter(bool) if layout == "end" else st.just([]) | entries)
+    gap = draw(st.sampled_from(["before", "after", "none"]))
+    skip_before, skip_after = [Skip()] * (gap == "before"), [Skip()] * (gap == "after")
+    body = [*pre, *skip_before, Generate(1), *skip_after, *post]
+    tail = [Tail(draw(st.sampled_from(list(TailMode))))]
+    segments = {"start": tail + body, "end": body + tail, "none": body}[layout]
+    capacity = sum(e.count for e in (*pre, *post))
+    return PackingSchedule(tuple(segments)), draw(st.integers(0, capacity + 6))
+
+
+class TestBindMatchesPlannerOracle:
+    """The packer binds through the planner's iteration rule: its spans are
+    those the reference planner's binders give from the meeting frame."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(binding_cases())
+    def test_spans_are_the_oracle_binders_from_the_meeting_frame(self, case):
+        schedule, total = case
+        pre = schedule.entries_before_generate
+        post = schedule.entries_after_generate
+        if schedule.tail_at_start:
+            middle = max(0, total - sum(e.count for e in post))
+        else:
+            middle = min(sum(e.count for e in pre), total)
+        expected = bind_backward(pre, middle) + bind_forward(post, middle, total)
+        iteration, meeting, (lo, hi) = _bind(schedule, total)
+        assert meeting == middle
+        assert list(iteration.inputs) == expected
+        spans = [b.span for b in expected]
+        assert (lo, hi) == ((spans[0].start, spans[-1].stop) if spans else (middle, middle))
+        has_gap = any(isinstance(seg, Skip) for seg in schedule.segments)
+        assert iteration.skip_spans == ((Span(middle, middle),) if has_gap else ())
+        assert iteration.targets == ()
+        tail = schedule.tail
+        reach = (lo, hi) if tail and tail.mode is TailMode.DELETE else (0, total)
+        assert _reach(schedule, total) == reach
 
 
 class TestBlockPackerOracle:
