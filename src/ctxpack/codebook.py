@@ -167,10 +167,7 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     def nearer(seed: np.ndarray) -> float:
         for lo in range(0, n, rows):
             part, near = diff[: n - lo], d2[lo : lo + rows]
-            # a cast into the buffer, then a float64 subtract, is faster
-            # than one subtract that casts float32 pixels as it goes
-            part[...] = pixels[lo : lo + rows]
-            np.square(np.subtract(part, seed, out=part), out=part)
+            np.square(np.subtract(pixels[lo : lo + rows], seed, out=part), out=part)
             np.minimum(near, part.sum(axis=1, out=dist[: len(part)]), out=near)
         return d2.sum()
 

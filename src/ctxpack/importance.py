@@ -106,13 +106,8 @@ def _cosine_sum(
     zero = (nf == 0) | zero_x
     if zero.any() and not zero_substitute:
         raise ZeroVectorPixel(f"{int(zero.sum())} pixel vectors have zero norm")
-    return float(_masked_cosines(dots, norms, zero).sum())
-
-
-def _masked_cosines(dots: np.ndarray, norms: np.ndarray, zero: np.ndarray) -> np.ndarray:
-    """Each pixel's ``dots / norms``, the one zero-norm rule of both
-    scorers: a pixel where ``zero`` is set is never divided and scores 0."""
-    return np.divide(dots, norms, out=np.zeros_like(dots), where=~zero)
+    # a masked pixel is never divided and contributes 0
+    return float(np.divide(dots, norms, out=np.zeros_like(dots), where=~zero).sum())
 
 
 def sim_time(frame_time: float, target_time: float) -> float:
@@ -191,18 +186,15 @@ def importance_scores(
 
 
 def _fast_cosines(
-    frames: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray], zero_substitute: bool
+    frames: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each frame's cosine term by a chunked einsum, and which frames must
-    be scored exactly instead: those with a pixel whose nonzero norm, or
-    the target's, lies outside ``_NORM_RANGE``, and, without
-    ``zero_substitute``, those that meet a zero norm, for which the exact
-    scorer raises. A zero-norm pixel is masked by ``_masked_cosines``, and
-    only in a chunk that has one."""
-    x, nx, zero_x = terms
+    be scored exactly instead: those with a pixel whose norm, or the
+    target's, lies outside ``_NORM_RANGE``. A zero norm lies outside it,
+    so the exact scorer masks or raises for every zero-norm pixel."""
+    x, nx, _ = terms
     lo, hi = _NORM_RANGE
-    target_zero = bool(zero_x.any())
-    target_bad = not ((nx >= lo) & (nx <= hi) | zero_x).all() or (target_zero and not zero_substitute)
+    target_bad = not ((nx >= lo) & (nx <= hi)).all()
     t = frames.shape[0]
     step = max(1, _CHUNK_BYTES // (8 * x.size))
     buffer = np.empty((min(step, t), *x.shape))  # refilled, so one chunk is ever held
@@ -214,19 +206,12 @@ def _fast_cosines(
         f[...] = frames[start : start + k]
         dots = np.einsum("thwc,hwc->thw", f, x)
         nf = np.sqrt(np.einsum("thwc,thwc->thw", f, f))
-        flat = nf.reshape(k, -1)
-        low = flat.min(-1)
-        # a tiny norm makes inf and a huge one may overflow; all such
-        # frames are rescored
+        # a zero norm makes nan, a tiny one inf and a huge one may
+        # overflow; all such frames are rescored
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if target_zero or not low.all():
-                cosines = _masked_cosines(dots, nf * nx, (nf == 0) | zero_x)
-                if zero_substitute:
-                    low = np.where(flat == 0, np.inf, flat).min(-1)
-            else:
-                cosines = dots / (nf * nx)
-        cos[start : start + k] = cosines.reshape(k, -1).sum(-1)
-        rescore[start : start + k] = target_bad | (low < lo) | (flat.max(-1) > hi)
+            cos[start : start + k] = (dots / (nf * nx)).reshape(k, -1).sum(-1)
+        nf = nf.reshape(k, -1)
+        rescore[start : start + k] = target_bad | (nf.min(-1) < lo) | (nf.max(-1) > hi)
     return cos, rescore
 
 
@@ -256,7 +241,7 @@ def sort_by_importance(
         return sorted(indices, key=lambda i: (-scores[i], -float(times[i]), i))
 
     t = frames.shape[0]
-    cos, rescore = _fast_cosines(frames, terms, zero_substitute)
+    cos, rescore = _fast_cosines(frames, terms)
     scores = cos + time_weight * np.asarray(time_terms, dtype=np.float64)
     for i in np.flatnonzero(rescore).tolist():  # index order: the first bad frame raises
         scores[i] = exact(i)

@@ -469,7 +469,10 @@ def apply_schedule(
             f"{capacity} and there is no tail marker"
         )
     if hi - lo < capacity and not pad_history:
-        raise ShortHistory(f"history of {total} frames cannot fill entries needing {capacity} frames")
+        raise ShortHistory(
+            f"history of {total} frames cannot fill entries needing "
+            f"{capacity} frames"
+        )
     if (pre and lo == middle) or (post and hi == middle):
         raise ShortHistory("cannot pad from an empty history")
     return _pack(history, schedule, iteration, n_tail, first, pad_history, pad_spatial)
@@ -544,7 +547,12 @@ def _pack(
                 cursor += p_f
 
     budget = sum(b.size for b in blocks)
-    expected = tokens_for_schedule(schedule, h, w, n_tail, pad=pad_history or pad_spatial)
+    expected = tokens_for_schedule(
+        schedule, h, w, n_tail, pad=pad_history or pad_spatial
+    )
     if budget != expected:
-        raise RuntimeError(f"packed {budget} tokens but accounting expected {expected}")
+        raise RuntimeError(
+            f"packed {budget} tokens but accounting expected {expected}"
+        )
     return PackedContext(tuple(blocks), schedule, budget, generate_span, tail_span)
+
