@@ -13,12 +13,15 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import codebook, fplt
 from .budget import segment_tokens
 from .drift import (
     DEFAULT_INITIAL_RATING,
+    _report,
+    _window,
     builtin_metrics,
-    drift_report,
     parse_match_log,
     rank_buckets,
     tournament,
@@ -101,12 +104,17 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_pack(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
-    # read only the frames the schedule packs: a td tail is never read
+    # read the frames the entries bind as one snapshot and a ta or tc tail
+    # in runs, all before the output is written; a td tail is never read
     with fplt._open_video(args.input) as (shape, read):
-        video = read(*_reach(schedule, shape[0]))
-    context = apply_schedule(
-        video, schedule, pad_history=args.pad_history, pad_spatial=args.pad_spatial, _total=shape[0]
-    )
+        context = apply_schedule(
+            read(*_reach(schedule, shape[0], runs=True)),
+            schedule,
+            pad_history=args.pad_history,
+            pad_spatial=args.pad_spatial,
+            _total=shape[0],
+            _tail=lambda start, stop: read(start, stop).array,
+        )
     sidecar = _write_packed(context, args.output, args.provenance)
     print(f"budget {context.budget}")
     print(f"tokens {args.output}")
@@ -187,11 +195,17 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 
 
 def cmd_drift(args: argparse.Namespace) -> int:
-    video = fplt.read_video(args.input)
+    # read only the two windows drift scores, each cast to float64 once; a
+    # file of fewer than 2 frames fails before any payload is read
+    with fplt._open_video(args.input) as (shape, read):
+        frames = shape[0]
+        window = _window(frames)
+        start = read(0, window).array.astype(np.float64)
+        end = read(frames - window, frames).array.astype(np.float64)
     metrics = builtin_metrics()
     if args.metric != "all":
         metrics = [m for m in metrics if m.name == args.metric]
-    sys.stdout.write(drift_report(video, metrics))
+    sys.stdout.write(_report(start, end, metrics))
     return 0
 
 

@@ -2,8 +2,11 @@
 
 Drift is the absolute difference of a quality metric between the first
 and last 15% of frames (at least one frame each side), which makes it
-direction-agnostic by construction. Metrics are pluggable; the built-ins
-are cheap analytic proxies rather than learned predictors.
+direction-agnostic by construction. Only those two windows are read:
+``ctxpack drift`` reads them from the file and casts each to float64
+once, and a video in memory gives them as slices. Metrics are
+pluggable; the built-ins are cheap analytic proxies rather than learned
+predictors.
 """
 
 from __future__ import annotations
@@ -32,13 +35,19 @@ class SegmentMetric:
     evaluate: Callable[[np.ndarray], float]
 
 
+def _window(frames: int) -> int:
+    """The length of each drift segment of a ``frames``-frame video:
+    DRIFT_WINDOW of its frames, at least one. Raises ``TooFewFrames``
+    below 2 frames."""
+    if frames < 2:
+        raise TooFewFrames(f"drift needs at least 2 frames, got {frames}")
+    return max(1, int(DRIFT_WINDOW * frames))
+
+
 def _segments(video: LatentVideo | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start and end segments of a video, DRIFT_WINDOW of its frames each."""
+    """The start and end segments of a video as float64, ``_window`` frames each."""
     arr = (video if isinstance(video, LatentVideo) else LatentVideo(video)).array
-    t = arr.shape[0]
-    if t < 2:
-        raise TooFewFrames(f"drift needs at least 2 frames, got {t}")
-    window = max(1, int(DRIFT_WINDOW * t))
+    window = _window(arr.shape[0])
     start, end = arr[:window], arr[-window:]
     return start.astype(np.float64, copy=False), end.astype(np.float64, copy=False)
 
@@ -54,7 +63,7 @@ def _mean_luminance(frames: np.ndarray) -> float:
 
 
 def _laplacian_variance(frames: np.ndarray) -> float:
-    f = frames[..., 0]
+    f = np.ascontiguousarray(frames[..., 0])
     if f.shape[1] < 3 or f.shape[2] < 3:
         return 0.0
     lap = (
@@ -70,7 +79,8 @@ def _laplacian_variance(frames: np.ndarray) -> float:
 def _frame_difference(frames: np.ndarray) -> float:
     if frames.shape[0] < 2:
         return 0.0
-    return float(np.abs(np.diff(frames, axis=0)).mean())
+    d = np.subtract(frames[1:], frames[:-1])
+    return float(np.abs(d, out=d).mean())
 
 
 def builtin_metrics() -> list[SegmentMetric]:
@@ -84,7 +94,13 @@ def builtin_metrics() -> list[SegmentMetric]:
 
 def drift_report(video: LatentVideo | np.ndarray, metrics: Iterable[SegmentMetric]) -> str:
     """One text line per metric: start and end scores plus their drift."""
-    start_frames, end_frames = _segments(video)
+    return _report(*_segments(video), metrics)
+
+
+def _report(
+    start_frames: np.ndarray, end_frames: np.ndarray, metrics: Iterable[SegmentMetric]
+) -> str:
+    """``drift_report``'s lines for the float64 start and end segments."""
     lines = []
     for metric in metrics:
         start = float(metric.evaluate(start_frames))

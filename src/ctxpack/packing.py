@@ -43,6 +43,8 @@ from .schedule import (
 
 # Bytes of a new snapshot that are filled and checked in one step.
 _CHECK_BYTES = 1 << 18
+# Bytes of history in one run of a ta or tc tail.
+_RUN_BYTES = 1 << 22
 
 LEARNED_KERNELS = (
     KernelSpec(1, 2, 2),
@@ -401,12 +403,13 @@ def _bind(schedule: PackingSchedule, total: int) -> tuple[Iteration, int, tuple[
     return iteration, middle, (spans[0].start, spans[-1].stop)
 
 
-def _reach(schedule: PackingSchedule, total: int) -> tuple[int, int]:
+def _reach(schedule: PackingSchedule, total: int, *, runs: bool = False) -> tuple[int, int]:
     """The frames ``(start, stop)`` that packing a ``total``-frame history
-    under ``schedule`` reads: the bound range when a ``td`` tail deletes
-    the frames outside it, and every frame otherwise."""
+    under ``schedule`` reads as one snapshot: the bound range when a ``td``
+    tail deletes the frames outside it or, given ``runs``, when a ``ta`` or
+    ``tc`` tail reads them in runs of their own; every frame otherwise."""
     tail = schedule.tail
-    if tail and tail.mode is TailMode.DELETE:
+    if tail and (runs or tail.mode is TailMode.DELETE):
         return _bind(schedule, total)[2]
     return 0, total
 
@@ -418,6 +421,7 @@ def apply_schedule(
     pad_history: bool = False,
     pad_spatial: bool = False,
     _total: int | None = None,
+    _tail: Callable[[int, int], np.ndarray] | None = None,
 ) -> PackedContext:
     """Pack a concrete history under a schedule.
 
@@ -435,6 +439,11 @@ def apply_schedule(
 
     Given ``_total``, the history holds only the frames ``_reach(schedule,
     _total)`` of a ``_total``-frame history, which is packed as a whole.
+    Given ``_tail`` as well, it holds ``_reach(schedule, _total, runs=True)``,
+    the frames the entries bind, and ``_tail(start, stop)`` returns frames
+    ``start .. stop`` of the whole history, through which a ``ta`` or ``tc``
+    tail is read in runs of about ``_RUN_BYTES``. An in-memory tail is
+    sliced into the same runs, so the two give the same bytes.
     """
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
@@ -454,7 +463,7 @@ def apply_schedule(
         resolve_kernel(entry.kernel)
     total, first = history.frame_count, 0
     if _total is not None:
-        first, stop = _reach(schedule, _total)
+        first, stop = _reach(schedule, _total, runs=_tail is not None)
         if stop - first != total:
             raise ValueError(f"history of {total} frames is not frames {first}..{stop}")
         total = _total
@@ -475,7 +484,7 @@ def apply_schedule(
         )
     if (pre and lo == middle) or (post and hi == middle):
         raise ShortHistory("cannot pad from an empty history")
-    return _pack(history, schedule, iteration, n_tail, first, pad_history, pad_spatial)
+    return _pack(history, schedule, iteration, n_tail, first, pad_history, pad_spatial, _tail)
 
 
 def _pack(
@@ -486,13 +495,21 @@ def _pack(
     first: int,
     pad_history: bool,
     pad_spatial: bool,
+    read: Callable[[int, int], np.ndarray] | None = None,
 ) -> PackedContext:
     """Pack the segments of ``schedule`` in order: the entries pool the
     spans of ``iteration.inputs``, whose frames ``history`` holds from
-    frame ``first`` on, and the tail takes ``n_tail`` frames. A ``Skip``
-    adds no width to the timeline."""
+    frame ``first`` on, and the tail takes ``n_tail`` frames. A ``ta`` or
+    ``tc`` tail reads its frames in runs through ``read(start, stop)``,
+    which indexes the whole history and by default slices ``history``. A
+    ``Skip`` adds no width to the timeline."""
     h, w, channels = history.height, history.width, history.channels
     data = history.array
+    if read is None:
+
+        def read(start: int, stop: int) -> np.ndarray:
+            return data[start - first : stop - first]
+
     blocks: list[PackedBlock] = []
     cursor = 0
     spans = (b.span for b in iteration.inputs)
@@ -502,17 +519,35 @@ def _pack(
             tail_span = (cursor, cursor + n_tail)
             # a td tail keeps its place on the timeline but is never read
             if n_tail and seg.mode is not TailMode.DELETE:
-                # a ta or tc history is whole, so the tail is a slice of it
-                tail_block = data[:n_tail] if schedule.tail_at_start else data[-n_tail:]
+                # the tail is the frames before the bound range or after it
+                start = 0 if schedule.tail_at_start else iteration.inputs[-1].span.stop
+                stop = start + n_tail
+                # numpy sums a tail of one-value frames pairwise, so it is one run
+                step = n_tail
+                if h * w * channels > 1:
+                    step = max(1, _RUN_BYTES // (data.itemsize * h * w * channels))
+                runs = (read(t, min(t + step, stop)) for t in range(start, stop, step))
+                # each run is freed (del) before the next one is read
                 if seg.mode is TailMode.APPEND:
                     # one grid per frame, pooled by the tail kernel's clipped windows
-                    grids = _pool_block(tail_block, TAIL_KERNEL, pad_spatial=True, clipped=True)
-                    for t, grid in enumerate(grids, cursor):
-                        blocks.append(_block(grid, TAIL_KERNEL, (t, t + 1), (h, w)))
+                    t = cursor
+                    for run in runs:
+                        grids = _pool_block(run, TAIL_KERNEL, pad_spatial=True, clipped=True)
+                        del run
+                        for grid in grids:
+                            blocks.append(_block(grid, TAIL_KERNEL, (t, t + 1), (h, w)))
+                            t += 1
                 else:
-                    # the tail's mean frame, pooled by the coarsest kernel, spans the tail
+                    # the tail's mean frame, pooled by the coarsest kernel, spans the
+                    # tail; numpy's float64 mean adds the frames one at a time after
+                    # the first, so the later runs add theirs to the first run's sum
+                    mean = next(runs).sum(axis=0, keepdims=True, dtype=np.float64)
+                    for run in runs:
+                        for i in range(len(run)):
+                            mean[0] += run[i]
+                        del run
+                    mean /= n_tail
                     kernel = schedule.coarsest_kernel
-                    mean = tail_block.mean(axis=0, keepdims=True, dtype=np.float64)
                     (grid,) = _pool_block(mean, kernel, pad_spatial)
                     blocks.append(_block(grid, kernel, tail_span))
             cursor += n_tail

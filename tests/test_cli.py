@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import os
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ctxpack import cli, codebook, fplt
+from ctxpack import cli, codebook, fplt, packing
 from ctxpack.cli import build_parser, main
 from ctxpack.codebook import Codebook, discretize_history
 from ctxpack.fplt import (
@@ -530,6 +531,164 @@ class TestPackReadsBoundFrames:
         assert code == 3
         assert err.endswith(f"{message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.fplt"]
+
+
+# ta and tc tails at the start and at the end, one after a gap, and one
+# whose entry of 3 frames its kernel step does not divide
+TAIL_NAMES = [
+    "ta_f4k2f1k1_g2",
+    "tc_f4k2f1k1_g2",
+    "f1k1_g2_f1k1f2k2_ta",
+    "f1k1_x_g3_f1k1f4k2_ta",
+    "f1k1_g2_f1k1f2k2_tc",
+    "tc_f3k2_g1",
+]
+
+
+@st.composite
+def tail_cases(draw):
+    """A ta or tc schedule, a float32 history of 0-40 small frames with
+    values over 2^-30 .. 2^30 and some pixels -0.0 in every frame, mostly
+    both pad flags, and a tail run of one to three frames. The float32
+    output hides most last-bit changes of the float64 tail mean, which
+    ``test_packing.TestTailRuns`` compares in float64."""
+    name = draw(st.sampled_from(TAIL_NAMES))
+    shape = (draw(st.integers(0, 40)), *(draw(st.integers(1, n)) for n in (9, 9, 3)))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    frames = gen.normal(size=shape) * 2.0 ** gen.integers(-30, 31, shape)
+    frames[:, gen.random(shape[1:]) < 0.2] = -0.0
+    mostly = st.sampled_from([True, True, True, False])
+    flags = [f for f in ("--pad-history", "--pad-spatial") if draw(mostly)]
+    return name, frames.astype(np.float32), flags, draw(st.integers(1, 3))
+
+
+class TestPackStreamsTail:
+    """A ta or tc pack reads its bound frames whole and its tail in runs."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(tail_cases())
+    def test_runs_match_whole_history_path(self, tmp_path_factory, case):
+        name, frames, flags, run = case
+        root = tmp_path_factory.mktemp("tail")
+        video, out, want = root / "v.fplt", root / "o.fplt", root / "w.fplt"
+        write_tensor(video, frames)
+        try:
+            context = apply_schedule(
+                read_video(video),
+                parse_schedule(name),
+                pad_history="--pad-history" in flags,
+                pad_spatial="--pad-spatial" in flags,
+            )
+        except cli.USAGE_ERRORS as exc:
+            expected = 2, f"ctxpack: {exc}\n"
+        except ValueError as exc:
+            expected = 3, f"ctxpack: {exc}\n"
+        else:
+            cli._write_packed(context, str(want), None)
+            expected = 0, ""
+        run_bytes = run * 4 * math.prod(frames.shape[1:])
+        with mock.patch.object(packing, "_RUN_BYTES", run_bytes):
+            assert pack_run(["pack", name, str(video), "-o", str(out), *flags]) == expected
+        if expected[0] == 0:
+            assert out.read_bytes() == want.read_bytes()
+            assert (root / "o.fplt.prov").read_bytes() == (root / "w.fplt.prov").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["ta", "tc"])
+    def test_peak_does_not_grow_with_history(self, tmp_path, mode):
+        # a pack of 200 paper-shaped frames reads the 19 a 19-frame pack
+        # reads, then its 181-frame tail in runs of 10; reading all 200
+        # frames at once, 80 MB, would peak at many times the 19-frame pack
+        name = f"{mode}_f16k4f2k2f1k1_g9"
+        argvs = []
+        for frames in (19, 200):
+            path = tmp_path / f"h{frames}.fplt"
+            write_tensor(path, rng(frames).normal(size=(frames, 60, 104, 16)).astype(np.float32))
+            argv = ["pack", name, str(path), "-o", str(tmp_path / "o")]
+            argvs.append([*argv, "--pad-history", "--pad-spatial"])
+        assert pack_run(argvs[0])[0] == 0  # builds the parser before anything is measured
+        peaks = []
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                assert pack_run(argv)[0] == 0
+                peaks.append(tracemalloc.get_traced_memory()[1] - base)
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < 2 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "name, frame",
+        [
+            # of 40 frames, the first binds 21..40, the others 0..20 and 0..19
+            ("ta_f16k4f2k2f1k1_g9", 0),
+            ("tc_f16k4f2k2f1k1_g9", 20),
+            ("f1k1_x_g9_f1k1f2k2f16k4_ta", 39),
+            ("f1k1_x_g9_f1k1f2k2f16k4_tc", 30),
+        ],
+    )
+    def test_non_finite_tail_frame_exits_3_and_keeps_no_file(self, tmp_path, name, frame):
+        arr = rng(15).normal(size=(40, 8, 8, 2)).astype(np.float32)
+        arr[frame, 3, 3, 1] = np.nan
+        video = tmp_path / "v.fplt"
+        write_tensor(video, arr)
+        with mock.patch.object(packing, "_RUN_BYTES", 2 * arr[0].nbytes):
+            code, err = pack_run(["pack", name, str(video), "-o", str(tmp_path / "o.fplt")])
+        assert (code, err) == (3, "ctxpack: latent video must contain only finite values\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.fplt"]
+
+    @pytest.mark.parametrize(
+        "name, frame, message",
+        [
+            # the entries of a tail at the end are packed before the tail is read
+            ("f1k1_g2_f3k2_ta", 19, "entry of 3 frames is not divisible by kernel step 2"),
+            ("f1k1_g2_f3k2_tc", 19, "entry of 3 frames is not divisible by kernel step 2"),
+            # the schedule's checks come before any tail is read
+            ("ta_f2k2h1w1_g1", 0, "kernel (2, 1, 1) is not a multiple of any learned kernel"),
+            ("f1k1_g1_tc", 19, "schedule 'f1k1_g1_tc' has its tail at the end but no entry "
+             "after the generated section"),
+        ],
+        ids=["entry-ta", "entry-tc", "kernel", "tail-at-end"],
+    )
+    def test_usage_error_wins_over_non_finite_tail(self, tmp_path, name, frame, message):
+        arr = rng(16).normal(size=(20, 8, 8, 2)).astype(np.float32)
+        arr[frame, 0, 0, 0] = np.nan
+        video = tmp_path / "v.fplt"
+        write_tensor(video, arr)
+        argv = ["pack", name, str(video), "-o", str(tmp_path / "o.fplt")]
+        assert pack_run(argv) == (2, f"ctxpack: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.fplt"]
+
+
+class TestOutputOverInput:
+    """A command whose output is its input reads all of it before the
+    output replaces it."""
+
+    @pytest.mark.parametrize("mode", ["ta", "tc"])
+    def test_pack(self, tmp_path, mode):
+        video, other = tmp_path / "v.fplt", tmp_path / "other.fplt"
+        write_tensor(video, rng(17).normal(size=(40, 9, 7, 3)).astype(np.float32))
+        argv = [f"{mode}_f16k4f2k2f1k1_g9", "--pad-history", "--pad-spatial"]
+        with mock.patch.object(packing, "_RUN_BYTES", 4 * 9 * 7 * 3 * 2):
+            assert main(["pack", argv[0], str(video), "-o", str(other), *argv[1:]]) == 0
+            assert main(["pack", argv[0], str(video), "-o", str(video), *argv[1:]]) == 0
+        assert video.read_bytes() == other.read_bytes()
+        assert Path(f"{video}.prov").read_bytes() == Path(f"{other}.prov").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["v.fplt", "v.fplt.prov", "other.fplt", "other.fplt.prov"]
+        )
+
+    def test_quantize(self, tmp_path):
+        video, other, book = tmp_path / "v.fplt", tmp_path / "other.fplt", tmp_path / "cb.fplt"
+        write_tensor(video, rng(18).normal(size=(40, 4, 4, 2)).astype(np.float32))
+        write_codebook(book, Codebook(rng(19).normal(size=(4, 2))))
+        # runs of 3 frames: the input is read in 14 runs before it is replaced
+        with mock.patch.object(codebook, "_SCORE_BYTES", 4 * 4 * 4 * 4 * 3):
+            for out in (other, video):
+                assert main(["quantize", str(video), "--codebook", str(book), "-o", str(out)]) == 0
+        assert video.read_bytes() == other.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "other.fplt", "v.fplt"]
 
 
 class TestCodebookCommands:

@@ -1,15 +1,21 @@
+import contextlib
+import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxpack import cli, fplt
 from ctxpack.drift import (
     MatchOutcome,
     MatchRecord,
     RatingTable,
     SegmentMetric,
+    _frame_difference,
+    _laplacian_variance,
     builtin_metrics,
     drift,
     drift_report,
@@ -20,6 +26,7 @@ from ctxpack.drift import (
     tournament,
 )
 from ctxpack.errors import TooFewFrames, UnknownOutcome
+from ctxpack.fplt import read_video, write_tensor
 from ctxpack.packing import LatentVideo
 
 from variant_catalog import RATING_RANGES
@@ -306,3 +313,132 @@ class TestRankBuckets:
             for b, rb in ratings.items():
                 if ranks[a] < ranks[b]:
                     assert ra >= rb
+
+
+def laplacian_variance_oracle(frames):
+    """The sharpness metric as it was written before it took a contiguous
+    copy of channel 0."""
+    f = frames[..., 0]
+    if f.shape[1] < 3 or f.shape[2] < 3:
+        return 0.0
+    lap = (
+        f[:, :-2, 1:-1]
+        + f[:, 2:, 1:-1]
+        + f[:, 1:-1, :-2]
+        + f[:, 1:-1, 2:]
+        - 4.0 * f[:, 1:-1, 1:-1]
+    )
+    return float(lap.var())
+
+
+def frame_difference_oracle(frames):
+    """The dynamics metric as it was written before it took its absolute
+    differences in place."""
+    if frames.shape[0] < 2:
+        return 0.0
+    return float(np.abs(np.diff(frames, axis=0)).mean())
+
+
+ORACLE_METRICS = [
+    SegmentMetric("mean-luminance", lambda frames: float(frames[..., 0].mean())),
+    SegmentMetric("sharpness-proxy", laplacian_variance_oracle),
+    SegmentMetric("dynamics-proxy", frame_difference_oracle),
+]
+
+
+@st.composite
+def spread_frames(draw, frames=st.integers(1, 12)):
+    """float32 frames with values over 2^-60 .. 2^60, some -0.0 and some
+    pixels -0.0 in every frame."""
+    shape = (draw(frames), *(draw(st.integers(1, n)) for n in (7, 7, 3)))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.normal(size=shape) * 2.0 ** gen.integers(-60, 61, shape)
+    x[gen.random(shape) < 0.1] = -0.0
+    x[:, gen.random(shape[1:]) < 0.2] = -0.0
+    return x.astype(np.float32)
+
+
+def run_main(argv):
+    """Exit code, stdout and stderr of one ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestDriftReadsItsWindows:
+    """``ctxpack drift`` reads only the two windows it scores."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(spread_frames(), st.booleans())
+    def test_metrics_keep_the_oracle_bits(self, frames, wide):
+        window = frames.astype(np.float64) if wide else frames
+        for got, want in ((_frame_difference, frame_difference_oracle),
+                          (_laplacian_variance, laplacian_variance_oracle)):
+            assert np.float64(got(window)).tobytes() == np.float64(want(window)).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        spread_frames(st.integers(2, 40)),
+        st.sampled_from(["all", *(m.name for m in builtin_metrics())]),
+    )
+    def test_report_equals_whole_video_report(self, tmp_path_factory, frames, metric):
+        path = tmp_path_factory.mktemp("drift") / "v.fplt"
+        write_tensor(path, frames)
+        code, out, err = run_main(["drift", str(path), "--metric", metric])
+        assert (code, err) == (0, "")
+        chosen = [m.name for m in builtin_metrics() if metric in ("all", m.name)]
+        metrics = [m for m in builtin_metrics() if m.name in chosen]
+        assert out == drift_report(read_video(path), metrics)
+        assert out == drift_report(read_video(path), [m for m in ORACLE_METRICS if m.name in chosen])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_outside_windows_is_not_read(self, tmp_path, bad):
+        # of 40 frames, the windows are frames 0..6 and 34..40
+        arr = rng(12).normal(size=(40, 8, 8, 2)).astype(np.float32)
+        finite, broken = tmp_path / "finite.fplt", tmp_path / "broken.fplt"
+        write_tensor(finite, arr)
+        for frame in (6, 20, 33):
+            arr[frame, 7, 7, 1] = bad
+        write_tensor(broken, arr)
+        assert run_main(["drift", str(broken)]) == run_main(["drift", str(finite)])
+        assert run_main(["drift", str(broken)])[0] == 0
+
+    @pytest.mark.parametrize("frame", [0, 5, 34, 39])
+    def test_non_finite_inside_a_window_exits_3(self, tmp_path, frame):
+        arr = rng(13).normal(size=(40, 8, 8, 2)).astype(np.float32)
+        arr[frame, 0, 0, 0] = np.nan
+        path = tmp_path / "v.fplt"
+        write_tensor(path, arr)
+        expected = (3, "", "ctxpack: latent video must contain only finite values\n")
+        assert run_main(["drift", str(path)]) == expected
+
+    @pytest.mark.parametrize("frames", [0, 1])
+    def test_too_few_frames_fail_before_payload(self, tmp_path, monkeypatch, frames):
+        def no_read(*args):
+            raise AssertionError("payload read")
+
+        path = tmp_path / "v.fplt"
+        write_tensor(path, np.full((frames, 2, 2, 1), np.nan, np.float32))
+        monkeypatch.setattr(fplt, "_read_payload", no_read)
+        expected = (3, "", f"ctxpack: drift needs at least 2 frames, got {frames}\n")
+        assert run_main(["drift", str(path)]) == expected
+
+    def test_peak_is_bounded_by_the_windows(self, tmp_path):
+        # 200 paper-shaped frames have 30-frame windows: their float32 reads
+        # and float64 casts are 72 MB, the whole file 80 MB; the margin
+        # covers the metrics' temporaries beyond one window's difference
+        shape = (200, 60, 104, 16)
+        path = tmp_path / "v.fplt"
+        write_tensor(path, rng(14).normal(size=shape).astype(np.float32))
+        windows = 2 * 30 * math.prod(shape[1:]) * (4 + 8)
+        assert run_main(["drift", str(path)])[0] == 0  # builds the parser first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run_main(["drift", str(path)])[0] == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < windows + (4 << 20)

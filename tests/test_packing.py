@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctxpack import packing
 from ctxpack.budget import TAIL_KERNEL, tokens_for_entry, tokens_for_schedule
 from ctxpack.errors import (
     ExcessHistory,
@@ -759,8 +761,9 @@ def packing_cases(draw):
     layout = draw(st.sampled_from(["start", "end", "none"]))
     pre = draw(entries)
     post = draw(entries.filter(bool)) if layout == "end" else draw(entries)
+    # a gap before the generated section (inverted) or after it (endpoint)
     gap = [Skip()] if post and draw(st.booleans()) else []
-    body = [*pre, *gap, generate, *post]
+    body = [*pre, *gap, generate, *post] if draw(st.booleans()) else [*pre, generate, *gap, *post]
     segments = {"start": tail + body, "end": body + tail, "none": body}[layout]
     h = draw(st.integers(1, 24))
     w = draw(st.integers(1, 40))
@@ -873,4 +876,88 @@ class TestBlockPackerOracle:
         ctx = apply_schedule(history, schedule, pad_spatial=True)
         assert (ctx.generate_span, ctx.tail_span) == (generate_span, tail_span) == ((7, 8), (0, 4))
         assert [t.time_span for t in ctx.tokens] == [t.time_span for t in expected]
+        assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
+
+
+@st.composite
+def tail_run_cases(draw):
+    """A ta or tc schedule with its tail at the start or at the end, a
+    history of more frames than its entries take, with values over
+    2^-30 .. 2^30, where the order of a float64 sum of float32 values
+    shows in its last bits, and some pixels -0.0 in every frame, and a
+    tail run of one to four frames."""
+    entry = st.builds(Frames, st.integers(1, 4), st.sampled_from(ORACLE_KERNELS))
+    tail = [Tail(draw(st.sampled_from([TailMode.APPEND, TailMode.COMPRESS])))]
+    at_start = draw(st.booleans())
+    pre = draw(st.lists(entry, max_size=2))
+    # a tail at the end needs an entry after the generated section
+    post = draw(st.lists(entry, min_size=0 if at_start else 1, max_size=2))
+    body = [*pre, Generate(1), *post]
+    schedule = PackingSchedule(tuple(tail + body if at_start else body + tail))
+    shape = (
+        sum(e.count for e in (*pre, *post)) + draw(st.integers(0, 12)),
+        *(draw(st.integers(1, n)) for n in (9, 9, 3)),
+    )
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.normal(size=shape) * 2.0 ** gen.integers(-30, 31, shape)
+    x[:, gen.random(shape[1:]) < 0.2] = -0.0
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return schedule, LatentVideo(x.astype(dtype)), draw(st.integers(1, 4))
+
+
+class TestTailRuns:
+    """A ta or tc tail is pooled in runs of about ``_RUN_BYTES``."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(tail_run_cases())
+    def test_runs_match_per_token_oracle(self, case):
+        schedule, history, run = case
+        frame_bytes = history.array.itemsize * history.height * history.width * history.channels
+        pads = dict(pad_history=True, pad_spatial=True)
+        expected, generate_span, tail_span = apply_schedule_oracle(history, schedule, **pads)
+        whole = apply_schedule(history, schedule, **pads)
+        with mock.patch.object(packing, "_RUN_BYTES", run * frame_bytes):
+            ctx = apply_schedule(history, schedule, **pads)
+        assert (ctx.generate_span, ctx.tail_span) == (generate_span, tail_span)
+        assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
+        assert TestPlannerBindingProperty.packed(ctx) == TestPlannerBindingProperty.packed(whole)
+
+    @pytest.mark.parametrize(
+        "name, bound, tail",
+        [
+            ("ta_f16k4f2k2f1k1_g9", (41, 60), (0, 41)),
+            ("tc_f16k4f2k2f1k1_g9", (41, 60), (0, 41)),
+            ("f1k1_x_g9_f1k1f2k2f16k4_ta", (0, 20), (20, 60)),
+            ("f1k1_x_g9_f1k1f2k2f16k4_tc", (0, 20), (20, 60)),
+        ],
+    )
+    def test_reader_reads_the_tail_in_runs(self, name, bound, tail):
+        s = parse_schedule(name)
+        assert _reach(s, 60, runs=True) == bound
+        whole = LatentVideo(rng(5).normal(size=(60, 8, 8, 2)).astype(np.float32))
+        calls = []
+
+        def read(start, stop):
+            calls.append((start, stop))
+            return whole.array[start:stop]
+
+        part = LatentVideo(whole.array[slice(*bound)])
+        # runs of 16 frames of 8x8x2 float32 values
+        with mock.patch.object(packing, "_RUN_BYTES", 16 * 8 * 8 * 2 * 4):
+            got = apply_schedule(part, s, _total=60, _tail=read)
+        starts = range(tail[0], tail[1], 16)
+        assert calls == [(t, min(t + 16, tail[1])) for t in starts]
+        packed = TestPlannerBindingProperty.packed
+        assert packed(got) == packed(apply_schedule(whole, s))
+        with pytest.raises(ValueError, match="history of 60 frames is not frames"):
+            apply_schedule(whole, s, _total=60, _tail=read)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tail_of_one_value_frames_is_one_run(self, dtype):
+        # numpy sums such a tail pairwise, not frame by frame
+        history = LatentVideo(rng(20).normal(size=(300, 1, 1, 1)).astype(dtype))
+        s = parse_schedule("tc_f1k1_g1")
+        expected = apply_schedule_oracle(history, s, pad_spatial=True)[0]
+        with mock.patch.object(packing, "_RUN_BYTES", 8):
+            ctx = apply_schedule(history, s, pad_spatial=True)
         assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
