@@ -541,14 +541,14 @@ def _pack(
                     # the tail's mean frame, pooled by the coarsest kernel, spans the
                     # tail; numpy's float64 mean adds the frames one at a time after
                     # the first, so the later runs add theirs to the first run's sum
-                    mean = next(runs).sum(axis=0, keepdims=True, dtype=np.float64)
+                    mean = next(runs).sum(axis=0, dtype=np.float64)
                     for run in runs:
                         for i in range(len(run)):
-                            mean[0] += run[i]
+                            mean += run[i]
                         del run
                     mean /= n_tail
                     kernel = schedule.coarsest_kernel
-                    (grid,) = _pool_block(mean, kernel, pad_spatial)
+                    (grid,) = _pool_block(mean[None], kernel, pad_spatial)
                     blocks.append(_block(grid, kernel, tail_span))
             cursor += n_tail
         elif isinstance(seg, Generate):
