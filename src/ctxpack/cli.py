@@ -27,7 +27,7 @@ from .drift import (
     tournament,
 )
 from .errors import IndivisibleDims, PlanError, ScheduleError, UnsupportedKernel
-from .packing import PackedBlock, PackedContext, _reach, apply_schedule
+from .packing import PackedBlock, PackedContext, _packed
 from .planner import (
     plan_endpoint,
     plan_inverted,
@@ -104,16 +104,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_pack(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
-    # read the frames the entries bind as one snapshot and a ta or tc tail
-    # in runs, all before the output is written; a td tail is never read
+    # every check that needs no frame runs first; then the frames the
+    # entries bind are read as one snapshot and a ta or tc tail in runs,
+    # all before the output is written; a td tail is never read
     with fplt._open_video(args.input) as (shape, read):
-        context = apply_schedule(
-            read(*_reach(schedule, shape[0], runs=True)),
-            schedule,
-            pad_history=args.pad_history,
-            pad_spatial=args.pad_spatial,
-            _total=shape[0],
-            _tail=lambda start, stop: read(start, stop).array,
+        context = _packed(
+            shape[0], lambda a, b: read(a, b).array, schedule, args.pad_history, args.pad_spatial
         )
     sidecar = _write_packed(context, args.output, args.provenance)
     print(f"budget {context.budget}")

@@ -403,25 +403,12 @@ def _bind(schedule: PackingSchedule, total: int) -> tuple[Iteration, int, tuple[
     return iteration, middle, (spans[0].start, spans[-1].stop)
 
 
-def _reach(schedule: PackingSchedule, total: int, *, runs: bool = False) -> tuple[int, int]:
-    """The frames ``(start, stop)`` that packing a ``total``-frame history
-    under ``schedule`` reads as one snapshot: the bound range when a ``td``
-    tail deletes the frames outside it or, given ``runs``, when a ``ta`` or
-    ``tc`` tail reads them in runs of their own; every frame otherwise."""
-    tail = schedule.tail
-    if tail and (runs or tail.mode is TailMode.DELETE):
-        return _bind(schedule, total)[2]
-    return 0, total
-
-
 def apply_schedule(
     history: LatentVideo,
     schedule: PackingSchedule,
     *,
     pad_history: bool = False,
     pad_spatial: bool = False,
-    _total: int | None = None,
-    _tail: Callable[[int, int], np.ndarray] | None = None,
 ) -> PackedContext:
     """Pack a concrete history under a schedule.
 
@@ -436,14 +423,25 @@ def apply_schedule(
     base kernel, all sharing one grid. A schedule whose tail sits at the
     end needs an entry after the generated section, and a ``+D`` schedule
     must be quantized first; either raises ``InvalidSchedule``.
+    """
+    data = history.array
+    return _packed(len(data), lambda a, b: data[a:b], schedule, pad_history, pad_spatial)
 
-    Given ``_total``, the history holds only the frames ``_reach(schedule,
-    _total)`` of a ``_total``-frame history, which is packed as a whole.
-    Given ``_tail`` as well, it holds ``_reach(schedule, _total, runs=True)``,
-    the frames the entries bind, and ``_tail(start, stop)`` returns frames
-    ``start .. stop`` of the whole history, through which a ``ta`` or ``tc``
-    tail is read in runs of about ``_RUN_BYTES``. An in-memory tail is
-    sliced into the same runs, so the two give the same bytes.
+
+def _packed(
+    total: int,
+    read: Callable[[int, int], np.ndarray],
+    schedule: PackingSchedule,
+    pad_history: bool,
+    pad_spatial: bool,
+) -> PackedContext:
+    """Pack a ``total``-frame history whose frames ``start .. stop``
+    ``read(start, stop)`` returns, as ``apply_schedule`` describes.
+
+    Every check that needs no frame runs before any frame is read: the
+    schedule's own, then the history's length against its entries, then
+    each entry's count against its kernel step. ``_pack`` then reads the
+    bound range once and a ``ta`` or ``tc`` tail in runs.
     """
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
@@ -461,12 +459,6 @@ def apply_schedule(
         )
     for entry in (*pre, *post):
         resolve_kernel(entry.kernel)
-    total, first = history.frame_count, 0
-    if _total is not None:
-        first, stop = _reach(schedule, _total, runs=_tail is not None)
-        if stop - first != total:
-            raise ValueError(f"history of {total} frames is not frames {first}..{stop}")
-        total = _total
 
     iteration, middle, (lo, hi) = _bind(schedule, total)
     # the bound range starts at frame 0 unless the tail comes first
@@ -484,32 +476,33 @@ def apply_schedule(
         )
     if (pre and lo == middle) or (post and hi == middle):
         raise ShortHistory("cannot pad from an empty history")
-    return _pack(history, schedule, iteration, n_tail, first, pad_history, pad_spatial, _tail)
+    for entry in (*pre, *post):
+        if entry.count % entry.kernel.p_f and not pad_history:
+            raise IndivisibleDims(
+                f"entry of {entry.count} frames is not divisible by kernel step {entry.kernel.p_f}"
+            )
+    return _pack(read, schedule, iteration, n_tail, pad_history, pad_spatial)
 
 
 def _pack(
-    history: LatentVideo,
+    read: Callable[[int, int], np.ndarray],
     schedule: PackingSchedule,
     iteration: Iteration,
     n_tail: int,
-    first: int,
     pad_history: bool,
     pad_spatial: bool,
-    read: Callable[[int, int], np.ndarray] | None = None,
 ) -> PackedContext:
     """Pack the segments of ``schedule`` in order: the entries pool the
-    spans of ``iteration.inputs``, whose frames ``history`` holds from
-    frame ``first`` on, and the tail takes ``n_tail`` frames. A ``ta`` or
-    ``tc`` tail reads its frames in runs through ``read(start, stop)``,
-    which indexes the whole history and by default slices ``history``. A
-    ``Skip`` adds no width to the timeline."""
-    h, w, channels = history.height, history.width, history.channels
-    data = history.array
-    if read is None:
-
-        def read(start: int, stop: int) -> np.ndarray:
-            return data[start - first : stop - first]
-
+    spans of ``iteration.inputs``, and the tail takes ``n_tail`` frames.
+    ``read(start, stop)`` returns frames ``start .. stop`` of the whole
+    history; the bound range is read once, and a ``ta`` or ``tc`` tail in
+    runs of about ``_RUN_BYTES``. A ``Skip`` adds no width to the
+    timeline."""
+    # the bound range follows a tail at the start and begins at frame 0 otherwise
+    lo = n_tail if schedule.tail_at_start else 0
+    hi = lo + sum(b.span.length for b in iteration.inputs)
+    data = read(lo, hi)
+    h, w, channels = data.shape[1:]
     blocks: list[PackedBlock] = []
     cursor = 0
     spans = (b.span for b in iteration.inputs)
@@ -520,7 +513,7 @@ def _pack(
             # a td tail keeps its place on the timeline but is never read
             if n_tail and seg.mode is not TailMode.DELETE:
                 # the tail is the frames before the bound range or after it
-                start = 0 if schedule.tail_at_start else iteration.inputs[-1].span.stop
+                start = 0 if schedule.tail_at_start else hi
                 stop = start + n_tail
                 # numpy sums a tail of one-value frames pairwise, so it is one run
                 step = n_tail
@@ -560,11 +553,7 @@ def _pack(
         elif isinstance(seg, Frames):
             span = next(spans)
             p_f = seg.kernel.p_f
-            if seg.count % p_f and not pad_history:
-                raise IndivisibleDims(
-                    f"entry of {seg.count} frames is not divisible by kernel step {p_f}"
-                )
-            start, stop = span.start - first, span.stop - first
+            start, stop = span.start - lo, span.stop - lo
             frames = data[start:stop]
             short = seg.count - span.length
             if short or seg.count % p_f:

@@ -13,6 +13,8 @@ with ``INPUTS -`` when the schedule has no frame entries.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -98,23 +100,38 @@ def bind_forward(entries: Sequence[Frames], start: int, ceiling: int) -> list[In
 
 def _check_plan(plan: GenerationPlan) -> GenerationPlan:
     """Coverage and causality: targets plus user frames partition the range,
-    and every input frame is available before the iteration that reads it."""
-    available = [False] * plan.total_frames
+    and every input frame is available before the iteration that reads it.
+
+    The available frames are kept as sorted spans that neither overlap nor
+    touch, so the check holds no per-frame state however long the range.
+    """
+    # span starts and stops, after an end marker no frame reaches
+    starts: list[float] = [math.inf]
+    stops: list[float] = [math.inf]
+
+    def add(span: Span) -> None:
+        # merge the span with every available span it overlaps or touches
+        if span.length:
+            i, j = bisect_left(stops, span.start), bisect_right(starts, span.stop)
+            starts[i:j] = [min([span.start, *starts[i:j]])]
+            stops[i:j] = [max([span.stop, *stops[i:j]])]
+
     for span in plan.user_spans:
-        for i in range(span.start, span.stop):
-            available[i] = True
+        add(span)
     for it in plan.iterations:
         for binding in it.inputs:
             span = binding.span
-            if not all(available[span.start : span.stop]):
+            # the first available span that ends after the input's start
+            i = bisect_right(stops, span.start)
+            if span.length and not (starts[i] <= span.start and span.stop <= stops[i]):
                 raise PlanError(f"input {span.text} read before it is available")
         for span in it.targets:
-            for i in range(span.start, span.stop):
-                if available[i]:
-                    raise PlanError(f"frame {i} targeted twice or user-supplied")
-                available[i] = True
-    if not all(available):
-        missing = available.index(False)
+            first = max(starts[bisect_right(stops, span.start)], span.start)
+            if first < span.stop:
+                raise PlanError(f"frame {first} targeted twice or user-supplied")
+            add(span)
+    missing = stops[0] if starts[0] == 0 else 0
+    if missing < plan.total_frames:
         raise PlanError(f"frame {missing} is never generated or supplied")
     return plan
 

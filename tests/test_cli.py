@@ -190,6 +190,13 @@ class TestPlanCommand:
     def test_unclassified_exits_2(self, capsys):
         assert main(["plan", "f1k1_g9_f1k1", "--total", "18", "--section", "9"]) == 2
 
+    @pytest.mark.parametrize("total", ["999999999999999999", "10000000000000000000"])
+    def test_one_section_of_a_huge_total(self, capsys, total):
+        # the plan check keeps no slot per frame, so neither size runs out
+        argv = ["plan", "td_f16k4f2k2f1k1_g9", "--total", total, "--section", total]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"ITER 1 TARGET 0..{total} INPUTS 0..0@k4,0..0@k2,0..0@k1\n"
+
     def test_endpoint_output(self, capsys):
         assert main(["plan", "td_f16k4f2k2f1k1_g9_x_f1k1", "--total", "36", "--section", "9"]) == 0
         assert capsys.readouterr().out == (
@@ -532,6 +539,35 @@ class TestPackReadsBoundFrames:
         assert err.endswith(f"{message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.fplt"]
 
+    @pytest.mark.parametrize(
+        "name, code, message",
+        [
+            ("td_f1k1_g1+D", 2, "schedule 'td_f1k1_g1+D' packs a discretized history; run "
+             "`ctxpack quantize` first, then pack 'td_f1k1_g1'"),
+            ("td_f1k1h1w1_g1", 2, "kernel (1, 1, 1) is not a multiple of any learned kernel"),
+            ("td_f3k2_g1", 2, "entry of 3 frames is not divisible by kernel step 2"),
+            ("f1k1_g1", 3, "history of 20 frames exceeds schedule capacity 1 and there is "
+             "no tail marker"),
+            ("f30k1_g1", 3, "history of 20 frames cannot fill entries needing 30 frames"),
+        ],
+        ids=["discretized", "kernel", "entry", "excess", "short"],
+    )
+    def test_checks_that_need_no_frame_come_before_any_read(
+        self, tmp_path, monkeypatch, name, code, message
+    ):
+        # every pack here would read frame 19, whose NaN is never named
+        def no_read(*args):
+            raise AssertionError("payload read")
+
+        arr = rng(17).normal(size=(20, 8, 8, 2)).astype(np.float32)
+        arr[19, 0, 0, 0] = np.nan
+        video = tmp_path / "v.fplt"
+        write_tensor(video, arr)
+        monkeypatch.setattr(fplt, "_read_payload", no_read)
+        argv = ["pack", name, str(video), "-o", str(tmp_path / "o.fplt")]
+        assert pack_run(argv) == (code, f"ctxpack: {message}\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v.fplt"]
+
 
 # ta and tc tails at the start and at the end, one after a gap, and one
 # whose entry of 3 frames its kernel step does not divide
@@ -641,7 +677,7 @@ class TestPackStreamsTail:
     @pytest.mark.parametrize(
         "name, frame, message",
         [
-            # the entries of a tail at the end are packed before the tail is read
+            # every check that needs no frame runs before any frame is read
             ("f1k1_g2_f3k2_ta", 19, "entry of 3 frames is not divisible by kernel step 2"),
             ("f1k1_g2_f3k2_tc", 19, "entry of 3 frames is not divisible by kernel step 2"),
             # the schedule's checks come before any tail is read

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -20,8 +21,8 @@ from ctxpack.packing import (
     LatentVideo,
     _bind,
     _pack,
+    _packed,
     _pool_block,
-    _reach,
     apply_schedule,
     resolve_kernel,
 )
@@ -594,26 +595,31 @@ class TestApplySchedule:
         assert ctx.budget == tokens_for_schedule(s, 64, 64, 0, pad=True)
 
     @pytest.mark.parametrize(
-        "name, reach",
+        "name, bound",
         [
             ("td_f16k4f2k2f1k1_g9", (41, 60)),
             ("f1k1_x_g9_f1k1f2k2f16k4_td", (0, 20)),
-            ("ta_f16k4f2k2f1k1_g9", (0, 60)),
-            ("f1k1_x_g9_f1k1f2k2f16k4_tc", (0, 60)),
+            ("ta_f16k4f2k2f1k1_g9", (41, 60)),
+            ("f1k1_x_g9_f1k1f2k2f16k4_tc", (0, 20)),
         ],
     )
-    def test_reached_frames_pack_as_the_whole_history(self, name, reach):
+    def test_reached_frames_pack_as_the_whole_history(self, name, bound):
+        # the first read is the bound range, served from a snapshot of it alone
         s = parse_schedule(name)
-        assert _reach(s, 60) == reach
         whole = video(60, 8, 8, 2, seed=4)
-        part = LatentVideo(whole.array[slice(*reach)])
-        got = apply_schedule(part, s, _total=60)
+        part = LatentVideo(whole.array[slice(*bound)])
+        reads = []
+
+        def read(start, stop):
+            reads.append((start, stop))
+            return part.array if len(reads) == 1 else whole.array[start:stop]
+
+        got = _packed(60, read, s, False, False)
         want = apply_schedule(whole, s)
+        assert reads[0] == bound
         assert got.features.tobytes() == want.features.tobytes()
         assert [b.time_span for b in got.blocks] == [b.time_span for b in want.blocks]
         assert got.tail_span == want.tail_span
-        with pytest.raises(ValueError, match="history of 60 frames is not frames"):
-            apply_schedule(whole, s, _total=61)
 
 
 class TestSymmetricSchedule:
@@ -725,7 +731,8 @@ class TestPlannerBindingProperty:
             prefix = LatentVideo(history.array[: it.targets[0].start])
             want = apply_schedule(prefix, schedule, pad_history=True, pad_spatial=pad_spatial)
             # the tail holds the frames before the plan's oldest input
-            got = _pack(prefix, schedule, it, it.inputs[0].span.start, 0, True, pad_spatial)
+            tail = it.inputs[0].span.start
+            got = _pack(lambda a, b: prefix.array[a:b], schedule, it, tail, True, pad_spatial)
             assert self.packed(got) == self.packed(want)
 
     @staticmethod
@@ -828,9 +835,6 @@ class TestBindMatchesPlannerOracle:
         has_gap = any(isinstance(seg, Skip) for seg in schedule.segments)
         assert iteration.skip_spans == ((Span(middle, middle),) if has_gap else ())
         assert iteration.targets == ()
-        tail = schedule.tail
-        reach = (lo, hi) if tail and tail.mode is TailMode.DELETE else (0, total)
-        assert _reach(schedule, total) == reach
 
 
 class TestBlockPackerOracle:
@@ -933,7 +937,6 @@ class TestTailRuns:
     )
     def test_reader_reads_the_tail_in_runs(self, name, bound, tail):
         s = parse_schedule(name)
-        assert _reach(s, 60, runs=True) == bound
         whole = LatentVideo(rng(5).normal(size=(60, 8, 8, 2)).astype(np.float32))
         calls = []
 
@@ -941,16 +944,13 @@ class TestTailRuns:
             calls.append((start, stop))
             return whole.array[start:stop]
 
-        part = LatentVideo(whole.array[slice(*bound)])
         # runs of 16 frames of 8x8x2 float32 values
         with mock.patch.object(packing, "_RUN_BYTES", 16 * 8 * 8 * 2 * 4):
-            got = apply_schedule(part, s, _total=60, _tail=read)
+            got = _packed(60, read, s, False, False)
         starts = range(tail[0], tail[1], 16)
-        assert calls == [(t, min(t + 16, tail[1])) for t in starts]
+        assert calls == [bound] + [(t, min(t + 16, tail[1])) for t in starts]
         packed = TestPlannerBindingProperty.packed
         assert packed(got) == packed(apply_schedule(whole, s))
-        with pytest.raises(ValueError, match="history of 60 frames is not frames"):
-            apply_schedule(whole, s, _total=60, _tail=read)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_tail_of_one_value_frames_is_one_run(self, dtype):
@@ -961,3 +961,57 @@ class TestTailRuns:
         with mock.patch.object(packing, "_RUN_BYTES", 8):
             ctx = apply_schedule(history, s, pad_spatial=True)
         assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
+
+
+@st.composite
+def read_cases(draw):
+    """A binding case with a small history of its length and a tail run of
+    one to four frames, or a tail run case; with or without history
+    padding, and always with spatial padding, so every error is raised
+    before a frame is read."""
+    if draw(st.booleans()):
+        schedule, total = draw(binding_cases())
+        h, w, c = (draw(st.integers(1, n)) for n in (9, 9, 3))
+        history = video(total, h, w, c, seed=draw(st.integers(0, 2**16)))
+        return schedule, history, draw(st.integers(1, 4)), draw(st.booleans())
+    return (*draw(tail_run_cases()), True)
+
+
+class TestPackedReadsOnce:
+    """``_packed`` reads the bound range once, then only a ta or tc tail, in
+    runs that split it in order, and packs the bytes of the whole history."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(read_cases())
+    def test_reads_the_bound_range_then_the_tail_runs(self, case):
+        schedule, history, run, pad_history = case
+        total = history.frame_count
+        reads = []
+
+        def read(start, stop):
+            reads.append((start, stop))
+            return history.array[start:stop]
+
+        frame_bytes = history.array.itemsize * history.height * history.width * history.channels
+        with mock.patch.object(packing, "_RUN_BYTES", run * frame_bytes):
+            try:
+                want = apply_schedule(history, schedule, pad_history=pad_history, pad_spatial=True)
+            except (ShortHistory, ExcessHistory, IndivisibleDims) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    _packed(total, read, schedule, pad_history, True)
+                assert reads == []
+                return
+            got = _packed(total, read, schedule, pad_history, True)
+        lo, hi = _bind(schedule, total)[2]
+        assert reads[0] == (lo, hi)
+        tail = schedule.tail
+        if tail and tail.mode is not TailMode.DELETE and got.tail_frame_count:
+            start = 0 if schedule.tail_at_start else hi
+            runs = reads[1:]
+            assert [a for a, _ in runs] == [start] + [b for _, b in runs[:-1]]
+            assert runs[-1][1] == start + got.tail_frame_count
+            assert all(a < b for a, b in runs)
+        else:
+            assert reads == [(lo, hi)]
+        packed = TestPlannerBindingProperty.packed
+        assert packed(got) == packed(want)

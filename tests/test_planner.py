@@ -7,6 +7,9 @@ from ctxpack import planner as planner_module
 from ctxpack.errors import ModeMismatch, OverlappingEndpoints, PlanError, TooShort
 from ctxpack.planner import (
     GenerationPlan,
+    InputBinding,
+    Iteration,
+    PlanMode,
     Span,
     plan_endpoint,
     plan_inverted,
@@ -325,3 +328,41 @@ class TestPlannerOracle:
             new = outcome(getattr(planner_module, name), *args, **kwargs)
             old = outcome(getattr(planner_oracle, name), *args, **kwargs)
             assert new == old, name
+
+
+@st.composite
+def checked_plans(draw):
+    """A plan of up to 30 frames, its spans all in range: user frames at the
+    start, then targets that partition the rest in order, each read after
+    inputs mostly among the frames before it; then spans added, dropped and
+    reordered, so most plans fail one of the three checks somewhere."""
+    total = draw(st.integers(1, 30))
+    bounds = st.tuples(st.integers(0, total), st.integers(0, total))
+    span = bounds.map(lambda ab: Span(min(ab), max(ab)))
+    user = draw(st.integers(0, total - 1))
+    user_spans = [Span(0, user)] * bool(user) + draw(st.lists(span, max_size=1))
+    cuts = sorted({user, total, *draw(st.lists(st.integers(user, total), max_size=5))})
+    iterations = []
+    for start, stop in zip(cuts, cuts[1:]):
+        before = st.tuples(st.integers(0, start), st.integers(0, start))
+        inputs = draw(st.lists(before.map(lambda ab: Span(min(ab), max(ab))) | span, max_size=3))
+        targets = [Span(start, stop), *draw(st.lists(span, max_size=1))]
+        bindings = tuple(InputBinding(s, "k1") for s in inputs)
+        iterations.append(Iteration(tuple(draw(st.permutations(targets))), bindings))
+    iterations = [it for it in iterations if draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        iterations = draw(st.permutations(iterations))
+    return GenerationPlan(
+        PlanMode.VANILLA, total, 1, VANILLA, tuple(iterations), tuple(user_spans)
+    )
+
+
+class TestCheckPlan:
+    """The plan check keeps merged spans of available frames, not one slot
+    per frame, and names the same first failure as the per-frame check."""
+
+    @settings(max_examples=500)
+    @given(checked_plans())
+    def test_matches_per_frame_check(self, plan):
+        new = outcome(planner_module._check_plan, plan)
+        assert new == outcome(planner_oracle._check_plan, plan)
