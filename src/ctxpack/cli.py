@@ -104,12 +104,12 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_pack(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
-    # every check that needs no frame runs first; then the frames the
-    # entries bind are read as one snapshot and a ta or tc tail in runs,
-    # all before the output is written; a td tail is never read
+    # every check that needs no frame, the header's dims too, runs first;
+    # then the frames the entries bind are read as one snapshot and a ta or
+    # tc tail in runs, all before the output is written; a td tail is never read
     with fplt._open_video(args.input) as (shape, read):
         context = _packed(
-            shape[0], lambda a, b: read(a, b).array, schedule, args.pad_history, args.pad_spatial
+            shape, lambda a, b: read(a, b).array, schedule, args.pad_history, args.pad_spatial
         )
     sidecar = _write_packed(context, args.output, args.provenance)
     print(f"budget {context.budget}")

@@ -246,16 +246,15 @@ def resolve_kernel(requested: KernelSpec) -> KernelResolution:
     )
 
 
-def _pool_block(
-    block: np.ndarray, kernel: KernelSpec, pad_spatial: bool, clipped: bool = False
-) -> np.ndarray:
+def _pool_block(block: np.ndarray, kernel: KernelSpec, clipped: bool = False) -> np.ndarray:
     """Mean-pool (T, H, W, C) frames ``p_f`` at a time, or all T if fewer,
     into a read-only (T // p_f, H', W', C) float64 stack of grids.
 
-    A window's float64 sum is divided by a whole window's pixel count (the
-    zero-padded mean), or, if ``clipped``, by the pixels it holds. With two
-    or more channels the sum adds the window's pixels one at a time in
-    memory order (frame, row, column), starting from +0.0, as
+    Any H and W pool (``_packed`` checks the dims first where padding is
+    not allowed): a window's float64 sum is divided by a whole window's
+    pixel count (the zero-padded mean), or, if ``clipped``, by the pixels
+    it holds. With two or more channels the sum adds the window's pixels
+    one at a time in memory order (frame, row, column), from +0.0, as
     ``sum(axis=(1, 3, 5), dtype=np.float64)`` of the windowed block does;
     ``_window_sums`` keeps that order. A one-channel block is copied, whole
     groups of about ``_CHECK_BYTES`` at a time, and summed by numpy, which
@@ -263,11 +262,9 @@ def _pool_block(
     """
     t, h, w, c = block.shape
     p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
-    if (h % p_h or w % p_w) and not pad_spatial:
-        raise IndivisibleDims(f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}")
     if c == 1 and t > (step := p_f * max(1, _CHECK_BYTES // (8 * p_f * h * w))):
         pieces = np.split(block, range(step, t, step))
-        grids = np.concatenate([_pool_block(b, kernel, pad_spatial, clipped) for b in pieces])
+        grids = np.concatenate([_pool_block(b, kernel, clipped) for b in pieces])
         grids.setflags(write=False)
         return grids
     if c == 1 and not clipped:
@@ -425,24 +422,25 @@ def apply_schedule(
     must be quantized first; either raises ``InvalidSchedule``.
     """
     data = history.array
-    return _packed(len(data), lambda a, b: data[a:b], schedule, pad_history, pad_spatial)
+    return _packed(data.shape, lambda a, b: data[a:b], schedule, pad_history, pad_spatial)
 
 
 def _packed(
-    total: int,
+    shape: tuple[int, ...],
     read: Callable[[int, int], np.ndarray],
     schedule: PackingSchedule,
     pad_history: bool,
     pad_spatial: bool,
 ) -> PackedContext:
-    """Pack a ``total``-frame history whose frames ``start .. stop``
-    ``read(start, stop)`` returns, as ``apply_schedule`` describes.
+    """Pack a history of ``shape`` (T, H, W, C) whose frames ``start ..
+    stop`` ``read(start, stop)`` returns, as ``apply_schedule`` describes.
 
     Every check that needs no frame runs before any frame is read: the
-    schedule's own, then the history's length against its entries, then
-    each entry's count against its kernel step. ``_pack`` then reads the
-    bound range once and a ``ta`` or ``tc`` tail in runs.
+    schedule's own, the history's length against its entries, each entry's
+    count against its kernel step, then H and W against each kernel it
+    pools. The bound and tail ranges come once from ``_bind``.
     """
+    total, h, w = shape[:3]
     pre = schedule.entries_before_generate
     post = schedule.entries_after_generate
     if schedule.discretize_history:
@@ -462,7 +460,8 @@ def _packed(
 
     iteration, middle, (lo, hi) = _bind(schedule, total)
     # the bound range starts at frame 0 unless the tail comes first
-    n_tail = lo if schedule.tail_at_start else total - hi
+    tail = (0, lo) if schedule.tail_at_start else (hi, total)
+    n_tail = tail[1] - tail[0]
     capacity = sum(e.count for e in (*pre, *post))
     if n_tail and schedule.tail is None:
         raise ExcessHistory(
@@ -481,26 +480,34 @@ def _packed(
             raise IndivisibleDims(
                 f"entry of {entry.count} frames is not divisible by kernel step {entry.kernel.p_f}"
             )
-    return _pack(read, schedule, iteration, n_tail, pad_history, pad_spatial)
+    for seg in () if pad_spatial else schedule.segments:
+        # the kernels _pack pools: a td tail reads nothing, a ta tail clips
+        kernel = BASE_KERNEL if isinstance(seg, Generate) else getattr(seg, "kernel", None)
+        if seg == Tail(TailMode.COMPRESS) and n_tail:
+            kernel = schedule.coarsest_kernel
+        if kernel and (h % kernel.p_h or w % kernel.p_w):
+            raise IndivisibleDims(f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}")
+    context = _pack(read, schedule, iteration, (lo, hi), tail)
+    expected = tokens_for_schedule(schedule, h, w, n_tail, pad=pad_history or pad_spatial)
+    if context.budget != expected:
+        raise RuntimeError(f"packed {context.budget} tokens but accounting expected {expected}")
+    return context
 
 
 def _pack(
     read: Callable[[int, int], np.ndarray],
     schedule: PackingSchedule,
     iteration: Iteration,
-    n_tail: int,
-    pad_history: bool,
-    pad_spatial: bool,
+    bound: tuple[int, int],
+    tail: tuple[int, int],
 ) -> PackedContext:
-    """Pack the segments of ``schedule`` in order: the entries pool the
-    spans of ``iteration.inputs``, and the tail takes ``n_tail`` frames.
-    ``read(start, stop)`` returns frames ``start .. stop`` of the whole
-    history; the bound range is read once, and a ``ta`` or ``tc`` tail in
-    runs of about ``_RUN_BYTES``. A ``Skip`` adds no width to the
-    timeline."""
-    # the bound range follows a tail at the start and begins at frame 0 otherwise
-    lo = n_tail if schedule.tail_at_start else 0
-    hi = lo + sum(b.span.length for b in iteration.inputs)
+    """Pack the segments of ``schedule`` in order, unchecked: the entries
+    pool the spans of ``iteration.inputs``, which lie in the frames
+    ``bound``, and the tail takes the frames ``tail``. ``read(start,
+    stop)`` returns frames ``start .. stop`` of the whole history; ``bound``
+    is read once, a ``ta`` or ``tc`` tail in runs of about ``_RUN_BYTES``.
+    A ``Skip`` adds no width to the timeline."""
+    lo, hi = bound
     data = read(lo, hi)
     h, w, channels = data.shape[1:]
     blocks: list[PackedBlock] = []
@@ -509,14 +516,12 @@ def _pack(
     generate_span = tail_span = None
     for seg in schedule.segments:
         if isinstance(seg, Tail):
-            tail_span = (cursor, cursor + n_tail)
+            start, stop = tail
+            tail_span = (cursor, cursor + stop - start)
             # a td tail keeps its place on the timeline but is never read
-            if n_tail and seg.mode is not TailMode.DELETE:
-                # the tail is the frames before the bound range or after it
-                start = 0 if schedule.tail_at_start else hi
-                stop = start + n_tail
+            if start < stop and seg.mode is not TailMode.DELETE:
                 # numpy sums a tail of one-value frames pairwise, so it is one run
-                step = n_tail
+                step = stop - start
                 if h * w * channels > 1:
                     step = max(1, _RUN_BYTES // (data.itemsize * h * w * channels))
                 runs = (read(t, min(t + step, stop)) for t in range(start, stop, step))
@@ -525,7 +530,7 @@ def _pack(
                     # one grid per frame, pooled by the tail kernel's clipped windows
                     t = cursor
                     for run in runs:
-                        grids = _pool_block(run, TAIL_KERNEL, pad_spatial=True, clipped=True)
+                        grids = _pool_block(run, TAIL_KERNEL, clipped=True)
                         del run
                         for grid in grids:
                             blocks.append(_block(grid, TAIL_KERNEL, (t, t + 1), (h, w)))
@@ -539,15 +544,15 @@ def _pack(
                         for i in range(len(run)):
                             mean += run[i]
                         del run
-                    mean /= n_tail
+                    mean /= stop - start
                     kernel = schedule.coarsest_kernel
-                    (grid,) = _pool_block(mean[None], kernel, pad_spatial)
+                    (grid,) = _pool_block(mean[None], kernel)
                     blocks.append(_block(grid, kernel, tail_span))
-            cursor += n_tail
+            cursor = tail_span[1]
         elif isinstance(seg, Generate):
             generate_span = (cursor, cursor + seg.count)
             zero_frame = np.zeros((1, h, w, channels), np.float32)
-            (zero_grid,) = _pool_block(zero_frame, BASE_KERNEL, pad_spatial)
+            (zero_grid,) = _pool_block(zero_frame, BASE_KERNEL)
             blocks += [_block(zero_grid, BASE_KERNEL, (t, t + 1)) for t in range(*generate_span)]
             cursor += seg.count
         elif isinstance(seg, Frames):
@@ -566,17 +571,9 @@ def _pack(
                     idx = [start] * short + idx
                 idx += idx[-1:] * (-seg.count % p_f)
                 frames = data[idx]
-            for grid in _pool_block(frames, seg.kernel, pad_spatial):
+            for grid in _pool_block(frames, seg.kernel):
                 blocks.append(_block(grid, seg.kernel, (cursor, cursor + p_f)))
                 cursor += p_f
 
     budget = sum(b.size for b in blocks)
-    expected = tokens_for_schedule(
-        schedule, h, w, n_tail, pad=pad_history or pad_spatial
-    )
-    if budget != expected:
-        raise RuntimeError(
-            f"packed {budget} tokens but accounting expected {expected}"
-        )
     return PackedContext(tuple(blocks), schedule, budget, generate_span, tail_span)
-

@@ -309,18 +309,21 @@ def plan_multi_endpoint(
 
 
 def _uncovered(spans: Sequence[Span], cover: Sequence[Span]) -> str:
-    """The frames of ``spans`` outside every span of ``cover``, as
-    comma-separated ranges (empty when there are none)."""
-    frames = sorted(
-        {i for s in spans for i in range(s.start, s.stop)}
-        - {i for s in cover for i in range(s.start, s.stop)}
-    )
+    """The frames of ``spans`` outside every span of ``cover``, as ranges
+    joined by commas; each is sorted, and its spans do not overlap."""
     runs: list[Span] = []
-    for i in frames:
-        if runs and runs[-1].stop == i:
-            runs[-1] = Span(runs[-1].start, i + 1)
-        else:
-            runs.append(Span(i, i + 1))
+    for span in spans:
+        start = span.start
+        # each cover span that meets the span, then one at its stop, ends a run
+        i = bisect_right(cover, start, key=lambda c: c.stop)
+        j = bisect_left(cover, span.stop, key=lambda c: c.start)
+        for c in (*cover[i:j], Span(span.stop, span.stop)):
+            stop = min(c.start, span.stop)
+            if start < stop and runs and runs[-1].stop == start:
+                runs[-1] = Span(runs[-1].start, stop)
+            elif start < stop:
+                runs.append(Span(start, stop))
+            start = max(start, c.stop)
     return ",".join(r.text for r in runs)
 
 

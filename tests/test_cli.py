@@ -540,26 +540,27 @@ class TestPackReadsBoundFrames:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v.fplt"]
 
     @pytest.mark.parametrize(
-        "name, code, message",
+        "name, height, code, message",
         [
-            ("td_f1k1_g1+D", 2, "schedule 'td_f1k1_g1+D' packs a discretized history; run "
+            ("td_f1k1_g1+D", 8, 2, "schedule 'td_f1k1_g1+D' packs a discretized history; run "
              "`ctxpack quantize` first, then pack 'td_f1k1_g1'"),
-            ("td_f1k1h1w1_g1", 2, "kernel (1, 1, 1) is not a multiple of any learned kernel"),
-            ("td_f3k2_g1", 2, "entry of 3 frames is not divisible by kernel step 2"),
-            ("f1k1_g1", 3, "history of 20 frames exceeds schedule capacity 1 and there is "
+            ("td_f1k1h1w1_g1", 8, 2, "kernel (1, 1, 1) is not a multiple of any learned kernel"),
+            ("td_f3k2_g1", 8, 2, "entry of 3 frames is not divisible by kernel step 2"),
+            ("f1k1_g1", 8, 3, "history of 20 frames exceeds schedule capacity 1 and there is "
              "no tail marker"),
-            ("f30k1_g1", 3, "history of 20 frames cannot fill entries needing 30 frames"),
+            ("f30k1_g1", 8, 3, "history of 20 frames cannot fill entries needing 30 frames"),
+            ("td_f1k1_g1", 7, 2, "latent dims 7x8 are not divisible by kernel (1, 2, 2)"),
         ],
-        ids=["discretized", "kernel", "entry", "excess", "short"],
+        ids=["discretized", "kernel", "entry", "excess", "short", "dims"],
     )
     def test_checks_that_need_no_frame_come_before_any_read(
-        self, tmp_path, monkeypatch, name, code, message
+        self, tmp_path, monkeypatch, name, height, code, message
     ):
         # every pack here would read frame 19, whose NaN is never named
         def no_read(*args):
             raise AssertionError("payload read")
 
-        arr = rng(17).normal(size=(20, 8, 8, 2)).astype(np.float32)
+        arr = rng(17).normal(size=(20, height, 8, 2)).astype(np.float32)
         arr[19, 0, 0, 0] = np.nan
         video = tmp_path / "v.fplt"
         write_tensor(video, arr)

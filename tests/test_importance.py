@@ -319,7 +319,7 @@ class TestRankingIntoPacker:
         assert order[0] == 4
 
         def pooled(i):
-            return _pool_block(video.array[i : i + 1], BASE_KERNEL, False)
+            return _pool_block(video.array[i : i + 1], BASE_KERNEL)
 
         assert self.f1k1_grid(video, order[::-1]).tobytes() == pooled(order[0]).tobytes()
         # as ranked, the finest entry gets the lowest-ranked frame

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctxpack import packing
@@ -13,6 +13,7 @@ from ctxpack.errors import (
     ExcessHistory,
     IndivisibleDims,
     InvalidSchedule,
+    PlanError,
     ShortHistory,
     UnsupportedKernel,
 )
@@ -26,7 +27,7 @@ from ctxpack.packing import (
     apply_schedule,
     resolve_kernel,
 )
-from ctxpack.planner import Span, plan_vanilla
+from ctxpack.planner import Span, plan_endpoint, plan_inverted, plan_multi_endpoint, plan_vanilla
 from ctxpack.schedule import (
     BASE_KERNEL,
     Frames,
@@ -38,7 +39,7 @@ from ctxpack.schedule import (
     TailMode,
     parse_schedule,
 )
-from packing_oracle import apply_schedule_oracle
+from packing_oracle import apply_schedule_oracle, pool
 from planner_oracle import bind_backward, bind_forward
 
 
@@ -205,7 +206,7 @@ class TestPoolWithoutPadding:
                     hits = gen.random(shape) < 0.1
                     block[hits] = gen.normal(size=hits.sum())
                 block = block.astype(dtype)
-                got = _pool_block(block, kernel, pad_spatial=True)
+                got = _pool_block(block, kernel)
                 assert got.tobytes() == self.padded_mean(block, kernel).tobytes()
 
     def test_large_kernel_peak(self):
@@ -288,7 +289,7 @@ class TestWindowSums:
     @given(window_cases())
     def test_matches_numpy_window_sums(self, case):
         block, kernel, clipped = case
-        got = _pool_block(block, kernel, pad_spatial=True, clipped=clipped)
+        got = _pool_block(block, kernel, clipped=clipped)
         assert got.tobytes() == numpy_window_means(block, kernel, clipped).tobytes()
 
 
@@ -614,7 +615,7 @@ class TestApplySchedule:
             reads.append((start, stop))
             return part.array if len(reads) == 1 else whole.array[start:stop]
 
-        got = _packed(60, read, s, False, False)
+        got = _packed(whole.array.shape, read, s, False, False)
         want = apply_schedule(whole, s)
         assert reads[0] == bound
         assert got.features.tobytes() == want.features.tobytes()
@@ -681,8 +682,45 @@ def vanilla_cases(draw):
     return schedule, section, video(total, 8, 8, 2, seed=seed)
 
 
+@st.composite
+def anchored_cases(draw):
+    """An endpoint, inverted or multi-endpoint plan of a schedule with one to
+    three entries on each side of its generated section, any tail, and a
+    history of the plan's length."""
+    entries = st.lists(
+        st.builds(Frames, st.integers(1, 6), st.sampled_from(PROPERTY_KERNELS)),
+        min_size=1,
+        max_size=3,
+    )
+    near, far = draw(entries), draw(entries)
+    tail = Tail(draw(st.sampled_from(list(TailMode))))
+    generate = Generate(draw(st.integers(1, 3)))
+    section, units = draw(st.integers(1, 3)), draw(st.integers(3, 6))
+    total = section * units
+    mode = draw(st.sampled_from(["endpoint", "inverted", "multi-endpoint"]))
+    if mode == "inverted":
+        schedule = PackingSchedule((*far, Skip(), generate, *near, tail))
+        user = draw(st.integers(1, min(3, total - 1)))
+        plan = plan_inverted(total, section, schedule, user_frames=user)
+    else:
+        schedule = PackingSchedule((tail, *near, generate, Skip(), *far))
+        if mode == "endpoint":
+            plan = plan_endpoint(total, section, schedule)
+        else:
+            # an anchor after two sections or more, so that a gap section
+            # sees frames on both sides
+            later = st.lists(st.integers(2, units - 1), min_size=1, max_size=2, unique=True)
+            picked = [0] * draw(st.booleans()) + draw(later)
+            anchors = [(u * section, (u + 1) * section) for u in picked]
+            try:
+                plan = plan_multi_endpoint(total, section, schedule, anchors)
+            except PlanError:
+                assume(False)
+    return plan, video(plan.total_frames, 8, 8, 2, seed=draw(st.integers(0, 2**16)))
+
+
 class TestPlannerBindingProperty:
-    """Every vanilla plan iteration packs the frames its INPUTS name."""
+    """Every plan iteration packs the frames its INPUTS name."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(vanilla_cases())
@@ -731,9 +769,61 @@ class TestPlannerBindingProperty:
             prefix = LatentVideo(history.array[: it.targets[0].start])
             want = apply_schedule(prefix, schedule, pad_history=True, pad_spatial=pad_spatial)
             # the tail holds the frames before the plan's oldest input
-            tail = it.inputs[0].span.start
-            got = _pack(lambda a, b: prefix.array[a:b], schedule, it, tail, True, pad_spatial)
+            bound = (it.inputs[0].span.start, it.inputs[-1].span.stop)
+            got = _pack(lambda a, b: prefix.array[a:b], schedule, it, bound, (0, bound[0]))
             assert self.packed(got) == self.packed(want)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(anchored_cases())
+    def test_anchored_entries_pool_their_planner_spans(self, case):
+        # the bound range of an iteration whose sides bind frames on both
+        # sides of a gap is read once, gap and all
+        plan, history = case
+        schedule = plan.schedule
+        n_pre = len(schedule.entries_before_generate)
+        for it in plan.iterations:
+            sides = [[b.span for b in it.inputs[:n_pre]], [b.span for b in it.inputs[n_pre:]]]
+            if not all(sum(span.length for span in side) for side in sides):
+                continue
+            spans = sides[0] + sides[1]
+            bound = (spans[0].start, spans[-1].stop)
+            tail = (0, bound[0]) if schedule.tail_at_start else (bound[1], plan.total_frames)
+            reads = []
+
+            def read(start, stop):
+                reads.append((start, stop))
+                return history.array[start:stop]
+
+            ctx = _pack(read, schedule, it, bound, tail)
+            assert reads[0] == bound
+            a, b = ctx.generate_span
+            generated = [blk for blk in ctx.blocks if a <= blk.time_span[0] < b]
+            assert len(generated) == schedule.generate.count
+            assert all(blk.kernel == BASE_KERNEL and not blk.grid.any() for blk in generated)
+            t0, t1 = ctx.tail_span
+            blocks = iter(
+                blk
+                for blk in history_blocks(ctx)
+                if not (t0 <= blk.time_span[0] and blk.time_span[1] <= t1)
+            )
+            # a short entry fills from its side's outermost bound frame:
+            # the oldest before the generated section, the newest after it
+            bound_frames = [[f for s in side for f in range(s.start, s.stop)] for side in sides]
+            for n, (entry, span) in enumerate(zip(schedule.frames_entries, spans)):
+                idx = list(range(span.start, span.stop))
+                short = entry.count - span.length
+                if n < n_pre:
+                    idx = [bound_frames[0][0]] * short + idx
+                else:
+                    idx += [bound_frames[1][-1]] * short
+                idx += idx[-1:] * (-entry.count % entry.kernel.p_f)
+                frames = history.data[idx]
+                for g in range(0, len(idx), entry.kernel.p_f):
+                    blk = next(blocks)
+                    assert blk.kernel == entry.kernel
+                    want = pool(frames[g : g + entry.kernel.p_f], entry.kernel, False)
+                    np.testing.assert_allclose(blk.grid, want, atol=1e-12)
+            assert next(blocks, None) is None
 
     @staticmethod
     def packed(ctx):
@@ -946,7 +1036,7 @@ class TestTailRuns:
 
         # runs of 16 frames of 8x8x2 float32 values
         with mock.patch.object(packing, "_RUN_BYTES", 16 * 8 * 8 * 2 * 4):
-            got = _packed(60, read, s, False, False)
+            got = _packed(whole.array.shape, read, s, False, False)
         starts = range(tail[0], tail[1], 16)
         assert calls == [bound] + [(t, min(t + 16, tail[1])) for t in starts]
         packed = TestPlannerBindingProperty.packed
@@ -967,24 +1057,24 @@ class TestTailRuns:
 def read_cases(draw):
     """A binding case with a small history of its length and a tail run of
     one to four frames, or a tail run case; with or without history
-    padding, and always with spatial padding, so every error is raised
-    before a frame is read."""
+    padding, and with or without spatial padding."""
     if draw(st.booleans()):
         schedule, total = draw(binding_cases())
         h, w, c = (draw(st.integers(1, n)) for n in (9, 9, 3))
         history = video(total, h, w, c, seed=draw(st.integers(0, 2**16)))
-        return schedule, history, draw(st.integers(1, 4)), draw(st.booleans())
-    return (*draw(tail_run_cases()), True)
+        return schedule, history, draw(st.integers(1, 4)), draw(st.booleans()), draw(st.booleans())
+    return (*draw(tail_run_cases()), True, draw(st.booleans()))
 
 
 class TestPackedReadsOnce:
     """``_packed`` reads the bound range once, then only a ta or tc tail, in
-    runs that split it in order, and packs the bytes of the whole history."""
+    runs that split it in order, and packs the bytes of the whole history;
+    every error, an indivisible-dims one too, is raised before any read."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(read_cases())
     def test_reads_the_bound_range_then_the_tail_runs(self, case):
-        schedule, history, run, pad_history = case
+        schedule, history, run, pad_history, pad_spatial = case
         total = history.frame_count
         reads = []
 
@@ -995,13 +1085,15 @@ class TestPackedReadsOnce:
         frame_bytes = history.array.itemsize * history.height * history.width * history.channels
         with mock.patch.object(packing, "_RUN_BYTES", run * frame_bytes):
             try:
-                want = apply_schedule(history, schedule, pad_history=pad_history, pad_spatial=True)
+                want = apply_schedule(
+                    history, schedule, pad_history=pad_history, pad_spatial=pad_spatial
+                )
             except (ShortHistory, ExcessHistory, IndivisibleDims) as exc:
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
-                    _packed(total, read, schedule, pad_history, True)
+                    _packed(history.array.shape, read, schedule, pad_history, pad_spatial)
                 assert reads == []
                 return
-            got = _packed(total, read, schedule, pad_history, True)
+            got = _packed(history.array.shape, read, schedule, pad_history, pad_spatial)
         lo, hi = _bind(schedule, total)[2]
         assert reads[0] == (lo, hi)
         tail = schedule.tail

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -232,6 +234,47 @@ class TestMultiEndpoint:
         plan = plan_multi_endpoint(45, 9, ENDPOINT, [(0, 9), (27, 36)])
         assert plan.iterations[1].inputs[0].span == Span(0, 6)
         assert_covers(plan)
+
+    def test_anchors_of_10_18_frames_plan_in_milliseconds(self):
+        # the anchor check compares span ends; it never visits a frame
+        n = 10**18
+        start = time.perf_counter()
+        plan = plan_multi_endpoint(2 * n, n, ENDPOINT, [(0, n), (n, 2 * n)])
+        assert serialize_plan(plan) == (
+            f"ITER 1 TARGET 0..{n} INPUTS 0..0@k4,0..0@k2,0..0@k1,{n}..{n}@k1\n"
+            f"ITER 2 TARGET {n}..{2 * n} INPUTS {n - 19}..{n - 3}@k4,{n - 3}..{n - 1}@k2,"
+            f"{n - 1}..{n}@k1,{2 * n}..{2 * n}@k1\n"
+        )
+        far = 9 * 10**17
+        with pytest.raises(PlanError, match=f"^endpoint {far + 27}..{far + 36} reads frames "
+                           f"{far - 10}..{far}, which no earlier endpoint generates$"):
+            plan_multi_endpoint(far + 45, 9, ENDPOINT, [(far, far + 9), (far + 27, far + 36)])
+        assert time.perf_counter() - start < 0.5
+
+
+@st.composite
+def uncovered_cases(draw):
+    """Two lists of sorted spans that do not overlap, as an anchor's inputs
+    and the earlier anchors are: each may touch the next or be empty."""
+    def spans():
+        cuts = sorted(draw(st.lists(st.integers(0, 40), max_size=8)))
+        return [Span(a, b) for a, b in zip(cuts[::2], cuts[1::2])]
+
+    return spans(), spans()
+
+
+class TestUncovered:
+    @settings(max_examples=500)
+    @given(uncovered_cases())
+    def test_matches_per_frame_ranges(self, case):
+        spans, cover = case
+        frames = {i for s in spans for i in range(s.start, s.stop)}
+        frames -= {i for s in cover for i in range(s.start, s.stop)}
+        runs = [[f, f + 1] for f in sorted(frames) if f - 1 not in frames]
+        for run in runs:
+            while run[1] in frames:
+                run[1] += 1
+        assert planner_module._uncovered(spans, cover) == ",".join(f"{a}..{b}" for a, b in runs)
 
 
 class TestSerialize:
