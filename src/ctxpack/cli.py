@@ -11,20 +11,13 @@ import argparse
 import functools
 import re
 import sys
+from argparse import ArgumentError
 from pathlib import Path
-
-import numpy as np
 
 from . import codebook, fplt
 from .budget import segment_tokens
 from .drift import (
-    DEFAULT_INITIAL_RATING,
-    _report,
-    _window,
-    builtin_metrics,
-    parse_match_log,
-    rank_buckets,
-    tournament,
+    DEFAULT_INITIAL_RATING, _report, builtin_metrics, parse_match_log, rank_buckets, tournament
 )
 from .errors import IndivisibleDims, PlanError, ScheduleError, UnsupportedKernel
 from .packing import PackedBlock, PackedContext, _packed
@@ -37,7 +30,7 @@ from .planner import (
 )
 from .schedule import Frames, Generate, SamplingMode, Skip, Tail, parse_schedule
 
-USAGE_ERRORS = (ScheduleError, IndivisibleDims, UnsupportedKernel, PlanError)
+USAGE_ERRORS = (ScheduleError, IndivisibleDims, UnsupportedKernel, PlanError, ArgumentError)
 
 
 _SEGMENT_KINDS = {Tail: "tail", Frames: "frames", Generate: "generate", Skip: "skip"}
@@ -104,6 +97,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 def cmd_pack(args: argparse.Namespace) -> int:
     schedule = parse_schedule(args.name)
+    if args.provenance and Path(args.provenance).resolve() == Path(args.output).resolve():
+        raise ArgumentError(None, f"--provenance {args.provenance} is the output file")
     # every check that needs no frame, the header's dims too, runs first;
     # then the frames the entries bind are read as one snapshot and a ta or
     # tc tail in runs, all before the output is written; a td tail is never read
@@ -162,6 +157,7 @@ def _cell_text(block: PackedBlock) -> list[tuple[str, str]]:
 
 
 def cmd_codebook_fit(args: argparse.Namespace) -> int:
+    codebook._check_fit(args.k, args.max_iters, args.tol)  # before any input is read
     videos = [fplt.read_video(p) for p in args.inputs]
     fitted = codebook.fit_codebook(videos, args.k, args.seed, args.max_iters, args.tol)
     fplt.write_codebook(args.output, fitted)
@@ -175,33 +171,16 @@ def cmd_codebook_fit(args: argparse.Namespace) -> int:
 
 def cmd_quantize(args: argparse.Namespace) -> int:
     book = fplt.read_codebook(args.codebook)
-    rows = book.centroids.astype("<f4")
-    # The history streams through in runs of frames, each at most one
-    # search chunk of pixels and one score budget of float32 values, and
-    # each run's centroid rows go straight to the output file, so memory
-    # stays flat in T. No frames make one empty run, which is still checked.
-    pixels = codebook._SCORE_BYTES // (4 * max(book.size, book.channels))
     with fplt._open_video(args.input) as (shape, read):
-        frames, step = shape[0], max(1, pixels // (shape[1] * shape[2]))
-        runs = (read(t, min(t + step, frames)) for t in range(0, max(frames, 1), step))
-        indices = (codebook.quantize(run, book).indices for run in runs)
-        fplt._write(args.output, shape, (rows.take(i, axis=0) for i in indices))
+        fplt._write(args.output, shape, codebook._quantized(shape, read, book))
     print(f"quantized {args.output}")
     return 0
 
 
 def cmd_drift(args: argparse.Namespace) -> int:
-    # read only the two windows drift scores, each cast to float64 once; a
-    # file of fewer than 2 frames fails before any payload is read
+    metrics = [m for m in builtin_metrics() if args.metric in ("all", m.name)]
     with fplt._open_video(args.input) as (shape, read):
-        frames = shape[0]
-        window = _window(frames)
-        start = read(0, window).array.astype(np.float64)
-        end = read(frames - window, frames).array.astype(np.float64)
-    metrics = builtin_metrics()
-    if args.metric != "all":
-        metrics = [m for m in metrics if m.name == args.metric]
-    sys.stdout.write(_report(start, end, metrics))
+        sys.stdout.write(_report(shape, lambda a, b: read(a, b).array, metrics))
     return 0
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -201,6 +201,16 @@ def _pixel_matrix(dataset: Sequence[LatentVideo]) -> np.ndarray:
     return pixels[0] if len(pixels) == 1 else np.concatenate(pixels)
 
 
+def _check_fit(k: int, max_iters: int, tol: float) -> None:
+    """``fit_codebook``'s argument checks, run before it reads any pixel."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if max_iters < 1:
+        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    if not math.isfinite(tol) or tol < 0:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def fit_codebook(
     dataset: Sequence[LatentVideo],
     k: int,
@@ -214,16 +224,10 @@ def fit_codebook(
     improvement drops below ``tol`` or ``max_iters`` assignment passes run.
     Empty clusters are re-seeded to the point farthest from its centroid.
     Raises ``InsufficientData`` when the dataset has fewer than ``k``
-    distinct pixels, and ``ValueError`` when ``max_iters < 1``, when ``tol``
-    is negative or not finite, or when squared pixel distances overflow
-    float64 or underflow it between distinct pixels.
+    distinct pixels, and ``ValueError`` as ``_check_fit`` does or when squared
+    pixel distances overflow float64 or underflow it between distinct pixels.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if not math.isfinite(tol) or tol < 0:
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _check_fit(k, max_iters, tol)
     pixels = _pixel_matrix(dataset)
     rng = np.random.default_rng(seed)
     centroids = _dsquared_seed(pixels, k, rng)
@@ -258,13 +262,30 @@ def fit_codebook(
 
 def quantize(frames: LatentVideo, codebook: Codebook) -> IndexMap:
     """Nearest-centroid index per pixel; ties break to the lowest index."""
-    if frames.channels != codebook.channels:
-        raise ChannelMismatch(
-            f"video has {frames.channels} channels, codebook has {codebook.channels}"
-        )
+    _check_channels(frames.channels, codebook)
     pixels = frames.array.reshape(-1, frames.channels)
     assign, _ = _nearest(pixels, codebook.centroids, distances=False)
     return IndexMap(assign.reshape(frames.array.shape[:3]))
+
+
+def _check_channels(channels: int, codebook: Codebook) -> None:
+    if channels != codebook.channels:
+        raise ChannelMismatch(f"video has {channels} channels, codebook has {codebook.channels}")
+
+
+def _quantized(
+    shape: tuple[int, ...], read: Callable[[int, int], LatentVideo], codebook: Codebook
+) -> Iterator[np.ndarray]:
+    """Each run's float32 centroid rows for a video of ``shape`` whose frames
+    ``start .. stop`` ``read(start, stop)`` returns. The channels are checked
+    at the call, before any read; then each run, as many whole frames as one
+    search chunk holds (at least one), is read and ``quantize``d in turn."""
+    _check_channels(shape[3], codebook)
+    rows = codebook.centroids.astype("<f4")
+    pixels = _SCORE_BYTES // (4 * max(codebook.size, codebook.channels))
+    frames, step = shape[0], max(1, pixels // (shape[1] * shape[2]))
+    runs = (read(t, min(t + step, frames)) for t in range(0, frames, step))
+    return (rows.take(quantize(run, codebook).indices, axis=0) for run in runs)
 
 
 def dequantize(index_map: IndexMap, codebook: Codebook) -> LatentVideo:

@@ -2,11 +2,11 @@
 
 Drift is the absolute difference of a quality metric between the first
 and last 15% of frames (at least one frame each side), which makes it
-direction-agnostic by construction. Only those two windows are read:
-``ctxpack drift`` reads them from the file and casts each to float64
-once, and a video in memory gives them as slices. Metrics are
-pluggable; the built-ins are cheap analytic proxies rather than learned
-predictors.
+direction-agnostic by construction. One core, ``_scores``, reads only
+those two windows, through a ``read(start, stop)`` that slices a video
+in memory or reads ``ctxpack drift``'s file, and casts each to float64
+once. Metrics are pluggable; the built-ins are cheap analytic proxies
+rather than learned predictors.
 """
 
 from __future__ import annotations
@@ -44,18 +44,28 @@ def _window(frames: int) -> int:
     return max(1, int(DRIFT_WINDOW * frames))
 
 
-def _segments(video: LatentVideo | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The start and end segments of a video as float64, ``_window`` frames each."""
+def _scores(
+    shape: tuple[int, ...], read: Callable[[int, int], np.ndarray], metrics: Iterable[SegmentMetric]
+) -> list[tuple[SegmentMetric, float, float]]:
+    """Each metric with its start and end scores for a video of ``shape``
+    whose frames ``start .. stop`` ``read(start, stop)`` returns: ``_window``
+    runs first, then each window is read and cast to float64 once."""
+    frames, window = shape[0], _window(shape[0])
+    start = read(0, window).astype(np.float64, copy=False)
+    end = read(frames - window, frames).astype(np.float64, copy=False)
+    return [(m, float(m.evaluate(start)), float(m.evaluate(end))) for m in metrics]
+
+
+def _held(video: LatentVideo | np.ndarray) -> tuple[tuple[int, ...], Callable]:
+    """A video in memory, wrapped and checked whole, as a shape and a ``read`` of its snapshot."""
     arr = (video if isinstance(video, LatentVideo) else LatentVideo(video)).array
-    window = _window(arr.shape[0])
-    start, end = arr[:window], arr[-window:]
-    return start.astype(np.float64, copy=False), end.astype(np.float64, copy=False)
+    return arr.shape, lambda start, stop: arr[start:stop]
 
 
 def drift(video: LatentVideo | np.ndarray, metric: SegmentMetric) -> float:
     """|metric(start segment) - metric(end segment)| for one video."""
-    start, end = _segments(video)
-    return abs(float(metric.evaluate(start)) - float(metric.evaluate(end)))
+    [(_, start, end)] = _scores(*_held(video), [metric])
+    return abs(start - end)
 
 
 def _mean_luminance(frames: np.ndarray) -> float:
@@ -94,20 +104,17 @@ def builtin_metrics() -> list[SegmentMetric]:
 
 def drift_report(video: LatentVideo | np.ndarray, metrics: Iterable[SegmentMetric]) -> str:
     """One text line per metric: start and end scores plus their drift."""
-    return _report(*_segments(video), metrics)
+    return _report(*_held(video), metrics)
 
 
 def _report(
-    start_frames: np.ndarray, end_frames: np.ndarray, metrics: Iterable[SegmentMetric]
+    shape: tuple[int, ...], read: Callable[[int, int], np.ndarray], metrics: Iterable[SegmentMetric]
 ) -> str:
-    """``drift_report``'s lines for the float64 start and end segments."""
-    lines = []
-    for metric in metrics:
-        start = float(metric.evaluate(start_frames))
-        end = float(metric.evaluate(end_frames))
-        lines.append(
-            f"metric={metric.name} start={start!r} end={end!r} drift={abs(start - end)!r}"
-        )
+    """``drift_report``'s lines for the video ``_scores`` reads."""
+    lines = [
+        f"metric={m.name} start={start!r} end={end!r} drift={abs(start - end)!r}"
+        for m, start, end in _scores(shape, read, metrics)
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -328,6 +328,24 @@ class TestPackCommand:
         assert "learned kernel" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("sidecar", ["p.fplt", "./p.fplt", "sub/../p.fplt", "{tmp}/p.fplt"])
+    def test_provenance_over_output_exits_2(self, tmp_path, monkeypatch, capsys, sidecar):
+        # the sidecar would replace the packed tensor; nothing is read or written
+        def no_read(*args):
+            raise AssertionError("payload read")
+
+        write_tensor(tmp_path / "v.fplt", rng(5).normal(size=(4, 4, 4, 2)).astype(np.float32))
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "p.fplt").write_bytes(b"old")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(fplt, "_read_payload", no_read)
+        sidecar = sidecar.format(tmp=tmp_path)
+        argv = ["pack", "td_f1k1_g1", "v.fplt", "-o", "p.fplt", "--provenance", sidecar]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ctxpack: --provenance {sidecar} is the output file\n"
+        assert (tmp_path / "p.fplt").read_bytes() == b"old"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.fplt", "sub", "v.fplt"]
+
     def test_discretized_schedule_exits_2(self, tmp_path, small_video_path, capsys):
         out = tmp_path / "packed.fplt"
         rc = main(["pack", "td_f1k1_g1+D", small_video_path, "-o", str(out), "--pad-history"])
@@ -784,6 +802,28 @@ class TestCodebookCommands:
         assert capsys.readouterr().err.startswith("ctxpack: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--k", "0", "k must be >= 1"),
+        ("--max-iters", "0", "max_iters must be >= 1, got 0"),
+        ("--tol", "-1", "tol must be finite and >= 0, got -1.0"),
+    ])
+    def test_fit_arguments_are_checked_before_any_read(
+        self, tmp_path, monkeypatch, capsys, flag, value, message
+    ):
+        # both inputs hold a NaN, which only a read would name
+        def no_read(*args):
+            raise AssertionError("payload read")
+
+        inputs = [tmp_path / "a.fplt", tmp_path / "b.fplt"]
+        for path in inputs:
+            write_tensor(path, np.full((2, 2, 2, 2), np.nan, np.float32))
+        monkeypatch.setattr(fplt, "_read_payload", no_read)
+        args = {"--k": "2", "--max-iters": "5", "--tol": "0", flag: value}
+        argv = ["codebook", "fit", *map(str, inputs), "--seed", "1", "-o", str(tmp_path / "cb")]
+        assert main(argv + [a for kv in args.items() for a in kv]) == 3
+        assert capsys.readouterr().err == f"ctxpack: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.fplt", "b.fplt"]
+
 
 # The nearest-centroid search scores in float32 only while max|x| and
 # C * (2 max|x| max|c| + max|c|^2) stay below this.
@@ -873,6 +913,58 @@ class TestQuantizeStream:
         assert main(argv) == 3
         assert capsys.readouterr().err.endswith(f"{message}\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "v.fplt"]
+
+
+class TestQuantizeReadsThroughOneCore:
+    """``ctxpack quantize`` is one call of ``codebook._quantized``, which
+    checks the channels from the shape and then reads the runs in order."""
+
+    @pytest.mark.parametrize("frames", [0, 3])
+    def test_channel_mismatch_reads_no_frame(self, frames):
+        calls = []
+
+        def read(start, stop):
+            calls.append((start, stop))
+            raise AssertionError("frames read")
+
+        with pytest.raises(ValueError, match="^video has 3 channels, codebook has 2$"):
+            codebook._quantized((frames, 2, 2, 3), read, Codebook(np.eye(2)))
+        assert calls == []
+
+    def test_channel_mismatch_is_named_before_a_nan(self, tmp_path, monkeypatch, capsys):
+        arr = rng(21).normal(size=(3, 2, 2, 3)).astype(np.float32)
+        arr[0, 0, 0, 0] = np.nan
+        video, book = tmp_path / "v.fplt", tmp_path / "cb.fplt"
+        write_tensor(video, arr)
+        write_codebook(book, Codebook(np.eye(2)))
+        read_payload = fplt._read_payload
+
+        def codebook_only(fh, path, *args):
+            assert path == str(book), "video payload read"
+            read_payload(fh, path, *args)
+
+        monkeypatch.setattr(fplt, "_read_payload", codebook_only)
+        argv = ["quantize", str(video), "--codebook", str(book), "-o", str(tmp_path / "o.fplt")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "ctxpack: video has 3 channels, codebook has 2\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cb.fplt", "v.fplt"]
+
+    @pytest.mark.parametrize("frames", [0, 1, 7, 9])
+    def test_runs_are_read_in_order(self, frames):
+        # runs of 3 frames of 2x2 pixels against 4 two-channel centroids
+        whole = LatentVideo(rng(frames).normal(size=(frames, 2, 2, 2)).astype(np.float32))
+        book = Codebook(rng(22).normal(size=(4, 2)))
+        calls = []
+
+        def read(start, stop):
+            calls.append((start, stop))
+            return LatentVideo(whole.array[start:stop])
+
+        with mock.patch.object(codebook, "_SCORE_BYTES", 4 * 4 * 2 * 2 * 3):
+            rows = list(codebook._quantized(whole.array.shape, read, book))
+        assert calls == [(t, min(t + 3, frames)) for t in range(0, frames, 3)]
+        want = discretize_history(whole, book).array.astype(np.float32)
+        assert np.concatenate([want[:0], *rows]).tobytes() == want.tobytes()
 
 
 class TestDriftCommand:

@@ -1,7 +1,9 @@
 import contextlib
+import importlib
 import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from ctxpack.fplt import read_video, write_tensor
 from ctxpack.packing import LatentVideo
 
 from variant_catalog import RATING_RANGES
+
+# ``ctxpack.drift`` the attribute is the drift() function
+drift_module = importlib.import_module("ctxpack.drift")
 
 
 def rng(seed=0):
@@ -442,3 +447,46 @@ class TestDriftReadsItsWindows:
         finally:
             tracemalloc.stop()
         assert peak < windows + (4 << 20)
+
+
+class TestOneDriftCore:
+    """``drift``, ``drift_report`` and ``ctxpack drift`` read through one
+    core, which reads the two windows and nothing else."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.sampled_from([np.float32, np.float64]),
+        st.lists(st.sampled_from(builtin_metrics()), max_size=3),
+    )
+    def test_in_memory_reads_exactly_its_two_windows(self, frames, dtype, metrics):
+        video = LatentVideo(rng(frames).normal(size=(frames, 5, 4, 2)).astype(dtype))
+        window = max(1, int(0.15 * frames))
+        held, calls = drift_module._held, []
+
+        def counting(v):
+            shape, read = held(v)
+
+            def read_counted(start, stop):
+                calls.append((start, stop))
+                return read(start, stop)
+
+            return shape, read_counted
+
+        want = drift_report(video, metrics)
+        want_drift = [drift(video, m) for m in metrics]
+        with mock.patch.object(drift_module, "_held", counting):
+            assert drift_report(video, metrics) == want
+            assert calls == [(0, window), (frames - window, frames)]
+            for m, d in zip(metrics, want_drift):
+                calls.clear()
+                assert drift(video, m) == d
+                assert calls == [(0, window), (frames - window, frames)]
+
+    @pytest.mark.parametrize("frames", [0, 1])
+    def test_too_few_frames_read_nothing(self, frames):
+        def no_read(start, stop):
+            raise AssertionError("frames read")
+
+        with pytest.raises(TooFewFrames, match=f"got {frames}$"):
+            drift_module._report((frames, 2, 2, 1), no_read, builtin_metrics())

@@ -1054,6 +1054,59 @@ class TestTailRuns:
 
 
 @st.composite
+def one_channel_group_cases(draw):
+    """A one-channel history, with values over 2^-30 .. 2^30 and some -0.0
+    pixels, under a schedule whose first entry is longer than a group of
+    ``groups`` kernel steps, with a td, ta or tc tail at the start or at the
+    end that takes up to 8 frames; and ``groups``, 1 to 3."""
+    groups = draw(st.integers(1, 3))
+    kernel = draw(st.sampled_from(ORACLE_KERNELS))
+    entries = [Frames(kernel.p_f * groups + draw(st.integers(1, 3)), kernel)]
+    entry = st.builds(Frames, st.integers(1, 6), st.sampled_from(ORACLE_KERNELS))
+    entries += draw(st.lists(entry, max_size=2))
+    at_start = draw(st.booleans())
+    # a tail at the end needs an entry after the generated section
+    cut = draw(st.integers(0, len(entries) - (not at_start)))
+    body = [*entries[:cut], Generate(1), *entries[cut:]]
+    tail = [Tail(draw(st.sampled_from(list(TailMode))))]
+    schedule = PackingSchedule(tuple(tail + body if at_start else body + tail))
+    shape = (
+        sum(e.count for e in entries) + draw(st.integers(0, 8)),
+        draw(st.integers(1, 9)),
+        draw(st.integers(1, 9)),
+        1,
+    )
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    x = gen.normal(size=shape) * 2.0 ** gen.integers(-30, 31, shape)
+    x[gen.random(shape) < 0.1] = -0.0
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return schedule, LatentVideo(x.astype(dtype)), groups
+
+
+class TestOneChannelGroups:
+    """``_pool_block`` pools a one-channel block of more frames than about
+    ``_CHECK_BYTES`` of float64 holds in whole groups of kernel steps."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(one_channel_group_cases())
+    def test_groups_match_per_token_oracle(self, case):
+        schedule, history, groups = case
+        pads = dict(pad_history=True, pad_spatial=True)
+        expected, generate_span, tail_span = apply_schedule_oracle(history, schedule, **pads)
+        calls = {}
+        for check_bytes in (packing._CHECK_BYTES, 8 * history.height * history.width * groups):
+            spy = mock.Mock(wraps=_pool_block)
+            with mock.patch.object(packing, "_CHECK_BYTES", check_bytes), \
+                    mock.patch.object(packing, "_pool_block", spy):
+                ctx = apply_schedule(history, schedule, **pads)
+            calls[check_bytes] = spy.call_count
+            assert (ctx.generate_span, ctx.tail_span) == (generate_span, tail_span)
+            assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
+        # the first entry, at least, was split into groups
+        assert calls[8 * history.height * history.width * groups] > calls[packing._CHECK_BYTES]
+
+
+@st.composite
 def read_cases(draw):
     """A binding case with a small history of its length and a tail run of
     one to four frames, or a tail run case; with or without history
