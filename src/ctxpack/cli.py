@@ -157,7 +157,13 @@ def _cell_text(block: PackedBlock) -> list[tuple[str, str]]:
 
 
 def cmd_codebook_fit(args: argparse.Namespace) -> int:
-    codebook._check_fit(args.k, args.max_iters, args.tol)  # before any input is read
+    # every check that needs no pixel runs before any payload is read
+    codebook._check_fit(args.k, args.max_iters, args.tol)
+    channels = []
+    for path in args.inputs:
+        with fplt._open_video(path) as (shape, _):
+            channels.append(shape[3])
+    codebook._check_same_channels(channels)
     videos = [fplt.read_video(p) for p in args.inputs]
     fitted = codebook.fit_codebook(videos, args.k, args.seed, args.max_iters, args.tol)
     fplt.write_codebook(args.output, fitted)

@@ -20,7 +20,7 @@ from .errors import ChannelMismatch, IndexOutOfRange, InsufficientData
 from .packing import LatentVideo
 
 # Bytes of the float32 (rows, K) score matrix one search chunk may hold;
-# a float64 (rows, K, C) recheck block is held to the same budget.
+# a float64 (C, rows, K) recheck block is held to a quarter of it.
 _SCORE_BYTES = 4 << 20
 _F32 = np.finfo(np.float32)
 
@@ -69,6 +69,46 @@ class IndexMap:
         object.__setattr__(self, "indices", arr)
 
 
+def _squared_norms(diff: np.ndarray) -> np.ndarray:
+    """Squared norms of channel-major float64 differences ``(C, ...)``, C >= 1.
+
+    ``diff`` is squared in place and summed over its channel axis by
+    ``_pairwise_sum``, so each norm is bit for bit what
+    ``(row ** 2).sum()`` gives for the row of its C differences.
+    """
+    return _pairwise_sum(np.square(diff, out=diff))
+
+
+def _pairwise_sum(values: np.ndarray) -> np.ndarray:
+    """Sums over the first axis of ``values`` (at least one row), added in
+    place, in the pairs ``np.add.reduce`` uses for one contiguous row: under
+    8 values in order; up to 128 in eight running sums, joined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest in
+    order; above 128 split at ``n // 2 - (n // 2) % 8``. The reduce starts
+    from +0.0, so the result does too. Each add is one vector op over every
+    column; the result is a view of ``values[0]``.
+    """
+    n = values.shape[0]
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        total = _pairwise_sum(values[:half])
+        total += _pairwise_sum(values[half:])
+    else:
+        rest = 1
+        if n >= 8:
+            rest = n - n % 8
+            for i in range(8, rest, 8):
+                values[:8] += values[i : i + 8]
+            values[0:8:2] += values[1:8:2]
+            values[0:8:4] += values[2:8:4]
+            values[0] += values[4]
+        total = values[0]
+        for i in range(rest, n):
+            total += values[i]
+    total += 0.0  # turns a -0.0 sum into +0.0
+    return total
+
+
 def _nearest(
     pixels: np.ndarray, centroids: np.ndarray, *, distances: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -86,11 +126,12 @@ def _nearest(
     """
     n, (k, c) = pixels.shape[0], centroids.shape
     rows = max(1, _SCORE_BYTES // (4 * k))
-    exact_rows = max(1, _SCORE_BYTES // (8 * k * c))  # the (rows, K, C) recheck
+    exact_rows = max(1, _SCORE_BYTES // (32 * k * c))  # the (C, rows, K) recheck
     assign = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64) if distances else None
     c_max = float(np.abs(centroids).max())
     c_sq = (centroids**2).sum(axis=1)
+    ct = np.ascontiguousarray(centroids.T)
     # A score's float32 error is at most about (C + 7) * eps32/2 *
     # (|x|^2 + |c|^2): the casts of x and of c (eps32/2 * (|x|^2 + |c|^2)
     # each), a C-term dot product in any order (C times that), rounding
@@ -132,11 +173,12 @@ def _nearest(
             recheck = r
         for s in range(0, recheck.size, exact_rows):
             sub = recheck[s : s + exact_rows]
-            dist = ((chunk[sub, None, :] - centroids[None, :, :]) ** 2).sum(axis=-1)
-            a[sub] = dist.argmin(axis=1)
+            diff = chunk[sub].T[:, :, None] - ct[:, None, :]  # (C, rows, K)
+            a[sub] = _squared_norms(diff).argmin(axis=1)
         assign[lo : lo + rows] = a
         if d2 is not None:
-            d2[lo : lo + rows] = ((chunk - centroids[a]) ** 2).sum(axis=1)
+            diff = ct.take(a, axis=1)  # (C, rows), then x - c in place
+            d2[lo : lo + rows] = _squared_norms(np.subtract(chunk.T, diff, out=diff))
     return assign, d2
 
 
@@ -156,19 +198,20 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     centroids = np.empty((k, c), dtype=np.float64)
     centroids[0] = pixels[rng.integers(n)]
     # d2 is each pixel's squared distance to its nearest seed so far. It is
-    # updated in place a chunk of rows at a time through one float64
-    # (rows, C) buffer of a quarter of the score budget, small enough to
-    # stay in cache; each row is the same reduction as
-    # ((pixels - seed) ** 2).sum(axis=1), so the seeds do not change.
+    # updated in place a chunk of rows at a time through one channel-major
+    # float64 (C, rows) buffer of a quarter of the score budget, small
+    # enough to stay in cache; _squared_norms sums each column as
+    # ((pixels - seed) ** 2).sum(axis=1) sums its row, so the seeds do not
+    # change.
     rows = min(n, max(1, _SCORE_BYTES // (32 * c)))
-    diff, dist = np.empty((rows, c)), np.empty(rows)
+    diff = np.empty((c, rows))
     d2 = np.full(n, np.inf)
 
     def nearer(seed: np.ndarray) -> float:
         for lo in range(0, n, rows):
-            part, near = diff[: n - lo], d2[lo : lo + rows]
-            np.square(np.subtract(pixels[lo : lo + rows], seed, out=part), out=part)
-            np.minimum(near, part.sum(axis=1, out=dist[: len(part)]), out=near)
+            part, near = diff[:, : n - lo], d2[lo : lo + rows]
+            np.subtract(pixels[lo : lo + rows].T, seed[:, None], out=part)
+            np.minimum(near, _squared_norms(part), out=near)
         return d2.sum()
 
     # An overflow of the first weights is raised below, by name; a later
@@ -189,12 +232,18 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     return centroids
 
 
+def _check_same_channels(channels: Sequence[int]) -> None:
+    """A fit's one check of its inputs' channel counts, which ``fit_codebook``
+    runs on its videos and ``ctxpack codebook fit`` on their headers."""
+    if len(set(channels)) > 1:
+        raise ChannelMismatch("dataset videos have mixed channel counts")
+
+
 def _pixel_matrix(dataset: Sequence[LatentVideo]) -> np.ndarray:
     if not dataset:
         raise InsufficientData("dataset is empty")
+    _check_same_channels([v.channels for v in dataset])
     channels = dataset[0].channels
-    if any(v.channels != channels for v in dataset):
-        raise ChannelMismatch("dataset videos have mixed channel counts")
     # float32 pixels stay float32, as a view of a lone video's snapshot:
     # every cast to float64 in the fit is exact, so the fit is the same
     pixels = [v.array.reshape(-1, channels) for v in dataset]

@@ -967,6 +967,33 @@ class TestQuantizeReadsThroughOneCore:
         assert np.concatenate([want[:0], *rows]).tobytes() == want.tobytes()
 
 
+class TestFitChecksChannelsFirst:
+    """``ctxpack codebook fit`` compares its inputs' channel counts from
+    their headers, through the check ``fit_codebook`` runs, before it reads
+    any payload."""
+
+    def test_mixed_channels_are_named_before_a_nan(self, tmp_path, monkeypatch, capsys):
+        a = rng(23).normal(size=(2, 2, 2, 2)).astype(np.float32)
+        a[1, 1, 1, 1] = np.nan
+        write_tensor(tmp_path / "a.fplt", a)
+        write_tensor(tmp_path / "b.fplt", rng(24).normal(size=(2, 2, 2, 3)).astype(np.float32))
+
+        def no_payload(*args):
+            raise AssertionError("payload read")
+
+        monkeypatch.setattr(fplt, "_read_payload", no_payload)
+        out = tmp_path / "c.fplt"
+        argv = ["codebook", "fit", str(tmp_path / "a.fplt"), str(tmp_path / "b.fplt")]
+        assert main([*argv, "--k", "1", "--seed", "0", "-o", str(out)]) == 3
+        assert capsys.readouterr().err == "ctxpack: dataset videos have mixed channel counts\n"
+        assert not out.exists()
+
+    def test_library_fit_gives_the_same_message(self):
+        videos = [LatentVideo(np.zeros((1, 1, 1, c))) for c in (2, 2, 3)]
+        with pytest.raises(ValueError, match="^dataset videos have mixed channel counts$"):
+            codebook.fit_codebook(videos, 1, 0)
+
+
 class TestDriftCommand:
     def test_all_metrics(self, small_video_path, capsys):
         assert main(["drift", small_video_path]) == 0

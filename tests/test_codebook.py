@@ -1,12 +1,16 @@
 import re
 import tracemalloc
 
+from unittest import mock
+
+import codebook_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ctxpack import codebook
 from ctxpack.codebook import (
     Codebook,
     IndexMap,
@@ -422,3 +426,152 @@ class TestDiscretizeHistory:
         cb = fit_codebook([LatentVideo(rng(14).normal(size=(2, 4, 4, 2)))], 3, seed=2)
         out = discretize_history(LatentVideo(np.full((2, 4, 4, 2), 0.7)), cb)
         assert len(np.unique(out.data.reshape(-1, 2), axis=0)) == 1
+
+
+@st.composite
+def sum_tables(draw):
+    """A channel-major (m, columns) table: signed values of magnitude 1e-8
+    to 1e150, some or all of them -0.0."""
+    m, columns = draw(st.integers(1, 300)), draw(st.integers(0, 40))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    table = 10.0 ** r.uniform(-8, 150, (m, columns)) * r.choice([-1.0, 1.0], (m, columns))
+    table[r.random((m, columns)) < draw(st.sampled_from([0.0, 0.1, 1.0]))] = -0.0
+    return table
+
+
+class TestChannelSums:
+    """``_pairwise_sum`` adds in numpy's pairwise order for one contiguous
+    row, so a numpy release that sums in other pairs fails here by name."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sum_tables())
+    def test_bits_match_numpy_row_reduce(self, table):
+        want = np.add.reduce(np.ascontiguousarray(table.T), axis=1)
+        assert codebook._pairwise_sum(table.copy()).tobytes() == want.tobytes()
+        squares = np.add.reduce(np.ascontiguousarray(table.T) ** 2, axis=1)
+        assert codebook._squared_norms(table.copy()).tobytes() == squares.tobytes()
+
+    def test_every_width_to_300(self):
+        # one table per width, so the <8, 8..128 and split branches all run
+        r = rng(60)
+        for m in range(1, 301):
+            table = r.normal(size=(m, 3)) * 10.0 ** r.uniform(-8, 8, (m, 3))
+            want = np.add.reduce(np.ascontiguousarray(table.T), axis=1)
+            assert codebook._pairwise_sum(table.copy()).tobytes() == want.tobytes(), m
+
+    def test_negative_zeros_sum_to_positive_zero(self):
+        for m in (1, 7, 8, 129):
+            total = codebook._pairwise_sum(np.full((m, 2), -0.0))
+            assert total.tobytes() == np.zeros(2).tobytes()
+
+
+@st.composite
+def fit_cases(draw):
+    """Pixels of 1 to 140 channels with duplicated rows, at scales from
+    float64 underflow to overflow; k up to one more than the distinct rows;
+    the search budget as it is or small enough for several seeding chunks.
+    Rounded rows make distances tie. Permuted rows hold one row's values in
+    other channel orders, so their distances from the zero row are the same
+    squares added in other orders, which may differ in the last bit."""
+    c = draw(st.integers(1, 140) | st.sampled_from([7, 8, 9, 128, 129, 136]))
+    distinct = draw(st.integers(1, 8))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    base = r.normal(size=(distinct, c))
+    how = draw(st.sampled_from(["normal", "rounded", "permuted"]))
+    if how == "rounded":
+        base = np.round(base * 2) / 2
+    elif how == "permuted":
+        base = np.stack([base[0][r.permutation(c)] for _ in range(distinct)])
+        base[-1] = 0.0
+    rows = np.concatenate([base, base[r.integers(distinct, size=draw(st.integers(0, 30)))]])
+    scale, dtype = draw(
+        st.sampled_from(
+            [(1e-170, np.float64), (1e-20, np.float32), (1.0, np.float32), (1.0, np.float64),
+             (1e6, np.float64), (1e20, np.float32), (1e150, np.float64), (1e160, np.float64)]
+        )
+    )
+    pixels = (r.permutation(rows) * scale).astype(dtype)
+    k = draw(st.integers(1, distinct + 1))
+    budget = draw(st.sampled_from([codebook._SCORE_BYTES, 8 * 32 * c]))
+    return pixels, k, draw(st.integers(0, 1000)), budget
+
+
+class RecordingRng:
+    """A seeded generator that keeps the bytes of each D-squared weight
+    vector it draws from, so seeding's distance sums are compared bit for
+    bit, not only through the pixels they pick."""
+
+    def __init__(self, seed):
+        self.rng, self.weights = rng(seed), []
+
+    def integers(self, *args):
+        return self.rng.integers(*args)
+
+    def choice(self, n, p):
+        self.weights.append(p.tobytes())
+        return self.rng.choice(n, p=p)
+
+
+def outcome(call):
+    """``call()``, or the type and message of the error it raised; numpy's
+    RuntimeWarnings are errors in the tests, so a centroid whose squared
+    norm overflows raises one, as it does in the oracle."""
+    try:
+        return call()
+    except (ValueError, RuntimeWarning) as exc:  # InsufficientData is a ValueError
+        return type(exc), str(exc)
+
+
+class TestFitMatchesRowMajorOracle:
+    """Seeds, distances and fits summed channel-major are the bytes of the
+    row-major sums in ``codebook_oracle``, and fail with the same errors."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(fit_cases())
+    def test_same_bytes_and_errors(self, case):
+        pixels, k, seed, budget = case
+        video = LatentVideo(pixels.reshape(1, 1, *pixels.shape))
+        with mock.patch.object(codebook, "_SCORE_BYTES", budget):
+            draws, oracle_draws = RecordingRng(seed), RecordingRng(seed)
+            got = outcome(lambda: codebook._dsquared_seed(pixels, k, draws))
+            want = outcome(lambda: codebook_oracle._dsquared_seed(pixels, k, oracle_draws))
+            assert draws.weights == oracle_draws.weights
+            fitted = outcome(lambda: fit_codebook([video], k, seed))
+            # the first k pixels as centroids may repeat rows, so ties are re-ranked
+            for centroids in [want, pixels[:k].astype(np.float64)]:
+                if isinstance(centroids, tuple):
+                    continue
+                near = outcome(lambda: codebook._nearest(pixels, centroids, distances=True))
+                oracle = outcome(lambda: codebook_oracle._nearest(pixels, centroids, distances=True))
+                if isinstance(oracle[0], type):
+                    assert near == oracle
+                    continue
+                assert near[0].tobytes() == oracle[0].tobytes()
+                assert near[1].tobytes() == oracle[1].tobytes()
+        with (
+            mock.patch.object(codebook, "_dsquared_seed", codebook_oracle._dsquared_seed),
+            mock.patch.object(codebook, "_nearest", codebook_oracle._nearest),
+        ):
+            expected = outcome(lambda: fit_codebook([video], k, seed))
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert got.tobytes() == want.tobytes()
+        if isinstance(expected, tuple):
+            assert fitted == expected
+        else:
+            assert fitted.centroids.tobytes() == expected.centroids.tobytes()
+            assert fitted.fit_stats == expected.fit_stats
+
+    def test_cases_reach_every_error(self):
+        errors = {
+            (1e-170, 2): "underflow",
+            (1e160, 2): "overflow",
+            (1.0, 3): "need at least 3 distinct pixels",
+        }
+        pixels = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for (scale, k), message in errors.items():
+            got = outcome(lambda: codebook._dsquared_seed(pixels * scale, k, rng(0)))
+            want = outcome(lambda: codebook_oracle._dsquared_seed(pixels * scale, k, rng(0)))
+            assert got == want
+            assert message in got[1]
