@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ChannelMismatch, IndexOutOfRange, InsufficientData
 from .packing import LatentVideo
 
-# Bytes of the float32 (rows, K) score matrix one search chunk may hold;
+# Bytes of the float32 (K, rows) score matrix one search chunk may hold;
 # a float64 (C, rows, K) recheck block is held to a quarter of it.
 _SCORE_BYTES = 4 << 20
 _F32 = np.finfo(np.float32)
@@ -114,15 +114,15 @@ def _nearest(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Nearest-centroid index and squared distance per pixel, chunked.
 
-    Ranks centroids by the float32 score ``-2 x.c + |c|^2`` through a
-    matmul (``|x|^2`` is constant per row). A row whose best-to-second
-    margin is not clearly above the float32 error of that score is
-    re-ranked by the direct float64 ``sum((x - c)^2)``, and so is every
-    row of a chunk whose magnitudes could overflow float32. The result is
-    the direct formula's argmin, ties to the lowest index. Pixels may be
-    float32: only the rechecked rows, and with ``distances`` the distance
-    pass, widen them to float64. Without ``distances`` the second result
-    is None.
+    Ranks centroids by the float32 score ``-2 x.c + |c|^2`` through one
+    centroid-major matmul (``|x|^2`` is constant per pixel), with ``|c|^2``
+    a term of the product. A pixel with more than one centroid scoring
+    within the float32 error of its best is re-ranked by the direct
+    float64 ``sum((x - c)^2)``, and so is every pixel of a chunk whose
+    magnitudes could overflow float32. The result is the direct formula's
+    argmin, ties to the lowest index. Pixels may be float32: only the
+    rechecked rows, and with ``distances`` the distance pass, widen them to
+    float64. Without ``distances`` the second result is None.
     """
     n, (k, c) = pixels.shape[0], centroids.shape
     rows = max(1, _SCORE_BYTES // (4 * k))
@@ -132,17 +132,22 @@ def _nearest(
     c_max = float(np.abs(centroids).max())
     c_sq = (centroids**2).sum(axis=1)
     ct = np.ascontiguousarray(centroids.T)
-    # A score's float32 error is at most about (C + 7) * eps32/2 *
-    # (|x|^2 + |c|^2): the casts of x and of c (eps32/2 * (|x|^2 + |c|^2)
-    # each), a C-term dot product in any order (C times that), rounding
-    # |c|^2 and the final add. A margin is the difference of two scores,
-    # so twice that; ``rel`` covers it more than twice over, and ``tiny``
-    # covers float32 underflow, where relative bounds fail. |x|^2 is
-    # itself summed from the float32 x, so it may read low by about
-    # (C + 3) * eps32/2 of itself, and the tolerance is rounded to float32:
-    # both take far less than the slack in ``rel``. An |x|^2 that overflows
-    # float32 makes the tolerance infinite, so its row is rechecked. The
-    # float64 error of the direct distance is far below either bound.
+    # A score is the (C + 1)-term float32 dot product of [x, 1] with
+    # [-2c, |c|^2]. Its error is at most about (C + 4) * eps32/2 *
+    # (|x|^2 + 2|c|^2): the casts of x and of c (eps32/2 * (|x|^2 + |c|^2)
+    # each), rounding |c|^2 to float32 (eps32/2 * |c|^2), and the products
+    # and sum in any order ((C + 2) * eps32/2 of the terms' magnitudes,
+    # 2|x||c| + |c|^2). A margin is the difference of two scores, so it is
+    # off by less than 2 * (C + 4) * eps32 * (|x|^2 + max|c|^2); ``rel``
+    # covers that at least twice over, and ``tiny`` covers float32
+    # underflow, where relative bounds fail. |x|^2 is itself summed from
+    # the float32 x, so it may read low by about (C + 3) * eps32/2 of
+    # itself, and the tolerance is rounded to float32: both take far less
+    # than the slack in ``rel``. The threshold, best score plus tolerance,
+    # is rounded up by one float32 ulp, so every centroid whose margin is
+    # within the tolerance is counted near. An |x|^2 that overflows float32
+    # makes the threshold infinite, so with K > 1 its row is rechecked.
+    # The float64 error of the direct distance is far below either bound.
     rel = 8 * (c + 2) * float(_F32.eps)
     floor = rel * float(c_sq.max()) + float(_F32.tiny)
     # The casts and scores stay below float32 max, with room for rounding,
@@ -151,26 +156,32 @@ def _nearest(
     # distance alone, and when max|c| alone fails it, every chunk is.
     limit = float(_F32.max) / 4
     if c * c_max * c_max < limit:
-        neg2ct = -2 * centroids.T.astype(np.float32)
-        c_sq32 = c_sq.astype(np.float32)
+        weights = np.empty((k, c + 1), dtype=np.float32)  # [-2c | |c|^2]
+        weights[:, :c] = -2 * centroids.astype(np.float32)
+        weights[:, c] = c_sq
+        # near-tie counts and indices below K fit this unsigned type
+        order = np.arange(k, dtype=np.min_scalar_type(k))[:, None]
     for lo in range(0, n, rows):
         chunk = pixels[lo : lo + rows]
-        r = np.arange(chunk.shape[0])
         x_max = float(np.abs(chunk).max())
         if max(x_max, c * (2 * x_max * c_max + c_max * c_max)) < limit:
             x32 = chunk.astype(np.float32, copy=False)
             tol = rel * np.einsum("ij,ij->i", x32, x32) + floor
-            scores = x32 @ neg2ct
-            del x32  # a float64 chunk's float32 copy, not held past the matmul
-            scores += c_sq32
-            a = scores.argmin(axis=1)
-            best = scores[r, a]
-            scores[r, a] = np.inf
-            margin = scores[r, scores.argmin(axis=1)] - best.astype(np.float64)
-            recheck = np.flatnonzero(margin <= tol)  # an inf margin (K = 1) passes
+            xt = np.empty((c + 1, chunk.shape[0]), dtype=np.float32)  # [x^T ; 1]
+            xt[:c], xt[c] = x32.T, 1
+            del x32  # a float64 chunk's float32 copy, not held through the matmul
+            scores = weights @ xt  # (K, rows)
+            # best + tol, rounded up: every centroid within tol of the best is near
+            thr = np.nextafter(scores.min(axis=0) + tol, np.float32(np.inf))
+            near = scores <= thr
+            del scores
+            count = near.sum(axis=0, dtype=order.dtype)
+            # the index of the one near centroid, exact where count is 1
+            a = np.multiply(near, order).sum(axis=0, dtype=order.dtype).astype(np.int64)
+            recheck = np.flatnonzero(count != 1)
         else:
             a = np.zeros(chunk.shape[0], dtype=np.int64)
-            recheck = r
+            recheck = np.arange(chunk.shape[0])
         for s in range(0, recheck.size, exact_rows):
             sub = recheck[s : s + exact_rows]
             diff = chunk[sub].T[:, :, None] - ct[:, None, :]  # (C, rows, K)

@@ -575,3 +575,72 @@ class TestFitMatchesRowMajorOracle:
             want = outcome(lambda: codebook_oracle._dsquared_seed(pixels * scale, k, rng(0)))
             assert got == want
             assert message in got[1]
+
+
+@st.composite
+def wide_search_cases(draw):
+    """255, 256 or 257 centroids whose higher indices copy lower ones, so
+    exact ties span indices on both sides of 255 and one value may repeat
+    K times, and up to 1,000 float32 or float64 pixels: some random, some
+    on a centroid, some one float32 ulp off one in each channel."""
+    k, c = draw(st.sampled_from([255, 256, 257])), draw(st.integers(1, 6))
+    distinct = draw(st.sampled_from([1, 2, k - 1, k]) | st.integers(1, k))
+    r = rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    centroids = r.normal(size=(k, c)) * scale
+    if draw(st.booleans()):  # keeps exact centroid ties in float32
+        centroids = centroids.astype(np.float32).astype(np.float64)
+    centroids[distinct:] = centroids[r.integers(distinct, size=k - distinct)]
+    n = draw(st.integers(1, 1000))
+    pixels, on, how = r.normal(size=(n, c)) * scale, r.integers(k, size=n), r.integers(3, size=n)
+    pixels[how == 1] = centroids[on[how == 1]]
+    near = centroids[on[how == 2]].astype(np.float32)
+    away = np.where(r.random(near.shape) < 0.5, -np.inf, np.inf).astype(np.float32)
+    pixels[how == 2] = np.nextafter(near, away)
+    return centroids, pixels.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+class TestSearchPastOneByte:
+    """Past 255 centroids the search counts near centroids in a wider
+    type; a count that wrapped at 256 would read 1 for 257 equal scores."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(wide_search_cases())
+    def test_matches_oracles(self, case):
+        centroids, pixels = case
+        video = LatentVideo(pixels.reshape(1, 1, *pixels.shape))
+        idx = quantize(video, Codebook(centroids)).indices.reshape(-1)
+        exact = video.data.reshape(pixels.shape)
+        assert [nearest_oracle(p, centroids) for p in exact] == idx.tolist()
+        got = codebook._nearest(pixels, centroids, distances=True)
+        want = codebook_oracle._nearest(pixels, centroids, distances=True)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
+class TestRerankCount:
+    """The search sends to the float64 re-rank no more rows than the
+    best-to-second margin test of ``codebook_oracle`` does, so a looser
+    threshold, which would slow the search, fails here."""
+
+    def test_no_more_rows_than_the_margin_test(self):
+        r = rng(30)
+        means = r.normal(0.0, 2.0, (96, 16)).astype(np.float32)
+        frame = means[r.integers(96, size=(60, 104))]
+        noisy = r.random((60, 104, 1)) < 0.75
+        frame += noisy * r.normal(0.0, 0.6, (60, 104, 16)).astype(np.float32)
+        frame = np.round(frame * 16) / 16
+        pixels = frame.reshape(-1, 16)
+        fitted = fit_codebook([LatentVideo(frame[None])], 128, seed=30, max_iters=30, tol=1e-3)
+        # the first 128 pixels repeat rows, so some ranks are exact ties
+        for centroids in (fitted.centroids, pixels[:128].astype(np.float64)):
+            spy = mock.patch.object(codebook, "_squared_norms", wraps=codebook._squared_norms)
+            with spy as norms:
+                got, _ = codebook._nearest(pixels, centroids, distances=False)
+            # without distances, every call is a (C, rows, K) re-rank
+            ours = sum(call.args[0].shape[1] for call in norms.call_args_list)
+            with mock.patch("numpy.flatnonzero", wraps=np.flatnonzero) as picks:
+                want, _ = codebook_oracle._nearest(pixels, centroids, distances=False)
+            theirs = sum(int(call.args[0].sum()) for call in picks.call_args_list)
+            assert got.tobytes() == want.tobytes()
+            assert 0 < ours <= theirs
