@@ -130,7 +130,6 @@ def _nearest(
     assign = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64) if distances else None
     c_max = float(np.abs(centroids).max())
-    c_sq = (centroids**2).sum(axis=1)
     ct = np.ascontiguousarray(centroids.T)
     # A score is the (C + 1)-term float32 dot product of [x, 1] with
     # [-2c, |c|^2]. Its error is at most about (C + 4) * eps32/2 *
@@ -149,13 +148,14 @@ def _nearest(
     # makes the threshold infinite, so with K > 1 its row is rechecked.
     # The float64 error of the direct distance is far below either bound.
     rel = 8 * (c + 2) * float(_F32.eps)
-    floor = rel * float(c_sq.max()) + float(_F32.tiny)
     # The casts and scores stay below float32 max, with room for rounding,
     # while max|x| and C * (2 max|x| max|c| + max|c|^2) stay below a
     # quarter of it. A chunk that fails this is decided by the direct
     # distance alone, and when max|c| alone fails it, every chunk is.
     limit = float(_F32.max) / 4
     if c * c_max * c_max < limit:
+        c_sq = (centroids**2).sum(axis=1)
+        floor = rel * float(c_sq.max()) + float(_F32.tiny)
         weights = np.empty((k, c + 1), dtype=np.float32)  # [-2c | |c|^2]
         weights[:, :c] = -2 * centroids.astype(np.float32)
         weights[:, c] = c_sq

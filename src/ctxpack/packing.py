@@ -253,44 +253,18 @@ def _pool_block(block: np.ndarray, kernel: KernelSpec, clipped: bool = False) ->
     Any H and W pool (``_packed`` checks the dims first where padding is
     not allowed): a window's float64 sum is divided by a whole window's
     pixel count (the zero-padded mean), or, if ``clipped``, by the pixels
-    it holds. With two or more channels the sum adds the window's pixels
-    one at a time in memory order (frame, row, column), from +0.0, as
-    ``sum(axis=(1, 3, 5), dtype=np.float64)`` of the windowed block does;
-    ``_window_sums`` keeps that order. A one-channel block is copied, whole
-    groups of about ``_CHECK_BYTES`` at a time, and summed by numpy, which
-    sums one channel's runs pairwise.
+    it holds. For every C the sum adds the window's pixels one at a time in
+    memory order (frame, row, column), from +0.0; ``_window_sums`` is that
+    sum. Zero padding would add only +0.0 to it, so no block is padded.
     """
     t, h, w, c = block.shape
     p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
-    if c == 1 and t > (step := p_f * max(1, _CHECK_BYTES // (8 * p_f * h * w))):
-        pieces = np.split(block, range(step, t, step))
-        grids = np.concatenate([_pool_block(b, kernel, clipped) for b in pieces])
-        grids.setflags(write=False)
-        return grids
-    if c == 1 and not clipped:
-        # numpy sums one channel's contiguous runs pairwise, and the zeros
-        # of the padding decide the pairs, as would a cast split at its
-        # buffer size; with more channels each output sums in memory order
-        block = block.astype(np.float64, copy=False)
-        if h % p_h or w % p_w:
-            block = np.pad(block, ((0, 0), (0, -h % p_h), (0, -w % p_w), (0, 0)))
-            h, w = block.shape[1:3]
     grids = np.empty((t // p_f, -(-h // p_h), -(-w // p_w), c))
     for r0, r1, dh in _runs(h, p_h):
         for c0, c1, dw in _runs(w, p_w):
             out = grids[:, r0 // p_h : -(-r1 // p_h), c0 // p_w : -(-c1 // p_w)]
             part = block[:, r0:r1, c0:c1].reshape(-1, p_f, out.shape[1], dh, out.shape[2], dw, c)
-            # numpy starts every sum at +0.0, so a clipped window of -0.0
-            # sums to +0.0, as its zero-padded form does
-            if c > 1:
-                _window_sums(part, out)
-            elif clipped:
-                # numpy sums a one-channel window slice as one pairwise run
-                # over its pixels, not row by row as it sums this reshape
-                runs = np.ascontiguousarray(part.transpose(0, 2, 4, 6, 1, 3, 5), np.float64)
-                runs.reshape(*out.shape, -1).sum(axis=-1, out=out)
-            else:
-                part.sum(axis=(1, 3, 5), dtype=np.float64, out=out)
+            _window_sums(part, out)
             if clipped:
                 out /= p_f * dh * dw
     if not clipped:
@@ -301,16 +275,16 @@ def _pool_block(block: np.ndarray, kernel: KernelSpec, clipped: bool = False) ->
 
 def _window_sums(part: np.ndarray, out: np.ndarray) -> None:
     """Write the float64 sum of each window of ``part``, a (G, p_f, R, dh,
-    Cc, dw, C) view with C >= 2, into ``out`` (G, R, Cc, C).
+    Cc, dw, C) view, into ``out`` (G, R, Cc, C).
 
-    The sums are bit for bit ``part.sum(axis=(1, 3, 5), dtype=np.float64)``,
-    which adds each window's pixels one at a time in memory order, starting
-    from +0.0, over loops of only C values. Here a band of windows is
-    copied into one float64 buffer of at most ``_CHECK_BYTES``, one row per
-    window pixel, and the rows are summed in order: the same adds, over
-    rows as long as the band. A window too large for the buffer is a band
-    of its own, copied a run of its frames, rows or columns at a time, and
-    each run after the first is summed after a row of the running sums.
+    Each sum adds its window's pixels one at a time in memory order,
+    starting from +0.0. A band of windows is copied into one float64 buffer
+    of at most ``_CHECK_BYTES``, one row per window pixel, and the rows are
+    summed in order: numpy adds a table's rows one at a time when a row
+    holds two or more values, so each row ends in spare zero columns. A
+    window too large for the buffer is a band of its own, copied a run of
+    its frames, rows or columns at a time, and each run after the first is
+    summed after a row of the running sums.
     """
     groups, p_f, rows, dh, cols, dw, c = part.shape
     pixels = (p_f, dh, dw)
@@ -321,7 +295,10 @@ def _window_sums(part: np.ndarray, out: np.ndarray) -> None:
     n_c = min(cols, fit)
     n_r = min(rows, fit // n_c)
     n_g = min(groups, fit // (n_c * n_r))
-    width = n_g * n_r * n_c * c
+    # a table row is whole groups of four values with at least one spare
+    # zero: numpy sums a lone column pairwise, not row by row, and rows
+    # that start mid-group slow its row adds
+    width = n_g * n_r * n_c * c // 4 * 4 + 4
     # runs along the outermost pixel axis whose inner axes fit: whole
     # windows if they fit, else after one row of running sums
     head = int(math.prod(pixels) * width > room)
@@ -336,17 +313,20 @@ def _window_sums(part: np.ndarray, out: np.ndarray) -> None:
                 g, r, cc = slice(g0, g0 + n_g), slice(r0, r0 + n_r), slice(c0, c0 + n_c)
                 band = part[g, :, r, :, cc].transpose(1, 3, 5, 0, 2, 4, 6)
                 w = math.prod(band.shape[3:])
-                total = sums[:w]
+                span = w // 4 * 4 + 4  # as width
+                tables = buffer[: buffer.size // span * span].reshape(-1, span)
+                tables[:, w:] = 0.0
+                total = sums[:span]
                 lead = 0
                 for index in np.ndindex(*pixels[:axis]):
                     for s in range(0, pixels[axis], step):
                         run = band[(*index, slice(s, s + step))]
-                        table = buffer[: lead * w + run.size].reshape(-1, w)
+                        table = tables[: lead + run.size // w]
                         table[:lead] = total
-                        np.copyto(table[lead:].reshape(run.shape), run)
+                        np.copyto(table[lead:, :w].reshape(run.shape), run)
                         table.sum(axis=0, out=total)
                         lead = 1
-                out[g, r, cc] = total.reshape(band.shape[3:])
+                out[g, r, cc] = total[:w].reshape(band.shape[3:])
 
 
 def _runs(size: int, step: int) -> list[tuple[int, int, int]]:
@@ -520,10 +500,7 @@ def _pack(
             tail_span = (cursor, cursor + stop - start)
             # a td tail keeps its place on the timeline but is never read
             if start < stop and seg.mode is not TailMode.DELETE:
-                # numpy sums a tail of one-value frames pairwise, so it is one run
-                step = stop - start
-                if h * w * channels > 1:
-                    step = max(1, _RUN_BYTES // (data.itemsize * h * w * channels))
+                step = max(1, _RUN_BYTES // (data.itemsize * h * w * channels))
                 runs = (read(t, min(t + step, stop)) for t in range(start, stop, step))
                 # each run is freed (del) before the next one is read
                 if seg.mode is TailMode.APPEND:
@@ -537,9 +514,9 @@ def _pack(
                             t += 1
                 else:
                     # the tail's mean frame, pooled by the coarsest kernel, spans the
-                    # tail; numpy's float64 mean adds the frames one at a time after
-                    # the first, so the later runs add theirs to the first run's sum
-                    mean = next(runs).sum(axis=0, dtype=np.float64)
+                    # tail; its float64 sum adds the frames one at a time, in order,
+                    # from +0.0
+                    mean = np.zeros((h, w, channels))
                     for run in runs:
                         for i in range(len(run)):
                             mean += run[i]

@@ -37,7 +37,6 @@ def _nearest(
     assign = np.empty(n, dtype=np.int64)
     d2 = np.empty(n, dtype=np.float64) if distances else None
     c_max = float(np.abs(centroids).max())
-    c_sq = (centroids**2).sum(axis=1)
     # A score's float32 error is at most about (C + 7) * eps32/2 *
     # (|x|^2 + |c|^2): the casts of x and of c (eps32/2 * (|x|^2 + |c|^2)
     # each), a C-term dot product in any order (C times that), rounding
@@ -50,13 +49,14 @@ def _nearest(
     # float32 makes the tolerance infinite, so its row is rechecked. The
     # float64 error of the direct distance is far below either bound.
     rel = 8 * (c + 2) * float(_F32.eps)
-    floor = rel * float(c_sq.max()) + float(_F32.tiny)
     # The casts and scores stay below float32 max, with room for rounding,
     # while max|x| and C * (2 max|x| max|c| + max|c|^2) stay below a
     # quarter of it. A chunk that fails this is decided by the direct
     # distance alone, and when max|c| alone fails it, every chunk is.
     limit = float(_F32.max) / 4
     if c * c_max * c_max < limit:
+        c_sq = (centroids**2).sum(axis=1)
+        floor = rel * float(c_sq.max()) + float(_F32.tiny)
         neg2ct = -2 * centroids.T.astype(np.float32)
         c_sq32 = c_sq.astype(np.float32)
     for lo in range(0, n, rows):

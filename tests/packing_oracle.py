@@ -1,9 +1,10 @@
 """Reference packer: one ``PackedToken`` per token, built the direct way.
 
 This is the per-token ``apply_schedule`` that the block packer replaced,
-kept as an oracle. It pools every kernel group with its own ``.mean``,
-every appended tail frame window by window, and every generated frame
-token by token, and it formats ``.prov`` one token at a time.
+kept as an oracle. It pools every kernel group, every appended tail
+frame window by window, and every generated frame token by token, and it
+formats ``.prov`` one token at a time. Every mean is an ``in_order_sum``
+divided by its pixel count.
 """
 
 from __future__ import annotations
@@ -17,16 +18,25 @@ from ctxpack.planner import bind_backward, bind_forward
 from ctxpack.schedule import BASE_KERNEL, KernelSpec, TailMode
 
 
+def in_order_sum(values):
+    """The float64 sum down axis 0, adding one value at a time in order,
+    from +0.0. ``np.cumsum`` adds in order; ``.sum``, ``.mean`` and
+    ``np.add.reduce`` sum a lone column pairwise."""
+    return np.cumsum(np.asarray(values, np.float64), axis=0)[-1] + 0.0
+
+
 def pool(block, kernel, pad_spatial):
     h, w = block.shape[1:3]
     if (h % kernel.p_h or w % kernel.p_w) and not pad_spatial:
         raise IndivisibleDims(f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}")
     if h % kernel.p_h or w % kernel.p_w:
         block = np.pad(block, ((0, 0), (0, (-h) % kernel.p_h), (0, (-w) % kernel.p_w), (0, 0)))
-    h, w = block.shape[1:3]
-    return block.reshape(
-        block.shape[0], h // kernel.p_h, kernel.p_h, w // kernel.p_w, kernel.p_w, block.shape[3]
-    ).mean(axis=(0, 2, 4))
+    t, h, w, c = block.shape
+    rows, cols = h // kernel.p_h, w // kernel.p_w
+    windows = block.reshape(t, rows, kernel.p_h, cols, kernel.p_w, c)
+    # each window's pixels in memory order: frame, row, column
+    pixels = windows.transpose(0, 2, 4, 1, 3, 5).reshape(-1, rows, cols, c)
+    return in_order_sum(pixels) / len(pixels)
 
 
 def grid_tokens(grid, kernel, time_span, time_pos):
@@ -53,13 +63,15 @@ def tail_tokens(block, mode, coarsest, t_offset, pad_spatial):
         for t in range(block.shape[0]):
             for r, (r0, r1) in enumerate(rows):
                 for c, (c0, c1) in enumerate(cols):
-                    feature = block[t, r0:r1, c0:c1].mean(axis=(0, 1))
+                    pixels = block[t, r0:r1, c0:c1].reshape(-1, block.shape[3])
+                    feature = in_order_sum(pixels) / len(pixels)
                     phase = (float(t_offset + t), (r0 + r1 - 1) / 2, (c0 + c1 - 1) / 2)
                     span = (t_offset + t, t_offset + t + 1)
                     tokens.append(PackedToken(span, (r, c), kernel, feature, phase))
         return tokens
     kernel = coarsest
-    grid = pool(block.mean(axis=0, keepdims=True), kernel, pad_spatial)
+    mean = in_order_sum(block) / block.shape[0]
+    grid = pool(mean[None], kernel, pad_spatial)
     span = (t_offset, t_offset + block.shape[0])
     return grid_tokens(grid, kernel, span, t_offset + (block.shape[0] - 1) / 2)
 

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 from unittest import mock
 
@@ -184,6 +185,17 @@ class TestFitCodebook:
     def test_empty_dataset(self):
         with pytest.raises(InsufficientData):
             fit_codebook([], 1, seed=0)
+
+    def test_centroid_too_large_to_square_fits_and_quantizes(self):
+        # 1.3e159 squared overflows float64, but no distance here does; the
+        # float32 search, which would square it, cannot run
+        v = LatentVideo(np.full((1, 1, 2, 1), 1.3e159))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cb = fit_codebook([v], 1, 0)
+            idx = quantize(v, cb)
+        assert cb.centroids.tolist() == [[1.3e159]]
+        assert idx.indices.tolist() == [[[0, 0]]]
 
     def test_distinct_values_become_their_own_entries(self):
         values = np.array([[0.0], [1.0], [2.0], [3.0]]).repeat(6, axis=0)
@@ -514,8 +526,7 @@ class RecordingRng:
 
 def outcome(call):
     """``call()``, or the type and message of the error it raised; numpy's
-    RuntimeWarnings are errors in the tests, so a centroid whose squared
-    norm overflows raises one, as it does in the oracle."""
+    RuntimeWarnings are errors in the tests, so an overflow raises one."""
     try:
         return call()
     except (ValueError, RuntimeWarning) as exc:  # InsufficientData is a ValueError

@@ -39,7 +39,7 @@ from ctxpack.schedule import (
     TailMode,
     parse_schedule,
 )
-from packing_oracle import apply_schedule_oracle, pool
+from packing_oracle import apply_schedule_oracle, in_order_sum, pool
 from planner_oracle import bind_backward, bind_forward
 
 
@@ -210,51 +210,53 @@ class TestPoolWithoutPadding:
                 assert got.tobytes() == self.padded_mean(block, kernel).tobytes()
 
     def test_large_kernel_peak(self):
-        # the zero-padded 64-frame k64 block alone would be 16 MiB
-        v = LatentVideo(rng(7).normal(size=(1, 2, 2, 4)).astype(np.float32))
-        pads = dict(pad_history=True, pad_spatial=True)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            apply_schedule(v, parse_schedule("f64k64_g1"), **pads)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-        ctx = apply_schedule(v, parse_schedule("f512k512_g1"), **pads)
-        expected = v.data.sum(axis=(0, 1, 2)) / (1024 * 1024)
-        np.testing.assert_allclose(ctx.blocks[0].grid[0, 0], expected, rtol=1e-12)
+        # the zero-padded 64-frame k64 block alone would be 16 MiB with 4
+        # channels, and 8 MiB as float64 with one
+        for c in (4, 1):
+            v = LatentVideo(rng(7).normal(size=(1, 2, 2, c)).astype(np.float32))
+            pads = dict(pad_history=True, pad_spatial=True)
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                apply_schedule(v, parse_schedule("f64k64_g1"), **pads)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < 64 << 10, c
+            ctx = apply_schedule(v, parse_schedule("f512k512_g1"), **pads)
+            expected = v.data.sum(axis=(0, 1, 2)) / (1024 * 1024)
+            np.testing.assert_allclose(ctx.blocks[0].grid[0, 0], expected, rtol=1e-12)
 
 
 def numpy_window_means(block, kernel, clipped):
-    """The grids ``_pool_block`` pools from a block of two or more channels,
-    with every run of whole or clipped windows summed by numpy's own
-    ``sum(axis=(1, 3, 5), dtype=np.float64)``."""
+    """The grids ``_pool_block`` pools, window by window: each window's
+    pixels in memory order (frame, row, column) summed by ``in_order_sum``,
+    numpy's ``cumsum``, as numpy's own window sum is pairwise for one
+    channel."""
     t, h, w, c = block.shape
     p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
     grids = np.empty((t // p_f, -(-h // p_h), -(-w // p_w), c))
-    row_runs = [(0, h - h % p_h, p_h), (h - h % p_h, h, h % p_h)]
-    col_runs = [(0, w - w % p_w, p_w), (w - w % p_w, w, w % p_w)]
-    for r0, r1, dh in row_runs:
-        for c0, c1, dw in col_runs:
-            if r0 == r1 or c0 == c1:
-                continue
-            out = grids[:, r0 // p_h : -(-r1 // p_h), c0 // p_w : -(-c1 // p_w)]
-            part = block[:, r0:r1, c0:c1].reshape(-1, p_f, out.shape[1], dh, out.shape[2], dw, c)
-            part.sum(axis=(1, 3, 5), dtype=np.float64, out=out)
-            out /= p_f * (dh * dw if clipped else p_h * p_w)
+    for g in range(grids.shape[0]):
+        for i, r0 in enumerate(range(0, h, p_h)):
+            for j, c0 in enumerate(range(0, w, p_w)):
+                window = block[g * p_f : (g + 1) * p_f, r0 : r0 + p_h, c0 : c0 + p_w]
+                pixels = window.reshape(-1, c)
+                grids[g, i, j] = in_order_sum(pixels) / (len(pixels) if clipped else p_f * p_h * p_w)
     return grids
 
 
 @st.composite
 def window_cases(draw):
-    """A multi-channel block, a kernel and a divisor rule for ``_pool_block``.
+    """A block of one or more channels, a kernel and a divisor rule for
+    ``_pool_block``.
 
     The kernels reach every way a band of windows is copied: whole, in runs
     of frames (k4 and k8 bands), of window rows (the 32x32 tail windows) and
     of pixels (a 2048-pixel window row); k8 at C >= 16 is a window larger
     than the buffer. H and W leave clipped last runs in about half the draws.
+    A quarter of the blocks are one window of one channel, whose table
+    would be a lone column without its spare zeros.
     """
     kernel = draw(
         st.sampled_from(
@@ -268,9 +270,14 @@ def window_cases(draw):
             ]
         )
     )
-    h = draw(st.integers(0, 2)) * kernel.p_h + draw(st.integers(0, kernel.p_h - 1))
-    w = draw(st.integers(0, 2)) * kernel.p_w + draw(st.integers(0, min(kernel.p_w - 1, 40)))
-    shape = (draw(st.integers(1, 2)) * kernel.p_f, max(h, 1), max(w, 1), draw(st.integers(2, 17)))
+    if draw(st.sampled_from([False, False, False, True])):
+        h = draw(st.integers(1, kernel.p_h))
+        w = draw(st.integers(1, min(kernel.p_w, 40)))
+        shape = (kernel.p_f, h, w, 1)
+    else:
+        h = draw(st.integers(0, 2)) * kernel.p_h + draw(st.integers(0, kernel.p_h - 1))
+        w = draw(st.integers(0, 2)) * kernel.p_w + draw(st.integers(0, min(kernel.p_w - 1, 40)))
+        shape = (draw(st.integers(1, 2)) * kernel.p_f, max(h, 1), max(w, 1), draw(st.integers(1, 17)))
     gen = rng(draw(st.integers(0, 2**32 - 1)))
     block = gen.normal(size=shape) * 2.0 ** gen.integers(-60, 61, size=shape)
     block[gen.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = -0.0
@@ -281,9 +288,9 @@ def window_cases(draw):
 
 
 class TestWindowSums:
-    """Multi-channel windows are summed through a bounded band buffer, bit
-    for bit as numpy sums the windowed block: each window's pixels added
-    one at a time in memory order, from +0.0."""
+    """Windows of any channel count are summed through a bounded band
+    buffer, each window's pixels added one at a time in memory order, from
+    +0.0."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(window_cases())
@@ -960,7 +967,7 @@ class TestBlockPackerOracle:
     @pytest.mark.parametrize("mode", ["ta", "tc"])
     def test_tails_match_per_token_oracle(self, mode, h, w, c, dtype):
         # windows taller than 32 rows and values spread over 2^±14, where
-        # the order of a one-channel window's sum shows in its last bits
+        # the order of a window's sum shows in its last bits
         gen = rng(h * w + c)
         shape = (7, h, w, c)
         spread = gen.normal(size=shape) * 2.0 ** gen.integers(-14, 15, shape)
@@ -1043,67 +1050,16 @@ class TestTailRuns:
         assert packed(got) == packed(apply_schedule(whole, s))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_tail_of_one_value_frames_is_one_run(self, dtype):
-        # numpy sums such a tail pairwise, not frame by frame
+    def test_tail_of_one_value_frames_adds_in_order(self, dtype):
+        # numpy's own sum of such a tail would add its frames pairwise
         history = LatentVideo(rng(20).normal(size=(300, 1, 1, 1)).astype(dtype))
         s = parse_schedule("tc_f1k1_g1")
         expected = apply_schedule_oracle(history, s, pad_spatial=True)[0]
-        with mock.patch.object(packing, "_RUN_BYTES", 8):
-            ctx = apply_schedule(history, s, pad_spatial=True)
-        assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
-
-
-@st.composite
-def one_channel_group_cases(draw):
-    """A one-channel history, with values over 2^-30 .. 2^30 and some -0.0
-    pixels, under a schedule whose first entry is longer than a group of
-    ``groups`` kernel steps, with a td, ta or tc tail at the start or at the
-    end that takes up to 8 frames; and ``groups``, 1 to 3."""
-    groups = draw(st.integers(1, 3))
-    kernel = draw(st.sampled_from(ORACLE_KERNELS))
-    entries = [Frames(kernel.p_f * groups + draw(st.integers(1, 3)), kernel)]
-    entry = st.builds(Frames, st.integers(1, 6), st.sampled_from(ORACLE_KERNELS))
-    entries += draw(st.lists(entry, max_size=2))
-    at_start = draw(st.booleans())
-    # a tail at the end needs an entry after the generated section
-    cut = draw(st.integers(0, len(entries) - (not at_start)))
-    body = [*entries[:cut], Generate(1), *entries[cut:]]
-    tail = [Tail(draw(st.sampled_from(list(TailMode))))]
-    schedule = PackingSchedule(tuple(tail + body if at_start else body + tail))
-    shape = (
-        sum(e.count for e in entries) + draw(st.integers(0, 8)),
-        draw(st.integers(1, 9)),
-        draw(st.integers(1, 9)),
-        1,
-    )
-    gen = rng(draw(st.integers(0, 2**32 - 1)))
-    x = gen.normal(size=shape) * 2.0 ** gen.integers(-30, 31, shape)
-    x[gen.random(shape) < 0.1] = -0.0
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    return schedule, LatentVideo(x.astype(dtype)), groups
-
-
-class TestOneChannelGroups:
-    """``_pool_block`` pools a one-channel block of more frames than about
-    ``_CHECK_BYTES`` of float64 holds in whole groups of kernel steps."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(one_channel_group_cases())
-    def test_groups_match_per_token_oracle(self, case):
-        schedule, history, groups = case
-        pads = dict(pad_history=True, pad_spatial=True)
-        expected, generate_span, tail_span = apply_schedule_oracle(history, schedule, **pads)
-        calls = {}
-        for check_bytes in (packing._CHECK_BYTES, 8 * history.height * history.width * groups):
-            spy = mock.Mock(wraps=_pool_block)
-            with mock.patch.object(packing, "_CHECK_BYTES", check_bytes), \
-                    mock.patch.object(packing, "_pool_block", spy):
-                ctx = apply_schedule(history, schedule, **pads)
-            calls[check_bytes] = spy.call_count
-            assert (ctx.generate_span, ctx.tail_span) == (generate_span, tail_span)
-            assert ctx.features.tobytes() == np.stack([t.feature for t in expected]).tobytes()
-        # the first entry, at least, was split into groups
-        assert calls[8 * history.height * history.width * groups] > calls[packing._CHECK_BYTES]
+        want = np.stack([t.feature for t in expected]).tobytes()
+        for run in (1, 7, 300):
+            with mock.patch.object(packing, "_RUN_BYTES", run * history.array.itemsize):
+                ctx = apply_schedule(history, s, pad_spatial=True)
+            assert ctx.features.tobytes() == want, run
 
 
 @st.composite
