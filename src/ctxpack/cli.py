@@ -103,9 +103,7 @@ def cmd_pack(args: argparse.Namespace) -> int:
     # then the frames the entries bind are read as one snapshot and a ta or
     # tc tail in runs, all before the output is written; a td tail is never read
     with fplt._open_video(args.input) as (shape, read):
-        context = _packed(
-            shape, lambda a, b: read(a, b).array, schedule, args.pad_history, args.pad_spatial
-        )
+        context = _packed(shape, read, schedule, args.pad_history, args.pad_spatial)
     sidecar = _write_packed(context, args.output, args.provenance)
     print(f"budget {context.budget}")
     print(f"tokens {args.output}")
@@ -186,7 +184,7 @@ def cmd_quantize(args: argparse.Namespace) -> int:
 def cmd_drift(args: argparse.Namespace) -> int:
     metrics = [m for m in builtin_metrics() if args.metric in ("all", m.name)]
     with fplt._open_video(args.input) as (shape, read):
-        sys.stdout.write(_report(shape, lambda a, b: read(a, b).array, metrics))
+        sys.stdout.write(_report(shape, read, metrics))
     return 0
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .errors import ChannelMismatch, IndexOutOfRange, InsufficientData
-from .packing import LatentVideo
+from .packing import LatentVideo, _fill_checked
 
 # Bytes of the float32 (K, rows) score matrix one search chunk may hold;
 # a float64 (C, rows, K) recheck block is held to a quarter of it.
@@ -238,9 +238,19 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
                 if np.unique(pixels, axis=0).shape[0] < k:
                     raise InsufficientData(short)
                 raise ValueError("squared distances between distinct pixels underflow float64")
-            centroids[j] = pixels[rng.choice(n, p=d2 / total)]
+            centroids[j] = pixels[_draw(rng, d2 / total)]
             total = nearer(centroids[j])
     return centroids
+
+
+def _draw(rng: np.random.Generator, p: np.ndarray) -> int:
+    """The index ``rng.choice(p.size, p=p)`` draws from the same stream, by
+    the same steps, without re-checking ``p`` on every draw: one uniform
+    double searched, right side, in the cumulative sum of ``p`` over its
+    last value."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def _check_same_channels(channels: Sequence[int]) -> None:
@@ -334,18 +344,22 @@ def _check_channels(channels: int, codebook: Codebook) -> None:
 
 
 def _quantized(
-    shape: tuple[int, ...], read: Callable[[int, int], LatentVideo], codebook: Codebook
+    shape: tuple[int, ...], read: Callable[[int, int], np.ndarray], codebook: Codebook
 ) -> Iterator[np.ndarray]:
     """Each run's float32 centroid rows for a video of ``shape`` whose frames
     ``start .. stop`` ``read(start, stop)`` returns. The channels are checked
     at the call, before any read; then each run, as many whole frames as one
-    search chunk holds (at least one), is read and ``quantize``d in turn."""
+    search chunk holds (at least one), is read and searched by ``_nearest``."""
     _check_channels(shape[3], codebook)
     rows = codebook.centroids.astype("<f4")
     pixels = _SCORE_BYTES // (4 * max(codebook.size, codebook.channels))
     frames, step = shape[0], max(1, pixels // (shape[1] * shape[2]))
-    runs = (read(t, min(t + step, frames)) for t in range(0, frames, step))
-    return (rows.take(quantize(run, codebook).indices, axis=0) for run in runs)
+
+    def snapped(run: np.ndarray) -> np.ndarray:
+        assign, _ = _nearest(run.reshape(-1, shape[3]), codebook.centroids, distances=False)
+        return rows.take(assign.reshape(run.shape[:3]), axis=0)
+
+    return (snapped(read(t, min(t + step, frames))) for t in range(0, frames, step))
 
 
 def dequantize(index_map: IndexMap, codebook: Codebook) -> LatentVideo:
@@ -360,7 +374,7 @@ def dequantize(index_map: IndexMap, codebook: Codebook) -> LatentVideo:
     def rows(piece: np.ndarray, frames: slice) -> None:
         piece[...] = codebook.centroids[idx[frames]]
 
-    return LatentVideo._filled((*idx.shape, codebook.channels), np.float64, rows)
+    return LatentVideo._over(_fill_checked((*idx.shape, codebook.channels), np.float64, rows))
 
 
 def discretize_history(frames: LatentVideo, codebook: Codebook) -> LatentVideo:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .codebook import Codebook
 from .errors import FpltFormatError
-from .packing import LatentVideo, _check_shape
+from .packing import LatentVideo, _check_shape, _fill_checked
 
 MAGIC = b"FPLT"
 VERSION = 1
@@ -125,34 +125,32 @@ def write_video(path: str | Path, video: LatentVideo) -> None:
 @contextmanager
 def _open_video(
     path: str | Path,
-) -> Iterator[tuple[tuple[int, ...], Callable[[int, int], LatentVideo]]]:
+) -> Iterator[tuple[tuple[int, ...], Callable[[int, int], np.ndarray]]]:
     """A video file's (T, H, W, C), checked before any payload is read, and
-    ``read(start, stop)``: frames ``start .. stop`` as a new checked float32
-    snapshot, read from frame ``start`` on. Ranges may come in any order."""
+    ``read(start, stop)``: frames ``start .. stop`` as a new read-only, checked
+    float32 array, read from frame ``start`` on. Ranges may come in any order."""
     with open(path, "rb") as fh:
         _, shape = _header(fh, path, video=True)
 
-        def read(start: int, stop: int) -> LatentVideo:
+        def read(start: int, stop: int) -> np.ndarray:
             fh.seek(_HEADER.size + 4 * start * math.prod(shape[1:]))
 
             def fill(piece: np.ndarray, frames: slice) -> None:
                 _read_payload(fh, path, shape, piece, start + frames.start)
 
-            return LatentVideo._filled((stop - start, *shape[1:]), np.dtype("<f4"), fill)
+            return _fill_checked((stop - start, *shape[1:]), np.dtype("<f4"), fill)
 
         yield shape, read
 
 
 def read_video(path: str | Path) -> LatentVideo:
-    """Read a latent video straight into its read-only float32 snapshot.
-
-    After the header check, the payload is read into the one array the
-    returned video keeps, a few frames at a time, and each piece is
-    checked for finiteness as it arrives. A NaN or infinite value raises
-    ``ValueError``, as ``LatentVideo`` does.
-    """
+    """Read a latent video through one ``_open_video`` read of all its
+    frames, whose checked float32 array the returned video keeps: after the
+    header check, the payload is read a few frames at a time, and each piece
+    is checked for finiteness as it arrives. A NaN or infinite value raises
+    ``ValueError``, as ``LatentVideo`` does."""
     with _open_video(path) as (shape, read):
-        return read(0, shape[0])
+        return LatentVideo._over(read(0, shape[0]))
 
 
 def write_codebook(path: str | Path, codebook: Codebook) -> None:

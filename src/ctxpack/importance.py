@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ZeroVectorPixel
-from .packing import LatentVideo
+from .packing import LatentVideo, _fill_checked
 
 # Bytes of the float64 copy of frames one fast-scoring chunk may hold.
 _CHUNK_BYTES = 1 << 20
@@ -276,7 +276,7 @@ def reorder_frames(history: LatentVideo, permutation: Sequence[int]) -> LatentVi
         raise ValueError("not a permutation of the history frames")
     order = np.asarray(permutation, dtype=np.intp)
 
-    def frames_in_order(piece: np.ndarray, frames: slice) -> None:
+    def in_order(piece: np.ndarray, frames: slice) -> None:
         piece[...] = history.array[order[frames]]
 
-    return LatentVideo._filled(history.array.shape, history.array.dtype, frames_in_order)
+    return LatentVideo._over(_fill_checked(history.array.shape, history.array.dtype, in_order))

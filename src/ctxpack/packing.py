@@ -89,9 +89,11 @@ class LatentVideo:
 
     ``array`` is a read-only snapshot of the input: float32 input stays
     float32, anything else becomes float64. It is a copy, so writing to
-    the caller's array later cannot reach a validated history. ``data``
-    is the same values as float64, built on first use and cached;
-    consumers that reduce frames cast only the frames they read.
+    the caller's array later cannot reach a validated history; the videos
+    ``read_video``, ``dequantize`` and ``reorder_frames`` return are built
+    over the one snapshot they fill, with no second copy. ``data`` is the
+    same values as float64, built on first use and cached; consumers that
+    reduce frames cast only the frames they read.
     """
 
     array: np.ndarray
@@ -106,14 +108,10 @@ class LatentVideo:
         object.__setattr__(self, "array", _fill_checked(source.shape, width, copy))
 
     @classmethod
-    def _filled(
-        cls, shape: tuple[int, ...], dtype: np.dtype | type, fill: Callable[[np.ndarray, slice], None]
-    ) -> LatentVideo:
-        """A video over a new array that ``fill`` writes, as ``_fill_checked``
-        describes. Nothing else can reach that array, so it is kept as the
-        snapshot without the copy ``LatentVideo(x)`` makes."""
+    def _over(cls, array: np.ndarray) -> LatentVideo:
+        """A video kept over ``array``, a new ``_fill_checked`` snapshot, uncopied."""
         video = object.__new__(cls)
-        object.__setattr__(video, "array", _fill_checked(shape, dtype, fill))
+        object.__setattr__(video, "array", array)
         return video
 
     @cached_property

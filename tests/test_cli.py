@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 from ctxpack import cli, codebook, fplt, packing
 from ctxpack.cli import build_parser, main
 from ctxpack.codebook import Codebook, discretize_history
+from ctxpack.drift import _report, builtin_metrics, drift_report
 from ctxpack.fplt import (
     read_codebook,
     read_tensor,
@@ -958,13 +959,54 @@ class TestQuantizeReadsThroughOneCore:
 
         def read(start, stop):
             calls.append((start, stop))
-            return LatentVideo(whole.array[start:stop])
+            return whole.array[start:stop]
 
         with mock.patch.object(codebook, "_SCORE_BYTES", 4 * 4 * 2 * 2 * 3):
             rows = list(codebook._quantized(whole.array.shape, read, book))
         assert calls == [(t, min(t + 3, frames)) for t in range(0, frames, 3)]
         want = discretize_history(whole, book).array.astype(np.float32)
         assert np.concatenate([want[:0], *rows]).tobytes() == want.tobytes()
+
+
+class TestOneReadDrivesEveryCore:
+    """One ``read(start, stop)`` that returns read-only array slices, the
+    form ``fplt._open_video`` gives, drives the core of ``ctxpack pack``,
+    ``drift`` and ``quantize`` as it is; each reads only its ranges and
+    gives the bytes of its in-memory entry."""
+
+    def test_pack_drift_and_quantize(self):
+        whole = LatentVideo(rng(25).normal(size=(30, 8, 8, 2)).astype(np.float32))
+        calls = []
+
+        def read(start, stop):
+            calls.append((start, stop))
+            return whole.array[start:stop]
+
+        schedule = parse_schedule("ta_f16k4f2k2f1k1_g9")
+        # the 19 bound frames 11..30 at once, then the 11-frame tail in runs of 4
+        with mock.patch.object(packing, "_RUN_BYTES", 4 * 4 * 8 * 8 * 2):
+            got = packing._packed(whole.array.shape, read, schedule, False, True)
+        assert calls == [(11, 30), (0, 4), (4, 8), (8, 11)]
+        want = apply_schedule(whole, schedule, pad_spatial=True)
+        assert got.features.tobytes() == want.features.tobytes()
+        assert (got.budget, got.generate_span, got.tail_span) == (
+            want.budget, want.generate_span, want.tail_span
+        )
+
+        calls.clear()
+        metrics = builtin_metrics()
+        # the two 4-frame windows, 15% of 30 frames
+        assert _report(whole.array.shape, read, metrics) == drift_report(whole, metrics)
+        assert calls == [(0, 4), (26, 30)]
+
+        calls.clear()
+        book = Codebook(rng(26).normal(size=(4, 2)))
+        # runs of 7 frames of 8x8 pixels against 4 two-channel centroids
+        with mock.patch.object(codebook, "_SCORE_BYTES", 4 * 4 * 8 * 8 * 7):
+            rows = list(codebook._quantized(whole.array.shape, read, book))
+        assert calls == [(0, 7), (7, 14), (14, 21), (21, 28), (28, 30)]
+        want = discretize_history(whole, book).array.astype(np.float32)
+        assert np.concatenate(rows).tobytes() == want.tobytes()
 
 
 class TestFitChecksChannelsFirst:

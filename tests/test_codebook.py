@@ -510,14 +510,19 @@ def fit_cases(draw):
 
 class RecordingRng:
     """A seeded generator that keeps the bytes of each D-squared weight
-    vector it draws from, so seeding's distance sums are compared bit for
-    bit, not only through the pixels they pick."""
+    vector drawn from, so seeding's distance sums are compared bit for
+    bit, not only through the pixels they pick: the oracle's ``choice``
+    records them here, and ``codebook._draw``, which takes ``random``, is
+    patched to record them too."""
 
     def __init__(self, seed):
         self.rng, self.weights = rng(seed), []
 
     def integers(self, *args):
         return self.rng.integers(*args)
+
+    def random(self):
+        return self.rng.random()
 
     def choice(self, n, p):
         self.weights.append(p.tobytes())
@@ -544,7 +549,14 @@ class TestFitMatchesRowMajorOracle:
         video = LatentVideo(pixels.reshape(1, 1, *pixels.shape))
         with mock.patch.object(codebook, "_SCORE_BYTES", budget):
             draws, oracle_draws = RecordingRng(seed), RecordingRng(seed)
-            got = outcome(lambda: codebook._dsquared_seed(pixels, k, draws))
+            draw = codebook._draw
+
+            def recorded(rng, p):
+                draws.weights.append(p.tobytes())
+                return draw(rng, p)
+
+            with mock.patch.object(codebook, "_draw", recorded):
+                got = outcome(lambda: codebook._dsquared_seed(pixels, k, draws))
             want = outcome(lambda: codebook_oracle._dsquared_seed(pixels, k, oracle_draws))
             assert draws.weights == oracle_draws.weights
             fitted = outcome(lambda: fit_codebook([video], k, seed))
@@ -609,6 +621,48 @@ def wide_search_cases(draw):
     away = np.where(r.random(near.shape) < 0.5, -np.inf, np.inf).astype(np.float32)
     pixels[how == 2] = np.nextafter(near, away)
     return centroids, pixels.astype(draw(st.sampled_from([np.float32, np.float64])))
+
+
+class TestDrawIsGeneratorChoice:
+    """``_draw`` takes ``Generator.choice``'s steps without its checks, so
+    it draws the same index and leaves the stream in the same state."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.just(0.0) | st.floats(-300, 300).map(lambda e: 10.0**e), min_size=1, max_size=80
+        ).filter(any),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_same_index_and_state(self, weights, seed):
+        w = np.array(weights)
+        p = w / w.sum()
+        ours, numpys = rng(seed), rng(seed)
+        assert codebook._draw(ours, p) == numpys.choice(p.size, p=p)
+        assert ours.bit_generator.state == numpys.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(-3, 3),
+        st.integers(0, 3),
+        st.integers(0, 3),
+        st.lists(st.just(0.0) | st.floats(1e-3, 1.0), min_size=1, max_size=20).filter(any),
+        st.floats(-300, 300),
+    )
+    def test_same_index_at_a_cdf_step(self, seed, ulps, lead, gap, rest, exponent):
+        # a random draw almost never meets a step of the cumulative sum, so
+        # put one within a few ulps of the uniform double this seed draws
+        u = rng(seed).random()
+        step = u
+        for _ in range(abs(ulps)):
+            step = np.nextafter(step, ulps * np.inf)
+        rest = np.array(rest) * (1.0 - u) / sum(rest)
+        w = np.array([0.0] * lead + [step] + [0.0] * gap + [*rest]) * 10.0**exponent
+        p = w / w.sum()
+        ours, numpys = rng(seed), rng(seed)
+        assert codebook._draw(ours, p) == numpys.choice(p.size, p=p)
+        assert ours.bit_generator.state == numpys.bit_generator.state
 
 
 class TestSearchPastOneByte:

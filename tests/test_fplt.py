@@ -375,7 +375,8 @@ class TestOpenVideo:
                             read(start, stop)
                         continue
                     # a NaN outside the range is never read
-                    got = read(start, stop).array
+                    got = read(start, stop)
+                    assert type(got) is np.ndarray
                     assert got.dtype == np.float32
                     assert got.shape == (stop - start, *arr.shape[1:])
                     assert got.tobytes() == whole[start:stop].tobytes()
