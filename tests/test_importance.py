@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ctxpack import importance
 from ctxpack.errors import ZeroVectorPixel
 from ctxpack.importance import (
     importance_scores,
@@ -351,11 +353,13 @@ def scoring_cases(draw):
 def masked_cosine_sum(frame, target):
     """Per-pixel cosines summed through the zero-norm mask, as ``sim_cos``
     computed them for every frame before it skipped the mask when no
-    pixel has zero norm; zero-norm pixels contribute 0."""
-    f, x = np.asarray(frame, dtype=np.float64), np.asarray(target, dtype=np.float64)
-    dots = (f * x).sum(axis=-1)
-    nf = np.linalg.norm(f, axis=-1)
-    nx = np.linalg.norm(x, axis=-1)
+    pixel has zero norm; zero-norm pixels contribute 0. Dots and norms
+    are per-pixel einsums over contiguous float64 copies."""
+    f = np.ascontiguousarray(frame, dtype=np.float64)
+    x = np.ascontiguousarray(target, dtype=np.float64)
+    dots = np.einsum("hwc,hwc->hw", f, x)
+    nf = np.sqrt(np.einsum("hwc,hwc->hw", f, f))
+    nx = np.sqrt(np.einsum("hwc,hwc->hw", x, x))
     zero = (nf == 0) | (nx == 0)
     denom = np.where(zero, 1.0, nf * nx)
     return float(np.where(zero, 0.0, dots / denom).sum())
@@ -392,7 +396,7 @@ def ranking_cases(draw):
     t, h, w, c = draw(st.integers(0, 6)), *(draw(st.integers(1, n)) for n in (4, 4, 8))
     width = draw(st.sampled_from([np.float32, np.float64]))
     offset = draw(st.sampled_from([0.0, 1e6, -3e7]))
-    # generic values, whose sums round differently in the fast and exact forms
+    # generic values, whose channel sums round in their last bits
     noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = (noise.uniform(-100, 100, (t, h, w, c)) + offset).astype(width)
     target = noise.uniform(-100, 100, (h, w, c)) + offset
@@ -429,9 +433,9 @@ def ranking_cases(draw):
 
 
 class TestSortMatchesPerFrameOracle:
-    """``sort_by_importance`` ranks by a fast term and re-ranks near-ties
-    exactly; its order must be the per-frame formula's, ties to recency
-    and then index."""
+    """``sort_by_importance`` scores every frame in one chunked pass; its
+    order must be the per-frame formula's, ties to recency and then
+    index."""
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(ranking_cases(), st.booleans(), st.sampled_from([0.0, 1.0, 1e9]))
@@ -502,3 +506,81 @@ class TestSortMatchesPerFrameOracle:
         for rank in (importance_scores, sort_by_importance):
             with pytest.raises(expected, match=match):
                 rank(frames, [0.0, 1.0], target, 1.0, 0.5, zero_substitute=zero_substitute)
+
+
+@st.composite
+def chunking_cases(draw):
+    """Frames of 1 to 300 channels, float32 or float64, seen through
+    non-contiguous frame and target views, with zero-norm pixels and with
+    copies of the frames scaled by powers of two that keep every square
+    normal: the frames the scorer once routed by their pixel norms."""
+    t, h, w, c = (draw(st.integers(lo, hi)) for lo, hi in ((1, 3), (1, 4), (1, 4), (1, 300)))
+    width = draw(st.sampled_from([np.float32, np.float64]))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponent = 40 if width == np.float32 else 400
+    base = noise.normal(size=(t, h, w, c))
+    frames = np.zeros((3 * t, h, w, 2 * c), width)[..., ::2]  # every other channel
+    frames[...] = np.concatenate([base, base * 2.0**exponent, base * 2.0**-exponent])
+    target = noise.normal(size=(w, h, 2 * c)).transpose(1, 0, 2)[..., ::2]
+    pixel = st.tuples(st.integers(0, h - 1), st.integers(0, w - 1))
+    for i, (r, col) in draw(st.lists(st.tuples(st.integers(0, t - 1), pixel), max_size=2)):
+        frames[[i, t + i, 2 * t + i], r, col] = 0.0
+    for r, col in draw(st.lists(pixel, max_size=1)):
+        target[r, col] = 0.0
+    history = frames[::-1] if draw(st.booleans()) else frames
+    return history, target
+
+
+class TestChunkingCannotChangeAScore:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(chunking_cases())
+    def test_every_chunk_size_scores_as_sim_cos(self, case):
+        history, target = case
+        times = [0.0] * history.shape[0]
+        cosines = [sim_cos(frame, target, zero_substitute=True) for frame in history]
+        # each frame its own chunk, then all frames in one chunk
+        for chunk_bytes in (1, 8 * history.size):
+            with mock.patch.object(importance, "_CHUNK_BYTES", chunk_bytes):
+                scores = importance_scores(history, times, target, 0.0, 1.0, zero_substitute=True)
+                order = sort_by_importance(history, times, target, 0.0, 1.0, zero_substitute=True)
+            assert [s.components[0] for s in scores] == cosines
+            assert order == sorted(range(len(times)), key=lambda i: (-cosines[i], i))
+        t = history.shape[0] // 3
+        # a frame scaled by a power of two scores as at unit scale
+        assert cosines[:t] == cosines[t : 2 * t] == cosines[2 * t :]
+
+
+class TestZeroNormPixelCostsNothing:
+    """A zero-norm target pixel is masked inside the one pass that scores
+    every frame, so the ranking scores each frame once, as without one."""
+
+    @pytest.mark.parametrize("zero_pixel", [False, True])
+    def test_each_frame_scored_once(self, monkeypatch, zero_pixel):
+        history = rng(29).normal(size=(7, 5, 6, 4)).astype(np.float32)
+        target = history[-1].astype(np.float64)
+        if zero_pixel:
+            target[2, 3] = 0.0
+        scored = []
+        cosines = importance._cosines
+
+        def counted(frames, *args):
+            scored.append(frames.shape[0])
+            return cosines(frames, *args)
+
+        monkeypatch.setattr(importance, "_cosines", counted)
+        order = sort_by_importance(history, list(range(7)), target, 7.0, 0.5, zero_substitute=True)
+        assert sorted(order) == list(range(7))
+        assert scored == [7]
+
+
+class TestFramesWithoutValues:
+    """A frame with no pixels scores 0; one with no channels has only
+    zero-norm pixels."""
+
+    def test_no_pixels(self):
+        assert sim_cos(np.ones((0, 2, 3)), np.ones((0, 2, 3))) == 0.0
+
+    def test_no_channels(self):
+        with pytest.raises(ZeroVectorPixel, match="^4 pixel vectors have zero norm$"):
+            sim_cos(np.ones((2, 2, 0)), np.ones((2, 2, 0)))
+        assert sim_cos(np.ones((2, 2, 0)), np.ones((2, 2, 0)), zero_substitute=True) == 0.0
