@@ -136,8 +136,9 @@ def _write_packed(context: PackedContext, output: str, provenance: str | None) -
         phase = repr(block.time_phase)
         lines += [f"token {t} {span} {a}{phase}{b}" for t, (a, b) in enumerate(text, i)]
         i += len(text)
-    with fplt._replacing(sidecar) as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
+    text = ("\n".join(lines) + "\n").encode()
+    with fplt._replacing(sidecar, len(text)) as fh:
+        fh.write(text)
     return sidecar
 
 

@@ -208,12 +208,15 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         raise InsufficientData(short)
     centroids = np.empty((k, c), dtype=np.float64)
     centroids[0] = pixels[rng.integers(n)]
+    # One contiguous channel-major (C, n) copy of the pixels, in their own
+    # dtype (float32 pixels stay float32), freed when the seeds are drawn.
+    columns = np.ascontiguousarray(pixels.T)
     # d2 is each pixel's squared distance to its nearest seed so far. It is
-    # updated in place a chunk of rows at a time through one channel-major
-    # float64 (C, rows) buffer of a quarter of the score budget, small
-    # enough to stay in cache; _squared_norms sums each column as
-    # ((pixels - seed) ** 2).sum(axis=1) sums its row, so the seeds do not
-    # change.
+    # updated in place a chunk of columns at a time through one float64
+    # (C, rows) buffer of a quarter of the score budget, small enough to
+    # stay in cache; casts of float32 to float64 are exact, and
+    # _squared_norms sums each column as ((pixels - seed) ** 2).sum(axis=1)
+    # sums its row, so the seeds do not change.
     rows = min(n, max(1, _SCORE_BYTES // (32 * c)))
     diff = np.empty((c, rows))
     d2 = np.full(n, np.inf)
@@ -221,7 +224,7 @@ def _dsquared_seed(pixels: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     def nearer(seed: np.ndarray) -> float:
         for lo in range(0, n, rows):
             part, near = diff[:, : n - lo], d2[lo : lo + rows]
-            np.subtract(pixels[lo : lo + rows].T, seed[:, None], out=part)
+            np.subtract(columns[:, lo : lo + rows], seed[:, None], out=part)
             np.minimum(near, _squared_norms(part), out=near)
         return d2.sum()
 

@@ -5,12 +5,14 @@ codebook), four u32 dims (T, H, W, C), then T*H*W*C IEEE-754 float32
 values in C order (t-major, row-major, channel-last). Total size is
 exactly 28 + 4*T*H*W*C bytes.
 
-Every write goes through one atomic-replace step (``_replacing``), and
-every latent video read through one reader of frame ranges (``_open_video``).
+Every write goes through one atomic-replace step (``_replacing``), which
+reserves the output's size first, and every latent video read through one
+reader of frame ranges (``_open_video``).
 """
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import struct
@@ -47,27 +49,56 @@ def _write(
     Each run is written as it arrives: a contiguous little-endian float32
     run from its own buffer, any other from a float32 copy of that run
     alone, so no copy of the whole payload is made. ``runs`` may compute
-    each run as the write goes; if it raises, no file is kept.
+    each run as the write goes; if it raises, or its runs do not fill
+    ``shape`` exactly, no file is kept.
     """
-    with _replacing(path) as fh:
+    with _replacing(path, _HEADER.size + 4 * math.prod(shape)) as fh:
         fh.write(_HEADER.pack(MAGIC, VERSION, flags, *shape))
         for run in runs:
             fh.write(np.ascontiguousarray(run, "<f4"))
 
 
 @contextmanager
-def _replacing(path: str | Path) -> Iterator[BinaryIO]:
+def _replacing(path: str | Path, size: int) -> Iterator[BinaryIO]:
     """An open temp file that replaces ``path`` when the block exits
-    cleanly, and is removed when it raises."""
+    cleanly having written exactly ``size`` bytes, and is removed when the
+    block raises or writes any other count.
+
+    The temp file's ``size`` bytes are reserved before the block runs, so a
+    full disk fails before anything is made, and so that ext4 (with its
+    default ``auto_da_alloc``) has no delayed blocks to allocate and flush
+    inside the rename over an old file. A file system that cannot reserve
+    (``EOPNOTSUPP``, or ``EINVAL`` from older ZFS), or an ``os`` without
+    ``posix_fallocate``, writes the same bytes unreserved. Nothing is fsynced.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with tmp.open("xb") as fh:
+            _reserve(fh.fileno(), size)
             yield fh
+            written = fh.tell()
+        if written != size:
+            raise FpltFormatError(f"{path}: wrote {written} bytes, reserved {size}")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _reserve(fd: int, size: int) -> None:
+    """Allocate ``size`` bytes from offset 0 of ``fd`` where the platform
+    and file system can; any other failure, such as ``ENOSPC``, raises."""
+    fallocate = getattr(os, "posix_fallocate", None)
+    if fallocate is None:
+        return
+    try:
+        fallocate(fd, 0, size)
+    except OSError as exc:
+        # offset 0 and a positive size are valid, so EINVAL here is a file
+        # system that cannot reserve, as older ZFS reports it
+        if exc.errno not in (errno.EOPNOTSUPP, errno.EINVAL):
+            raise
 
 
 def _header(fh: BinaryIO, path: str | Path, *, video: bool = False) -> tuple[int, tuple[int, ...]]:

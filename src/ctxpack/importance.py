@@ -29,6 +29,8 @@ from .packing import LatentVideo, _fill_checked
 
 # Bytes of the float64 copy of frames one scoring chunk may hold.
 _CHUNK_BYTES = 1 << 20
+# A squared pixel norm below this has lost bits to underflow.
+_TINY = np.finfo(np.float64).tiny
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,13 @@ def sim_cos(
     """Sum of per-pixel cosine similarities; range [-H*W, H*W].
 
     Both frames must be finite (H, W, C) arrays of one shape whose pixel
-    norms multiply within float64, or ``ValueError`` is raised. A pixel
-    vector with zero norm raises unless ``zero_substitute`` is set, in
-    which case that pixel contributes +0.0. The value is the bits
-    ``importance_scores`` gives the frame in any history.
+    norms multiply within float64, or ``ValueError`` is raised; so it is
+    when, at a pixel where neither frame is all zero, either's squared
+    norm is below float64's smallest normal, where its norm would be
+    inexact. An all-zero pixel vector raises ``ZeroVectorPixel`` unless
+    ``zero_substitute`` is set, in which case that pixel contributes +0.0.
+    The value is the bits ``importance_scores`` gives the frame in any
+    history.
     """
     f = _frame_array(frame, "frame")
     x = _frame_array(target, "target")
@@ -73,27 +78,35 @@ def sim_cos(
     return float(_cosines(f[None], _target_terms(x), zero_substitute)[0])
 
 
-def _target_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A checked float64 target with its per-pixel norms and zero-norm mask,
-    computed once however many frames are scored against it."""
-    with np.errstate(over="ignore"):  # an overflowing norm is inf; the scorer rejects it
-        nx = np.sqrt(np.einsum("hwc,hwc->hw", x, x))
-    return x, nx, nx == 0
+def _target_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A checked float64 target with its per-pixel norms, its all-zero
+    pixels and its other pixels whose squared norm is below float64's
+    smallest normal, computed once however many frames are scored
+    against it."""
+    with np.errstate(over="ignore", under="ignore"):  # the scorer rejects both
+        nx = np.einsum("hwc,hwc->hw", x, x)
+    zero = ~x.any(-1)
+    under = (nx < _TINY) & ~zero
+    return x, np.sqrt(nx, out=nx), zero, under
 
 
 def _cosines(
-    frames: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray], zero_substitute: bool
+    frames: np.ndarray,
+    terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+    zero_substitute: bool,
 ) -> np.ndarray:
     """Each frame's ``sim_cos`` against ``_target_terms`` of the target: the
     one score of every frame. Frames already checked for shape and
     finiteness are copied, a chunk of at most ``_CHUNK_BYTES`` at a time,
     into one float64 buffer, so a frame scores the same alone as in a
     chunk and a float32 frame as its float64 copy. Frames fail in index
-    order: a pixel whose two norms multiply past float64 raises
-    ``ValueError``, then a zero-norm pixel raises ``ZeroVectorPixel``
-    unless ``zero_substitute`` is set, when it adds +0.0."""
-    x, nx, zero_x = terms
-    any_zero_x = bool(zero_x.any())
+    order: a pixel pair whose two norms multiply past float64, or a pair
+    of two pixels that are not all zero where either's squared norm is
+    below float64's smallest normal, raises ``ValueError``; then a pair
+    with an all-zero pixel raises ``ZeroVectorPixel`` unless
+    ``zero_substitute`` is set, when it adds +0.0."""
+    x, nx, zero_x, under_x = terms
+    rare_x = bool(zero_x.any() or under_x.any())
     t = frames.shape[0]
     step = max(1, _CHUNK_BYTES // max(1, 8 * x.size))
     buffer = np.empty((min(step, t), *x.shape))  # refilled, so one chunk is ever held
@@ -102,20 +115,31 @@ def _cosines(
         k = min(step, t - start)
         f = buffer[:k]
         f[...] = frames[start : start + k]
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             norms = np.einsum("thwc,thwc->thw", f, f)
+            zero = under = None
+            if rare_x or norms.min(initial=np.inf) < _TINY:
+                small = norms < _TINY
+                zero = small.copy()  # all-zero frame pixels are small ones ...
+                zero[small] = ~f[small].any(-1)  # ... with no nonzero value
+                under = (small & ~zero) | under_x
+                zero |= zero_x
+                under &= ~zero
             np.sqrt(norms, out=norms)  # the frame's pixel norms ...
-            zero = (norms == 0) | zero_x if any_zero_x or not norms.all() else None
             norms *= nx  # ... times the target's; inf × 0 is nan
             dots = np.einsum("thwc,hwc->thw", f, x)
         # one max per frame catches an inf or nan product
         failed = ~np.isfinite(norms.reshape(k, -1).max(-1, initial=0.0))
-        if zero is not None and not zero_substitute:
-            failed |= zero.reshape(k, -1).any(-1)
+        if zero is not None:
+            failed |= under.reshape(k, -1).any(-1)
+            if not zero_substitute:
+                failed |= zero.reshape(k, -1).any(-1)
         if failed.any():
             i = int(failed.argmax())
             if not np.isfinite(norms[i]).all():
                 raise ValueError("pixel norms overflow float64; rescale the frames and target")
+            if under[i].any():
+                raise ValueError("pixel norms underflow float64; rescale the frames and target")
             raise ZeroVectorPixel(f"{int(zero[i].sum())} pixel vectors have zero norm")
         if zero is None:
             np.divide(dots, norms, out=dots)

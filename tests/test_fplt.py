@@ -1,8 +1,11 @@
+import errno
 import math
 import os
 import re
 import struct
 import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -157,6 +160,179 @@ class TestAtomicWrite:
             write_tensor(path, np.ones((1, 1, 3, 2)))
         assert path.read_bytes() == old
         assert [p.name for p in tmp_path.iterdir()] == ["t.fplt"]
+
+    @pytest.mark.parametrize("frames", [1, 2, 4])
+    @pytest.mark.parametrize("fallocate", ["reserved", "absent"])
+    def test_runs_not_filling_the_shape_keep_the_old_file(
+        self, tmp_path, monkeypatch, frames, fallocate
+    ):
+        # without the size check, one frame of a (3, 2, 2, 1) shape replaces
+        # a valid file with 44 bytes whose header says 76, or, reserved,
+        # with 76 bytes zero-padded past the one frame
+        if fallocate == "absent":
+            monkeypatch.delattr(os, "posix_fallocate", raising=False)
+        path = tmp_path / "t.fplt"
+        write_tensor(path, rng(11).normal(size=(3, 2, 2, 1)).astype(np.float32))
+        old = path.read_bytes()
+        runs = iter([np.ones((1, 2, 2, 1), np.float32)] * frames)
+        message = f"^{re.escape(str(path))}: wrote {28 + 16 * frames} bytes, reserved 76$"
+        with pytest.raises(FpltFormatError, match=message):
+            fplt._write(path, (3, 2, 2, 1), runs)
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["t.fplt"]
+
+
+class _SpyFile:
+    """A temp file opened by ``fplt._replacing``, recording each write."""
+
+    def __init__(self, fh, events):
+        self._fh, self._events = fh, events
+
+    def write(self, data):
+        self._events.append(("write", self._fh.name, memoryview(data).nbytes))
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return self._fh.__exit__(*exc)
+
+
+@pytest.fixture
+def file_events(monkeypatch):
+    """Every reservation and every write to a file opened ``xb``, in order,
+    as ``(kind, temp path, ...)``: ``("reserve", tmp, offset, length)`` and
+    ``("write", tmp, nbytes)``. Reservations reach the real call."""
+    events, names = [], {}
+    real_open, real_fallocate = Path.open, os.posix_fallocate
+
+    def spy_open(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        if mode != "xb":
+            return fh
+        names[fh.fileno()] = fh.name
+        return _SpyFile(fh, events)
+
+    def spy_fallocate(fd, offset, length):
+        events.append(("reserve", names[fd], offset, length))
+        real_fallocate(fd, offset, length)
+
+    monkeypatch.setattr(Path, "open", spy_open)
+    monkeypatch.setattr(os, "posix_fallocate", spy_fallocate)
+    return events
+
+
+def _target_name(tmp):
+    """``t.fplt`` for a temp file ``.t.fplt.<16 hex digits>.tmp``."""
+    name = Path(tmp).name
+    assert name.startswith(".") and name.endswith(".tmp")
+    return name[1:-4].rsplit(".", 1)[0]
+
+
+def _commands(tmp_path):
+    """A 19-frame input in ``tmp_path`` and the argv of each command that
+    writes a file, in an order where every command's inputs exist."""
+    video = tmp_path / "v.fplt"
+    write_tensor(video, rng(12).normal(size=(19, 8, 8, 2)).astype(np.float32))
+    return [
+        ["pack", "td_f16k4f2k2f1k1_g9", str(video), "-o", str(tmp_path / "p.pack")],
+        ["codebook", "fit", str(video), "--k", "4", "--seed", "0", "-o", str(tmp_path / "cb.fplt")],
+        ["quantize", str(video), "--codebook", str(tmp_path / "cb.fplt"),
+         "-o", str(tmp_path / "q.fplt")],
+    ]
+
+
+class TestReservation:
+    """Each write reserves its final size at offset 0 once, before its
+    first byte; a reservation that fails for want of space fails the
+    write before anything is made, and one the file system cannot make
+    writes the same bytes unreserved."""
+
+    def check_reserved(self, events, tmp_path, names):
+        by_temp = {}
+        for kind, tmp, *rest in events:
+            by_temp.setdefault(tmp, []).append((kind, *rest))
+        assert sorted(_target_name(t) for t in by_temp) == sorted(names)
+        for tmp, log in by_temp.items():
+            size = (tmp_path / _target_name(tmp)).stat().st_size
+            assert log[0] == ("reserve", 0, size)
+            assert [entry[0] for entry in log[1:]] == ["write"] * (len(log) - 1)
+            assert sum(entry[1] for entry in log[1:]) == size
+
+    def test_write_tensor_and_codebook(self, tmp_path, file_events):
+        write_tensor(tmp_path / "t.fplt", rng(13).normal(size=(3, 4, 5, 2)))  # one run per frame
+        write_codebook(tmp_path / "cb.fplt", Codebook(rng(14).normal(size=(6, 3))))
+        self.check_reserved(file_events, tmp_path, ["t.fplt", "cb.fplt"])
+
+    def test_commands(self, tmp_path, capsys, monkeypatch, file_events):
+        commands = _commands(tmp_path)
+        # quantize in runs of one frame: a run holds 4 * 2 * 64 / (4 * 4) pixels
+        monkeypatch.setattr(codebook_module, "_SCORE_BYTES", 4 * 2 * 64)
+        expected = [["p.pack", "p.pack.prov"], ["cb.fplt"], ["q.fplt"]]
+        for argv, names in zip(commands, expected):
+            file_events.clear()
+            assert main(argv) == 0
+            self.check_reserved(file_events, tmp_path, names)
+        assert len(file_events) == 2 + 19  # q.fplt: reservation, header, 19 runs
+
+    def test_no_space_keeps_old_outputs(self, tmp_path, capsys, monkeypatch, file_events):
+        commands = _commands(tmp_path)
+        for argv in commands:
+            assert main(argv) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        reads = []
+        real_open_video = fplt._open_video
+
+        @contextmanager
+        def spy_open_video(path):
+            with real_open_video(path) as (shape, read):
+                yield shape, lambda a, b: reads.append((a, b)) or read(a, b)
+
+        monkeypatch.setattr(os, "posix_fallocate", full)
+        monkeypatch.setattr(fplt, "_open_video", spy_open_video)
+        file_events.clear()
+        with pytest.raises(OSError, match="No space left on device"):
+            write_tensor(tmp_path / "q.fplt", np.zeros((1, 8, 8, 2), np.float32))
+        for argv in commands:
+            reads.clear()
+            assert main(argv) == 3
+            assert "No space left on device" in capsys.readouterr().err
+        assert reads == []  # quantize, the last, fails before it reads a frame
+        assert file_events == []  # no header, no payload run
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    @pytest.mark.parametrize("unreserved", ["EOPNOTSUPP", "EINVAL", "absent"])
+    def test_unreserved_writes_the_same_bytes(self, tmp_path, capsys, monkeypatch, unreserved):
+        written = {}
+        for mode in ("reserved", unreserved):
+            work = tmp_path / mode
+            work.mkdir()
+            commands = _commands(work)
+            if mode == "absent":
+                monkeypatch.delattr(os, "posix_fallocate")
+            elif mode != "reserved":
+                code = getattr(errno, mode)
+
+                def refuse(fd, offset, length, code=code):
+                    raise OSError(code, os.strerror(code))
+
+                monkeypatch.setattr(os, "posix_fallocate", refuse)
+            for _ in range(2):  # new files, then over the old ones
+                write_tensor(work / "t.fplt", rng(15).normal(size=(2, 3, 4, 2)))
+                for argv in commands:
+                    assert main(argv) == 0
+            written[mode] = {p.name: p.read_bytes() for p in work.iterdir()}
+        assert len(written["reserved"]) == 6
+        assert written[unreserved] == written["reserved"]
 
 
 class TestCopies:

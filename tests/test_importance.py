@@ -275,6 +275,68 @@ class TestNormOverflow:
         assert order == sort_by_importance(*self.case(1.0), 3.0, 0.0)
 
 
+class TestNormUnderflow:
+    """A pixel pair, neither all zero, where either squared norm is below
+    float64's smallest normal has an inexact norm; it raises ``ValueError``
+    instead of a score outside [-H*W, H*W] or a ``ZeroVectorPixel`` for a
+    pixel that is not zero."""
+
+    f = rng(0).normal(size=(2, 2, 3))
+    UNDERFLOW = "^pixel norms underflow float64; rescale the frames and target$"
+
+    @pytest.mark.parametrize("scale", [1e-158, 1e-161, 1e-170, 1e-320])
+    @pytest.mark.parametrize("zero_substitute", [False, True])
+    def test_subnormal_norms_raise(self, scale, zero_substitute):
+        # unchecked, 1e-161 scores 4.0497 (above H*W = 4) and 1e-170 counts
+        # as a zero-norm pixel; at 1e-320 every value is subnormal
+        small = self.f * scale
+        assert small.any()
+        for frame, target in ((small, self.f), (self.f, small)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=self.UNDERFLOW):
+                    sim_cos(frame, target, zero_substitute=zero_substitute)
+
+    def test_normal_squared_norms_score_in_range(self):
+        for scale in (1e-150, 1e150):
+            assert sim_cos(self.f * scale, self.f) == pytest.approx(4.0)
+            assert sim_cos(self.f, self.f * scale) == pytest.approx(4.0)
+
+    @pytest.mark.parametrize("target_zero", [False, True])
+    def test_all_zero_pixel_keeps_the_zero_rule(self, target_zero):
+        # a subnormal pixel opposite an all-zero one is a zero-norm pair,
+        # not an underflow: it raises ZeroVectorPixel or adds +0.0
+        frame, target = self.f.copy(), self.f.copy()
+        frame[0, 0] = 1e-170
+        (target if target_zero else frame)[0, 0] = 0.0
+        (frame if target_zero else target)[0, 0] = 1e-170
+        with pytest.raises(ZeroVectorPixel, match="^1 pixel vectors have zero norm$"):
+            sim_cos(frame, target)
+        rest = sim_cos(self.f[1:], self.f[1:]) + sim_cos(self.f[:1, 1:], self.f[:1, 1:])
+        assert sim_cos(frame, target, zero_substitute=True) == pytest.approx(rest)
+
+    @pytest.mark.parametrize("zero_substitute", [False, True])
+    @pytest.mark.parametrize("first", ["overflow", "underflow", "zero"])
+    def test_first_failing_frame_in_index_order_raises(self, zero_substitute, first):
+        target = np.ones((2, 2, 3))
+        target[0, 0] = 1e100
+        bad = {kind: np.ones((2, 2, 3)) for kind in ("overflow", "underflow", "zero")}
+        bad["overflow"][0, 0] = 1e250
+        bad["underflow"][1, 1] = 1e-170
+        bad["zero"][1, 0] = 0.0
+        order = [first] + [kind for kind in bad if kind != first]
+        frames = np.stack([bad[kind] for kind in order])
+        failing = [k for k in order if k != "zero" or not zero_substitute][0]
+        expected = {
+            "overflow": (ValueError, "pixel norms overflow float64"),
+            "underflow": (ValueError, self.UNDERFLOW),
+            "zero": (ZeroVectorPixel, "^1 pixel vectors have zero norm$"),
+        }[failing]
+        for rank in (importance_scores, sort_by_importance):
+            with pytest.raises(expected[0], match=expected[1]):
+                rank(frames, [0.0, 1.0, 2.0], target, 1.0, 0.5, zero_substitute=zero_substitute)
+
+
 class TestReorderFrames:
     def test_reorders(self):
         v = LatentVideo(rng(21).normal(size=(3, 2, 2, 1)))
@@ -375,8 +437,8 @@ class TestScoresMatchPerFrameOracle:
                 sim_cos(video.array[i], target, zero_substitute=zero_substitute)
                 for i in range(video.frame_count)
             ]
-        except ZeroVectorPixel as exc:
-            with pytest.raises(ZeroVectorPixel, match=f"^{exc}$"):
+        except ValueError as exc:  # a zero-norm pixel, or norms past float64's range
+            with pytest.raises(type(exc), match=f"^{exc}$"):
                 importance_scores(video, times, target, 2.0, weight, zero_substitute=zero_substitute)
             return
         scores = importance_scores(video, times, target, 2.0, weight, zero_substitute=zero_substitute)
@@ -450,8 +512,8 @@ class TestSortMatchesPerFrameOracle:
                 sim_hybrid(frame, target, times[i], 2.0, weight, zero_substitute=zero_substitute)
                 for i, frame in enumerate(video.array)
             ]
-        except ZeroVectorPixel as exc:
-            with pytest.raises(ZeroVectorPixel, match=f"^{exc}$"):
+        except ValueError as exc:  # a zero-norm pixel, or norms past float64's range
+            with pytest.raises(type(exc), match=f"^{exc}$"):
                 order()
             return
         assert order() == sorted(range(len(times)), key=lambda i: (-scores[i], -times[i], i))
