@@ -113,10 +113,8 @@ def cmd_pack(args: argparse.Namespace) -> int:
 
 def _write_packed(context: PackedContext, output: str, provenance: str | None) -> Path:
     """Write a packed context's features to ``output`` and its provenance
-    to ``provenance`` (default ``<output>.prov``); return the sidecar's path."""
-    features = context.features
-    fplt.write_tensor(output, features.reshape(1, 1, *features.shape))
-
+    to ``provenance`` (default ``<output>.prov``), both replaced or neither;
+    return the sidecar's path. The ``.prov`` text is rendered first."""
     sidecar = Path(provenance or f"{output}.prov")
     schedule = context.schedule
     lines = [
@@ -137,8 +135,8 @@ def _write_packed(context: PackedContext, output: str, provenance: str | None) -
         lines += [f"token {t} {span} {a}{phase}{b}" for t, (a, b) in enumerate(text, i)]
         i += len(text)
     text = ("\n".join(lines) + "\n").encode()
-    with fplt._replacing(sidecar, len(text)) as fh:
-        fh.write(text)
+    grid = context.features[None, None]
+    fplt._write(output, grid.shape, grid, sidecars=[(sidecar, text)])
     return sidecar
 
 

@@ -3,10 +3,10 @@
 Drift is the absolute difference of a quality metric between the first
 and last 15% of frames (at least one frame each side), which makes it
 direction-agnostic by construction. One core, ``_scores``, reads only
-those two windows, through a ``read(start, stop)`` that slices a video
-in memory or reads ``ctxpack drift``'s file, and casts each to float64
-once. Metrics are pluggable; the built-ins are cheap analytic proxies
-rather than learned predictors.
+those two windows, through a ``read(start, stop)`` that ``packing._held``
+gives for a video in memory or that reads ``ctxpack drift``'s file, and
+casts each to float64 once. Metrics are pluggable; the built-ins are
+cheap analytic proxies rather than learned predictors.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import TooFewFrames, UnknownOutcome
-from .packing import LatentVideo
+from .packing import LatentVideo, _held
 
 DRIFT_WINDOW = 0.15
 DEFAULT_K_FACTOR = 32.0
@@ -56,14 +56,11 @@ def _scores(
     return [(m, float(m.evaluate(start)), float(m.evaluate(end))) for m in metrics]
 
 
-def _held(video: LatentVideo | np.ndarray) -> tuple[tuple[int, ...], Callable]:
-    """A video in memory, wrapped and checked whole, as a shape and a ``read`` of its snapshot."""
-    arr = (video if isinstance(video, LatentVideo) else LatentVideo(video)).array
-    return arr.shape, lambda start, stop: arr[start:stop]
-
-
 def drift(video: LatentVideo | np.ndarray, metric: SegmentMetric) -> float:
-    """|metric(start segment) - metric(end segment)| for one video."""
+    """|metric(start segment) - metric(end segment)| for one video: a
+    ``LatentVideo``, or a raw (T, H, W, C) array checked for finiteness
+    (``ValueError``) only in the two windows, as ``ctxpack drift`` checks
+    a file."""
     [(_, start, end)] = _scores(*_held(video), [metric])
     return abs(start - end)
 
@@ -103,7 +100,8 @@ def builtin_metrics() -> list[SegmentMetric]:
 
 
 def drift_report(video: LatentVideo | np.ndarray, metrics: Iterable[SegmentMetric]) -> str:
-    """One text line per metric: start and end scores plus their drift."""
+    """One text line per metric: start and end scores plus their drift, for
+    a ``LatentVideo`` or a raw array, checked as ``drift`` checks it."""
     return _report(*_held(video), metrics)
 
 

@@ -6,8 +6,9 @@ values in C order (t-major, row-major, channel-last). Total size is
 exactly 28 + 4*T*H*W*C bytes.
 
 Every write goes through one atomic-replace step (``_replacing``), which
-reserves the output's size first, and every latent video read through one
-reader of frame ranges (``_open_video``).
+reserves each output's size first and renames a command's outputs only
+once all are written, and every latent video read through one reader of
+frame ranges (``_open_video``).
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ import errno
 import math
 import os
 import struct
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,10 +42,16 @@ def write_tensor(path: str | Path, array: np.ndarray, *, flags: int = 0) -> None
 
 
 def _write(
-    path: str | Path, shape: tuple[int, ...], runs: Iterable[np.ndarray], *, flags: int = 0
+    path: str | Path,
+    shape: tuple[int, ...],
+    runs: Iterable[np.ndarray],
+    *,
+    flags: int = 0,
+    sidecars: Sequence[tuple[Path, bytes]] = (),
 ) -> None:
     """Write an FPLT file atomically from its (T, H, W, C) ``shape`` and its
-    payload as ``runs`` of whole frames, in order.
+    payload as ``runs`` of whole frames, in order, with each ``(path,
+    bytes)`` of ``sidecars``, all replaced in one ``_replacing`` step.
 
     Each run is written as it arrives: a contiguous little-endian float32
     run from its own buffer, any other from a float32 copy of that run
@@ -52,37 +59,51 @@ def _write(
     each run as the write goes; if it raises, or its runs do not fill
     ``shape`` exactly, no file is kept.
     """
-    with _replacing(path, _HEADER.size + 4 * math.prod(shape)) as fh:
+    sizes = [(path, _HEADER.size + 4 * math.prod(shape))] + [(p, len(b)) for p, b in sidecars]
+    with _replacing(*sizes) as (fh, *others):
+        for other, (_, data) in zip(others, sidecars):
+            other.write(data)
         fh.write(_HEADER.pack(MAGIC, VERSION, flags, *shape))
         for run in runs:
             fh.write(np.ascontiguousarray(run, "<f4"))
 
 
 @contextmanager
-def _replacing(path: str | Path, size: int) -> Iterator[BinaryIO]:
-    """An open temp file that replaces ``path`` when the block exits
-    cleanly having written exactly ``size`` bytes, and is removed when the
-    block raises or writes any other count.
+def _replacing(*outputs: tuple[str | Path, int]) -> Iterator[list[BinaryIO]]:
+    """One open temp file per ``(path, size)`` output, which replace their
+    paths when the block exits cleanly having written exactly each
+    ``size`` bytes; every temp file is removed, and every path kept, when
+    the block raises or writes any other count.
 
-    The temp file's ``size`` bytes are reserved before the block runs, so a
-    full disk fails before anything is made, and so that ext4 (with its
+    Every temp file's ``size`` bytes are reserved before the block runs, so
+    a full disk fails before anything is made, and so that ext4 (with its
     default ``auto_da_alloc``) has no delayed blocks to allocate and flush
     inside the rename over an old file. A file system that cannot reserve
     (``EOPNOTSUPP``, or ``EINVAL`` from older ZFS), or an ``os`` without
-    ``posix_fallocate``, writes the same bytes unreserved. Nothing is fsynced.
+    ``posix_fallocate``, writes the same bytes unreserved. The renames run
+    in order once every output is written and checked, but are not one
+    atomic step, and nothing is fsynced.
     """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    temps = []
     try:
-        with tmp.open("xb") as fh:
-            _reserve(fh.fileno(), size)
-            yield fh
-            written = fh.tell()
-        if written != size:
-            raise FpltFormatError(f"{path}: wrote {written} bytes, reserved {size}")
-        os.replace(tmp, path)
+        with ExitStack() as stack:
+            handles = []
+            for path, size in outputs:
+                path = Path(path)
+                tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+                temps.append((tmp, path, size))
+                handles.append(stack.enter_context(tmp.open("xb")))
+                _reserve(handles[-1].fileno(), size)
+            yield handles
+            written = [fh.tell() for fh in handles]
+        for (tmp, path, size), count in zip(temps, written):
+            if count != size:
+                raise FpltFormatError(f"{path}: wrote {count} bytes, reserved {size}")
+        for tmp, path, _ in temps:
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp, _, _ in temps:
+            tmp.unlink(missing_ok=True)
         raise
 
 

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ZeroVectorPixel
-from .packing import LatentVideo, _fill_checked
+from .packing import LatentVideo, _fill_checked, _held
 
 # Bytes of the float64 copy of frames one scoring chunk may hold.
 _CHUNK_BYTES = 1 << 20
@@ -75,7 +75,8 @@ def sim_cos(
     f = _frame_array(frame, "frame")
     x = _frame_array(target, "target")
     _check_shapes(f.shape, x.shape)
-    return float(_cosines(f[None], _target_terms(x), zero_substitute)[0])
+    cos = _cosines((1, *f.shape), lambda a, b: f[None][a:b], _target_terms(x), zero_substitute)
+    return float(cos[0])
 
 
 def _target_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -91,30 +92,34 @@ def _target_terms(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def _cosines(
-    frames: np.ndarray,
+    shape: tuple[int, ...],
+    read: Callable[[int, int], np.ndarray],
     terms: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
     zero_substitute: bool,
 ) -> np.ndarray:
     """Each frame's ``sim_cos`` against ``_target_terms`` of the target: the
-    one score of every frame. Frames already checked for shape and
-    finiteness are copied, a chunk of at most ``_CHUNK_BYTES`` at a time,
-    into one float64 buffer, so a frame scores the same alone as in a
-    chunk and a float32 frame as its float64 copy. Frames fail in index
-    order: a pixel pair whose two norms multiply past float64, or a pair
-    of two pixels that are not all zero where either's squared norm is
-    below float64's smallest normal, raises ``ValueError``; then a pair
-    with an all-zero pixel raises ``ZeroVectorPixel`` unless
+    one score of every frame of a history of ``shape``. A chunk of at most
+    ``_CHUNK_BYTES`` is read, checked, into one float64 buffer in runs of a
+    sixteenth of it (``read(start, stop)``, as from ``packing._held``), so a
+    frame scores the same alone as in a chunk and a float32 frame as its
+    float64 copy. A whole chunk is read before any of it is scored; then its frames
+    fail in index order: a pixel pair whose two norms multiply past float64,
+    or a pair of two pixels that are not all zero where either's squared
+    norm is below float64's smallest normal, raises ``ValueError``; then a
+    pair with an all-zero pixel raises ``ZeroVectorPixel`` unless
     ``zero_substitute`` is set, when it adds +0.0."""
     x, nx, zero_x, under_x = terms
     rare_x = bool(zero_x.any() or under_x.any())
-    t = frames.shape[0]
+    t = shape[0]
     step = max(1, _CHUNK_BYTES // max(1, 8 * x.size))
     buffer = np.empty((min(step, t), *x.shape))  # refilled, so one chunk is ever held
+    run = max(1, len(buffer) // 16)  # a read's own copy is a sixteenth of the buffer
     cos = np.empty(t)
     for start in range(0, t, step):
         k = min(step, t - start)
         f = buffer[:k]
-        f[...] = frames[start : start + k]
+        for i in range(0, k, run):
+            f[i : i + run] = read(start + i, start + min(i + run, k))
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             norms = np.einsum("thwc,thwc->thw", f, f)
             zero = under = None
@@ -187,16 +192,19 @@ def importance_scores(
     zero_substitute: bool = False,
 ) -> list[ImportanceScore]:
     """Each frame's hybrid score, in frame order: its ``sim_cos`` with the
-    target plus ``time_weight`` times its ``sim_time``."""
+    target plus ``time_weight`` times its ``sim_time``.
+
+    ``history`` is a ``LatentVideo`` or a raw (T, H, W, C) array; a raw
+    array is checked for finiteness (``ValueError``) a chunk at a time, as
+    each chunk is read to be scored."""
     _check_weight(time_weight)
-    frames = (history if isinstance(history, LatentVideo) else LatentVideo(history)).array
-    if frames.shape[0] != len(times):
-        raise ValueError(f"{frames.shape[0]} frames but {len(times)} timestamps")
-    # LatentVideo checked every frame, so only the target needs checking
+    shape, read = _held(history)
+    if shape[0] != len(times):
+        raise ValueError(f"{shape[0]} frames but {len(times)} timestamps")
     target = _frame_array(target_estimate, "target estimate")
-    _check_shapes(frames.shape[1:], target.shape)
+    _check_shapes(shape[1:], target.shape)
     time_terms = [sim_time(t, target_time) for t in times]
-    cosines = _cosines(frames, _target_terms(target), zero_substitute).tolist()
+    cosines = _cosines(shape, read, _target_terms(target), zero_substitute).tolist()
     return [
         ImportanceScore(i, cos + time_weight * t, (cos, t))
         for i, (cos, t) in enumerate(zip(cosines, time_terms))

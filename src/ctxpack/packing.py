@@ -99,13 +99,8 @@ class LatentVideo:
     array: np.ndarray
 
     def __post_init__(self) -> None:
-        source = np.asarray(self.array)
-
-        def copy(piece: np.ndarray, frames: slice) -> None:
-            piece[...] = source[frames]
-
-        width = np.float32 if source.dtype == np.float32 else np.float64
-        object.__setattr__(self, "array", _fill_checked(source.shape, width, copy))
+        shape, read = _held(np.asarray(self.array))
+        object.__setattr__(self, "array", read(0, shape[0]))
 
     @classmethod
     def _over(cls, array: np.ndarray) -> LatentVideo:
@@ -138,6 +133,27 @@ class LatentVideo:
     @property
     def channels(self) -> int:
         return self.array.shape[3]
+
+
+def _held(history: LatentVideo | np.ndarray) -> tuple[tuple[int, ...], Callable]:
+    """A history in memory as its (T, H, W, C) and ``read(start, stop)``: a
+    slice of a ``LatentVideo``'s snapshot, or, for a raw array, whose shape
+    is checked at once, a ``_fill_checked`` copy of frames ``start .. stop``
+    alone (float32 stays float32, anything else becomes float64)."""
+    if isinstance(history, LatentVideo):
+        arr = history.array
+        return arr.shape, lambda start, stop: arr[start:stop]
+    x = np.asarray(history)
+    _check_shape(x.shape)
+    width = np.float32 if x.dtype == np.float32 else np.float64
+
+    def read(start: int, stop: int) -> np.ndarray:
+        def copy(piece: np.ndarray, frames: slice) -> None:
+            piece[...] = x[start:stop][frames]
+
+        return _fill_checked((stop - start, *x.shape[1:]), width, copy)
+
+    return x.shape, read
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,7 +395,7 @@ def _bind(schedule: PackingSchedule, total: int) -> tuple[Iteration, int, tuple[
 
 
 def apply_schedule(
-    history: LatentVideo,
+    history: LatentVideo | np.ndarray,
     schedule: PackingSchedule,
     *,
     pad_history: bool = False,
@@ -398,9 +414,12 @@ def apply_schedule(
     base kernel, all sharing one grid. A schedule whose tail sits at the
     end needs an entry after the generated section, and a ``+D`` schedule
     must be quantized first; either raises ``InvalidSchedule``.
+
+    ``history`` is a ``LatentVideo`` or a raw (T, H, W, C) array; a raw
+    array is checked for finiteness (``ValueError``) only in the frames the
+    pack reads, as ``ctxpack pack`` checks a file.
     """
-    data = history.array
-    return _packed(data.shape, lambda a, b: data[a:b], schedule, pad_history, pad_spatial)
+    return _packed(*_held(history), schedule, pad_history, pad_spatial)
 
 
 def _packed(

@@ -618,6 +618,73 @@ def tail_cases(draw):
     return name, frames.astype(np.float32), flags, draw(st.integers(1, 3))
 
 
+# td, ta and tc tails, at the start and at the end of the schedule
+RAW_NAMES = [
+    "td_f4k2f1k1_g2",
+    "ta_f4k2f1k1_g2",
+    "tc_f4k2f1k1_g2",
+    "f1k1_x_g3_f1k1f4k2_td",
+    "f1k1_x_g3_f1k1f4k2_ta",
+    "f1k1_g2_f1k1f2k2_tc",
+]
+
+
+@st.composite
+def raw_cases(draw):
+    """A schedule of ``RAW_NAMES``, both pad flags, and a float32 history of
+    0-30 small frames with no non-finite value or one at a random frame."""
+    name = draw(st.sampled_from(RAW_NAMES))
+    shape = (draw(st.integers(0, 30)), *(draw(st.integers(1, n)) for n in (6, 6, 2)))
+    frames = rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape).astype(np.float32)
+    if shape[0] and draw(st.booleans()):
+        pixel = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        frames[pixel] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    flags = [f for f in ("--pad-history", "--pad-spatial") if draw(st.booleans())]
+    return name, frames, flags
+
+
+def expected_run(call):
+    """The exit code and stderr ``ctxpack`` gives for the library ``call``,
+    and its result (None if it raised)."""
+    try:
+        result = call()
+    except cli.USAGE_ERRORS as exc:
+        return (2, f"ctxpack: {exc}\n"), None
+    except ValueError as exc:
+        return (3, f"ctxpack: {exc}\n"), None
+    return (0, ""), result
+
+
+class TestRawArrayMatchesFile:
+    """A raw array is checked only in the frames a call reads, as the
+    command checks its file: the library call on the array and the command
+    on its file give the same bytes, or the same error, exit 3 for a
+    ``ValueError``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw_cases())
+    def test_pack_and_drift(self, tmp_path_factory, case):
+        name, frames, flags = case
+        root = tmp_path_factory.mktemp("raw")
+        video, out, want = root / "v.fplt", root / "o.fplt", root / "w.fplt"
+        write_tensor(video, frames)
+        schedule = parse_schedule(name)
+        pads = dict(pad_history="--pad-history" in flags, pad_spatial="--pad-spatial" in flags)
+        expected, context = expected_run(lambda: apply_schedule(frames, schedule, **pads))
+        if context is not None:
+            cli._write_packed(context, str(want), None)
+        assert pack_run(["pack", name, str(video), "-o", str(out), *flags]) == expected
+        if context is not None:
+            assert out.read_bytes() == want.read_bytes()
+            assert (root / "o.fplt.prov").read_bytes() == (root / "w.fplt.prov").read_bytes()
+        expected, report = expected_run(lambda: drift_report(frames, builtin_metrics()))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["drift", str(video)])
+        assert (code, err.getvalue()) == expected
+        assert out.getvalue() == (report or "")
+
+
 class TestPackStreamsTail:
     """A ta or tc pack reads its bound frames whole and its tail in runs."""
 

@@ -87,8 +87,13 @@ class TestDrift:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_array_rejected(self, bad):
+        # of 8 frames, the windows are frames 0 and 7: a raw array is
+        # checked only in the frames drift reads, as a file is
         video = rng(4).normal(size=(8, 4, 4, 1))
+        finite = drift_report(video, builtin_metrics())
         video[5, 1, 2, 0] = bad
+        assert drift_report(video, builtin_metrics()) == finite
+        video[7, 1, 2, 0] = bad
         with pytest.raises(ValueError, match="finite"):
             drift(video, metric_by_name("mean-luminance"))
         with pytest.raises(ValueError, match="finite"):

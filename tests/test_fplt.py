@@ -335,6 +335,56 @@ class TestReservation:
         assert written[unreserved] == written["reserved"]
 
 
+class TestPackOutputsReplacedTogether:
+    """A pack's features and ``.prov`` are replaced together or not at all:
+    both temp files are reserved before either is written, and renamed only
+    once both are written."""
+
+    @pytest.mark.parametrize("failing", ["p.pack", "p.pack.prov"])
+    @pytest.mark.parametrize("step", ["reserve", "write"])
+    def test_failure_keeps_both_old_files(
+        self, tmp_path, capsys, monkeypatch, file_events, step, failing
+    ):
+        old, new = tmp_path / "old.fplt", tmp_path / "new.fplt"
+        write_tensor(old, rng(40).normal(size=(19, 8, 8, 2)).astype(np.float32))
+        write_tensor(new, rng(41).normal(size=(19, 8, 8, 2)).astype(np.float32))
+        argv = ["pack", "td_f16k4f2k2f1k1_g9", str(old), "-o", str(tmp_path / "p.pack")]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        code = {"reserve": errno.ENOSPC, "write": errno.EIO}[step]
+        spy_fallocate, spy_write = os.posix_fallocate, _SpyFile.write
+        nth = ["p.pack", "p.pack.prov"].index(failing) + 1  # the features are reserved first
+        calls = []
+
+        def fallocate(fd, offset, length):
+            calls.append(fd)
+            if step == "reserve" and len(calls) == nth:
+                raise OSError(code, os.strerror(code))
+            spy_fallocate(fd, offset, length)
+
+        def write(spy, data):
+            if step == "write" and _target_name(spy._fh.name) == failing:
+                raise OSError(code, os.strerror(code))
+            return spy_write(spy, data)
+
+        monkeypatch.setattr(os, "posix_fallocate", fallocate)
+        monkeypatch.setattr(_SpyFile, "write", write)
+        capsys.readouterr()
+        argv[2] = str(new)
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"ctxpack: [Errno {code}] {os.strerror(code)}\n"
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_both_are_reserved_before_either_is_written(self, tmp_path, capsys, file_events):
+        video = tmp_path / "v.fplt"
+        write_tensor(video, rng(42).normal(size=(19, 8, 8, 2)).astype(np.float32))
+        file_events.clear()
+        assert main(["pack", "td_f16k4f2k2f1k1_g9", str(video), "-o", str(tmp_path / "p.pack")]) == 0
+        events = [(kind, _target_name(tmp)) for kind, tmp, *_ in file_events]
+        assert events[:2] == [("reserve", "p.pack"), ("reserve", "p.pack.prov")]
+        assert {name for _, name in events[2:]} == {"p.pack", "p.pack.prov"}
+
+
 class TestCopies:
     # 4 MB of float32: the writer hands the array's own buffer to the
     # file, and the reader fills one array straight from it

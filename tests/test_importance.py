@@ -245,6 +245,41 @@ class TestSortByImportance:
             importance_scores(wrap(v), [0.0, 1.0, 2.0], target, 2.0, 0.5)
 
 
+class TestRawHistoryCheckedAsRead:
+    """A raw history is checked for finiteness a chunk at a time, as each
+    chunk is read to be scored, so a non-finite value raises ``ValueError``
+    before any other error of its own chunk and after any of an earlier one."""
+
+    def case(self):
+        # frame 1 has a zero-norm pixel, frame 3 a NaN
+        v = rng(31).normal(size=(5, 2, 3, 4))
+        v[1, 1, 2] = 0.0
+        v[3, 0, 1, 2] = np.nan
+        return v, [0.0, 1.0, 2.0, 3.0, 4.0], v[0].copy()
+
+    @pytest.mark.parametrize("rank", [importance_scores, sort_by_importance])
+    def test_one_chunk_names_the_non_finite_value(self, rank):
+        v, times, target = self.case()
+        with pytest.raises(ValueError, match="^latent video must contain only finite values$"):
+            rank(v, times, target, 4.0, 0.5)
+
+    @pytest.mark.parametrize("rank", [importance_scores, sort_by_importance])
+    def test_an_earlier_chunk_names_its_zero_norm_pixel(self, monkeypatch, rank):
+        # one frame per chunk: frame 1 is scored before frame 3 is read
+        monkeypatch.setattr(importance, "_CHUNK_BYTES", 1)
+        v, times, target = self.case()
+        with pytest.raises(ZeroVectorPixel, match="^1 pixel vectors have zero norm$"):
+            rank(v, times, target, 4.0, 0.5)
+        v[1, 1, 2] = 1.0
+        with pytest.raises(ValueError, match="^latent video must contain only finite values$"):
+            rank(v, times, target, 4.0, 0.5)
+
+    def test_a_video_is_checked_whole_when_built(self):
+        v, _, _ = self.case()
+        with pytest.raises(ValueError, match="^latent video must contain only finite values$"):
+            LatentVideo(v)
+
+
 class TestNormOverflow:
     """Pixel norms whose product overflows float64 are rejected before any
     numpy warning; norms just inside the range rank as at unit scale."""
@@ -625,9 +660,9 @@ class TestZeroNormPixelCostsNothing:
         scored = []
         cosines = importance._cosines
 
-        def counted(frames, *args):
-            scored.append(frames.shape[0])
-            return cosines(frames, *args)
+        def counted(shape, *args):
+            scored.append(shape[0])
+            return cosines(shape, *args)
 
         monkeypatch.setattr(importance, "_cosines", counted)
         order = sort_by_importance(history, list(range(7)), target, 7.0, 0.5, zero_substitute=True)

@@ -17,6 +17,7 @@ from ctxpack.errors import (
     ShortHistory,
     UnsupportedKernel,
 )
+from ctxpack.importance import sort_by_importance
 from ctxpack.packing import (
     KernelResolution,
     LatentVideo,
@@ -1116,3 +1117,123 @@ class TestPackedReadsOnce:
             assert reads == [(lo, hi)]
         packed = TestPlannerBindingProperty.packed
         assert packed(got) == packed(want)
+
+
+@st.composite
+def held_cases(draw):
+    """A float32, float64 or integer (T, H, W, C) array, a range ``a <= b``
+    of its frames, and either no non-finite value or one at a random frame
+    and pixel, given as ``(frame, pixel, value)``."""
+    dtype = draw(st.sampled_from([np.float32, np.float64, np.int64, np.int16, np.uint8]))
+    t = draw(st.integers(0, 9))
+    shape = (t, *(draw(st.integers(1, 3)) for _ in range(3)))
+    x = (rng(draw(st.integers(0, 2**32 - 1))).normal(size=shape) * 50).astype(dtype)
+    a = draw(st.integers(0, t))
+    b = draw(st.integers(a, t))
+    bad = None
+    if t and x.dtype.kind == "f" and draw(st.booleans()):
+        pixel = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        bad = pixel, draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return x, a, b, bad
+
+
+class TestHeldReader:
+    """``packing._held`` reads a raw array's frames ``a .. b`` as
+    ``LatentVideo(x).array[a:b]``, checking only those frames."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(held_cases())
+    def test_raw_read_is_the_snapshot_slice(self, case):
+        x, a, b, bad = case
+        want = LatentVideo(x).array[a:b]
+        if bad:
+            x[bad[0]] = bad[1]
+        shape, read = packing._held(x)
+        assert shape == x.shape
+        if not np.isfinite(x[a:b]).all():
+            with pytest.raises(ValueError, match="^latent video must contain only finite values$"):
+                read(a, b)
+            return
+        got = read(a, b)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert not got.flags.writeable
+        x[...] = 7
+        assert got.tobytes() == want.tobytes()
+
+    def test_video_read_is_a_slice_of_its_snapshot(self):
+        v = video(6, 4, 4, 2)
+        shape, read = packing._held(v)
+        assert shape == v.array.shape
+        assert np.shares_memory(read(2, 5), v.array)
+        assert read(2, 5).tobytes() == v.array[2:5].tobytes()
+
+    def test_shape_is_checked_before_any_read(self):
+        with pytest.raises(ValueError, match="must be 4D"):
+            packing._held(np.full((3, 2, 2), np.nan))
+        with pytest.raises(ValueError, match="H, W, C must all be >= 1"):
+            packing._held(np.full((3, 0, 2, 1), np.nan))
+
+
+class TestRawHistoryIsNotCopiedWhole:
+    """A raw history is copied and checked only in the frames a call reads:
+    a td pack copies its bound frames, a ta or tc pack reads its tail in
+    runs, and the importance ranking one frame at a time."""
+
+    SCHEDULE = "td_f16k4f2k2f1k1_g9"
+
+    @staticmethod
+    def peak(call):
+        call()  # first-use allocations are not the call's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            call()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_pack_peak_does_not_grow_with_the_prefix(self):
+        # 199 frames of 8 KiB: a whole copy would add 1.6 MB to a pack
+        # that copies 19 frames
+        frames = rng(3).normal(size=(199, 16, 16, 8)).astype(np.float32)
+        schedule = parse_schedule(self.SCHEDULE)
+        pads = dict(pad_history=True, pad_spatial=True)
+        peaks = [self.peak(lambda: apply_schedule(frames[:n], schedule, **pads)) for n in (19, 199)]
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    def test_sort_peak_equals_the_video_sort_peak(self):
+        # 200 frames of 16 channels share one 400 KiB scoring chunk; a copy
+        # of the history, or of the chunk, would add 200 KiB to the peak
+        frames = rng(4).normal(size=(200, 4, 4, 16)).astype(np.float32)
+        history, times = LatentVideo(frames), [i / 7.5 for i in range(200)]
+        target = frames[-1].astype(np.float64)
+        peaks = [
+            self.peak(lambda h=h: sort_by_importance(h, times, target, times[-1], 1.0))
+            for h in (history, frames)
+        ]
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize("mode", ["td", "ta", "tc"])
+    @pytest.mark.parametrize("tail_at_start", [True, False])
+    def test_copies_only_the_frames_it_reads(self, monkeypatch, mode, tail_at_start):
+        name = f"{mode}_f16k4f2k2f1k1_g9" if tail_at_start else f"f1k1_x_g9_f1k1f2k2f16k4_{mode}"
+        frames = rng(5).normal(size=(199, 8, 8, 2)).astype(np.float32)
+        schedule = parse_schedule(name)
+        want = apply_schedule(LatentVideo(frames), schedule, pad_history=True, pad_spatial=True)
+        copied, fill_checked = [], packing._fill_checked
+
+        def counting(shape, dtype, fill):
+            copied.append(shape[0])
+            return fill_checked(shape, dtype, fill)
+
+        monkeypatch.setattr(packing, "_fill_checked", counting)
+        monkeypatch.setattr(packing, "_RUN_BYTES", 40 * frames[0].nbytes)
+        got = apply_schedule(frames, schedule, pad_history=True, pad_spatial=True)
+        assert got.features.tobytes() == want.features.tobytes()
+        bound = 19 if tail_at_start else 20  # the second also binds f1k1 before g9
+        tail = 199 - bound
+        if mode == "td":
+            assert copied == [bound]
+        else:
+            assert copied == [bound] + [40] * (tail // 40) + [tail % 40]
