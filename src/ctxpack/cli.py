@@ -12,6 +12,7 @@ import functools
 import re
 import sys
 from argparse import ArgumentError
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import codebook, fplt
@@ -20,7 +21,7 @@ from .drift import (
     DEFAULT_INITIAL_RATING, _report, builtin_metrics, parse_match_log, rank_buckets, tournament
 )
 from .errors import IndivisibleDims, PlanError, ScheduleError, UnsupportedKernel
-from .packing import PackedBlock, PackedContext, _packed
+from .packing import LatentVideo, PackedBlock, PackedContext, _packed
 from .planner import (
     plan_endpoint,
     plan_inverted,
@@ -156,12 +157,10 @@ def _cell_text(block: PackedBlock) -> list[tuple[str, str]]:
 def cmd_codebook_fit(args: argparse.Namespace) -> int:
     # every check that needs no pixel runs before any payload is read
     codebook._check_fit(args.k, args.max_iters, args.tol)
-    channels = []
-    for path in args.inputs:
-        with fplt._open_video(path) as (shape, _):
-            channels.append(shape[3])
-    codebook._check_same_channels(channels)
-    videos = [fplt.read_video(p) for p in args.inputs]
+    with ExitStack() as stack:
+        opened = [stack.enter_context(fplt._open_video(p)) for p in args.inputs]
+        codebook._check_same_channels([shape[3] for shape, _ in opened])
+        videos = [LatentVideo._over(read(0, shape[0])) for shape, read in opened]
     fitted = codebook.fit_codebook(videos, args.k, args.seed, args.max_iters, args.tol)
     fplt.write_codebook(args.output, fitted)
     stats = fitted.fit_stats
