@@ -40,7 +40,7 @@ class Codebook:
 
     def __post_init__(self) -> None:
         arr = np.array(self.centroids, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[0] < 1:
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"centroids must be a (K, C) matrix, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("centroids must be finite")

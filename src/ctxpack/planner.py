@@ -266,16 +266,18 @@ def plan_multi_endpoint(
     conditioned on everything before them and on the next anchor. An
     anchor whose entries would reach back past the earlier anchors into
     frames no anchor generates raises ``PlanError`` naming those frames.
+    ``prompts[i]`` belongs to ``endpoints[i]``, in whatever order the
+    endpoints are given.
     """
     _check_request(total, section, schedule, SamplingMode.ENDPOINT_ANCHORED)
-    anchors = sorted(
-        (s if isinstance(s, Span) else Span(*s) for s in endpoints),
-        key=lambda s: s.start,
-    )
-    if not anchors:
+    spans = [s if isinstance(s, Span) else Span(*s) for s in endpoints]
+    if not spans:
         raise PlanError("at least one endpoint section is required")
-    if prompts is not None and len(prompts) != len(anchors):
+    if prompts is not None and len(prompts) != len(spans):
         raise PlanError("one prompt per endpoint section expected")
+    order = sorted(range(len(spans)), key=lambda i: spans[i].start)
+    anchors = [spans[i] for i in order]
+    labels = [None if prompts is None else prompts[i] for i in order]
     for a in anchors:
         if a.start < 0 or a.stop > total:
             raise OverlappingEndpoints(f"endpoint {a.text} is outside [0, {total})")
@@ -289,7 +291,6 @@ def plan_multi_endpoint(
 
     iterations = []
     starts = [0] + [a.stop for a in anchors]
-    labels = [None] * len(anchors) if prompts is None else prompts
     for n, (start, anchor, prompt) in enumerate(zip(starts, anchors, labels)):
         future, skip = Span(anchor.stop, anchor.stop), Span(start, anchor.start)
         iteration = _iteration(schedule, (anchor,), start, future, skip, prompt)

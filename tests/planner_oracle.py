@@ -199,14 +199,17 @@ def plan_multi_endpoint(
     """
     if schedule.sampling_mode is not SamplingMode.ENDPOINT_ANCHORED:
         raise ModeMismatch(f"schedule {schedule.name!r} does not imply endpoint sampling")
-    anchors = sorted(
-        (s if isinstance(s, Span) else Span(*s) for s in endpoints),
-        key=lambda s: s.start,
-    )
+    anchors = [s if isinstance(s, Span) else Span(*s) for s in endpoints]
     if not anchors:
         raise PlanError("at least one endpoint section is required")
     if prompts is not None and len(prompts) != len(anchors):
         raise PlanError("one prompt per endpoint section expected")
+    # prompts[i] belongs to endpoints[i]: the two are sorted together
+    pairs = sorted(
+        zip(anchors, [None] * len(anchors) if prompts is None else prompts),
+        key=lambda pair: pair[0].start,
+    )
+    anchors = [anchor for anchor, _ in pairs]
     for a in anchors:
         if a.start < 0 or a.stop > total:
             raise OverlappingEndpoints(f"endpoint {a.text} is outside [0, {total})")
@@ -231,7 +234,7 @@ def plan_multi_endpoint(
                     + bind_forward(post, anchor.stop, anchor.stop)
                 ),
                 skip_spans=(Span(previous_stop, anchor.start),),
-                prompt=None if prompts is None else prompts[i],
+                prompt=pairs[i][1],
             )
         )
 

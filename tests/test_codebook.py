@@ -358,7 +358,7 @@ class TestQuantize:
 
 
 class TestInputChecks:
-    @pytest.mark.parametrize("shape", [(3,), (0, 2), (1, 2, 2)])
+    @pytest.mark.parametrize("shape", [(3,), (0, 2), (2, 0), (1, 2, 2)])
     def test_codebook_needs_k_by_c_matrix(self, shape):
         message = f"centroids must be a (K, C) matrix, got shape {shape}"
         with pytest.raises(ValueError, match=re.escape(message)):

@@ -10,6 +10,7 @@ import os
 import shutil
 import struct
 import subprocess
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -115,24 +116,46 @@ def test_video_of_no_frames_quantizes_to_its_header(tmp_path, monkeypatch):
     assert Path("q.fplt").read_bytes() == Path("empty.fplt").read_bytes()
 
 
-def test_fit_opens_each_input_once(tmp_path, monkeypatch):
-    # a fit over two inputs of different sizes reads each header once and
-    # fits the codebook the library fits over the two videos
+def test_fit_holds_one_input_open_at_a_time(tmp_path, monkeypatch):
+    # a fit over three inputs of different sizes never holds two open at
+    # once, checks every header before it reads any payload, and fits the
+    # codebook the library fits over the three videos
     monkeypatch.chdir(tmp_path)
+    names = ["a.fplt", "b.fplt", "c.fplt"]
     fplt.write_tensor("a.fplt", FITS["c2-k4"][0])
     fplt.write_tensor("b.fplt", normal(1, (40, 8, 8, 2)))
-    videos = [fplt.read_video(p) for p in ("a.fplt", "b.fplt")]
-    fplt.write_codebook("want.fplt", fit_codebook(videos, 4, 0))
-    header, opened = fplt._header, []
+    fplt.write_tensor("c.fplt", normal(2, (3, 5, 7, 2)))
+    fplt.write_codebook("want.fplt", fit_codebook([fplt.read_video(p) for p in names], 4, 0))
+    open_video, header, payload = fplt._open_video, fplt._header, fplt._read_payload
+    held, depths, events = [], [], []
 
-    def spy(fh, path, **kwargs):
-        opened.append(path)
+    @contextmanager
+    def open_spy(path):
+        held.append(path)
+        depths.append(len(held))
+        try:
+            with open_video(path) as opened:
+                yield opened
+        finally:
+            held.remove(path)
+
+    def header_spy(fh, path, **kwargs):
+        events.append(("header", path))
         return header(fh, path, **kwargs)
 
-    monkeypatch.setattr(fplt, "_header", spy)
-    argv = ["codebook", "fit", "a.fplt", "b.fplt", "--k", "4", "--seed", "0", "-o", "cb.fplt"]
+    def payload_spy(fh, path, *args):
+        events.append(("payload", path))
+        return payload(fh, path, *args)
+
+    monkeypatch.setattr(fplt, "_open_video", open_spy)
+    monkeypatch.setattr(fplt, "_header", header_spy)
+    monkeypatch.setattr(fplt, "_read_payload", payload_spy)
+    argv = ["codebook", "fit", *names, "--k", "4", "--seed", "0", "-o", "cb.fplt"]
     assert main(argv) == 0
-    assert opened == ["a.fplt", "b.fplt"]
+    assert max(depths) == 1
+    first = next(n for n, (kind, _) in enumerate(events) if kind == "payload")
+    assert {path for _, path in events[:first]} == set(names)
+    assert {path for kind, path in events if kind == "payload"} == set(names)
     assert Path("cb.fplt").read_bytes() == Path("want.fplt").read_bytes()
 
 

@@ -204,6 +204,15 @@ class TestMultiEndpoint:
         assert [it.prompt for it in plan.iterations[:2]] == ["intro", "finale"]
         assert all(it.prompt is None for it in plan.iterations[2:])
 
+    def test_prompts_follow_out_of_order_anchors(self):
+        plan = plan_multi_endpoint(
+            45, 9, ENDPOINT, [(36, 45), (0, 9)], prompts=["finale", "intro"]
+        )
+        assert [(it.targets, it.prompt) for it in plan.iterations[:2]] == [
+            ((Span(0, 9),), "intro"), ((Span(36, 45),), "finale"),
+        ]
+        assert all(it.prompt is None for it in plan.iterations[2:])
+
     def test_overlap_rejected(self):
         with pytest.raises(OverlappingEndpoints):
             plan_multi_endpoint(45, 9, ENDPOINT, [(0, 18), (9, 27)])
