@@ -232,8 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--provenance", help="sidecar path (default: <output>.prov)")
-    p.add_argument("--pad-history", action="store_true")
-    p.add_argument("--pad-spatial", action="store_true")
+    p.add_argument(
+        "--pad-history",
+        action="store_true",
+        help="fill a short entry, and round its count up to whole kernel steps, with zero frames",
+    )
+    p.add_argument(
+        "--pad-spatial", action="store_true", help="zero-pad dims a kernel does not divide"
+    )
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("codebook", help="codebook operations")

@@ -49,11 +49,20 @@ def _scores(
 ) -> list[tuple[SegmentMetric, float, float]]:
     """Each metric with its start and end scores for a video of ``shape``
     whose frames ``start .. stop`` ``read(start, stop)`` returns: ``_window``
-    runs first, then each window is read and cast to float64 once."""
+    runs first, then each window is read and cast to float64 once. A
+    metric that overflows float64 raises ``ValueError`` naming it."""
     frames, window = shape[0], _window(shape[0])
     start = read(0, window).astype(np.float64, copy=False)
     end = read(frames - window, frames).astype(np.float64, copy=False)
-    return [(m, float(m.evaluate(start)), float(m.evaluate(end))) for m in metrics]
+    scores = []
+    for m in metrics:
+        try:
+            with np.errstate(over="raise"):
+                scores.append((m, float(m.evaluate(start)), float(m.evaluate(end))))
+        except FloatingPointError:
+            message = f"metric {m.name!r} overflows float64; rescale the history"
+            raise ValueError(message) from None
+    return scores
 
 
 def drift(video: LatentVideo | np.ndarray, metric: SegmentMetric) -> float:

@@ -407,8 +407,10 @@ def apply_schedule(
     ``planner._iteration``: the entries before the generated section end
     where those after it begin, and each side fills from that point
     outward. Frames outside the bound range form the tail. With
-    ``pad_history`` a short entry replicates its side's oldest (before) or
-    newest (after) bound frame. The emitted budget always equals
+    ``pad_history`` the frames an entry lacks, and those that round its
+    count up to whole kernel steps, are zero frames at its side's far end:
+    before its bound frames for an entry before the generated section,
+    after them for one after it. The emitted budget always equals
     ``tokens_for_schedule`` for the same dims and tail count; the
     generated section contributes one zero-feature block per frame at the
     base kernel, all sharing one grid. A schedule whose tail sits at the
@@ -435,7 +437,8 @@ def _packed(
     Every check that needs no frame runs before any frame is read: the
     schedule's own, the history's length against its entries, each entry's
     count against its kernel step, then H and W against each kernel it
-    pools. The bound and tail ranges come once from ``_bind``.
+    pools. The bound and tail ranges come once from ``_bind``. A pooled
+    sum that overflows float64 raises ``ValueError``.
     """
     total, h, w = shape[:3]
     pre = schedule.entries_before_generate
@@ -470,8 +473,6 @@ def _packed(
             f"history of {total} frames cannot fill entries needing "
             f"{capacity} frames"
         )
-    if (pre and lo == middle) or (post and hi == middle):
-        raise ShortHistory("cannot pad from an empty history")
     for entry in (*pre, *post):
         if entry.count % entry.kernel.p_f and not pad_history:
             raise IndivisibleDims(
@@ -484,7 +485,11 @@ def _packed(
             kernel = schedule.coarsest_kernel
         if kernel and (h % kernel.p_h or w % kernel.p_w):
             raise IndivisibleDims(f"latent dims {h}x{w} are not divisible by kernel {kernel.dims}")
-    context = _pack(read, schedule, iteration, (lo, hi), tail)
+    try:
+        with np.errstate(over="raise"):
+            context = _pack(read, schedule, iteration, (lo, hi), tail)
+    except FloatingPointError:
+        raise ValueError("pooled values overflow float64; rescale the history") from None
     expected = tokens_for_schedule(schedule, h, w, n_tail, pad=pad_history or pad_spatial)
     if context.budget != expected:
         raise RuntimeError(f"packed {context.budget} tokens but accounting expected {expected}")
@@ -552,19 +557,13 @@ def _pack(
         elif isinstance(seg, Frames):
             span = next(spans)
             p_f = seg.kernel.p_f
-            start, stop = span.start - lo, span.stop - lo
-            frames = data[start:stop]
-            short = seg.count - span.length
-            if short or seg.count % p_f:
-                # a short entry fills with its side's outermost bound frame,
-                # then rounds up to whole kernel steps with its newest
-                idx = list(range(start, stop))
-                if generate_span:
-                    idx += [stop - 1] * short
-                else:
-                    idx = [start] * short + idx
-                idx += idx[-1:] * (-seg.count % p_f)
-                frames = data[idx]
+            frames = data[span.start - lo : span.stop - lo]
+            # the frames an entry lacks, and those that round it up to whole
+            # kernel steps, are zero frames at its side's far end
+            zeros = -(-seg.count // p_f) * p_f - span.length
+            if zeros:
+                far = (0, zeros) if generate_span else (zeros, 0)
+                frames = np.pad(frames, (far, (0, 0), (0, 0), (0, 0)))
             for grid in _pool_block(frames, seg.kernel):
                 blocks.append(_block(grid, seg.kernel, (cursor, cursor + p_f)))
                 cursor += p_f

@@ -100,8 +100,6 @@ def apply_schedule_oracle(history, schedule, *, pad_history=False, pad_spatial=F
         tail_block = data[:0]
     if hi - lo < cap_pre + cap_post and not pad_history:
         raise ShortHistory("short history")
-    if (cap_pre and lo == middle) or (cap_post and hi == middle):
-        raise ShortHistory("cannot pad from an empty history")
 
     tokens = []
     cursor = 0
@@ -116,21 +114,16 @@ def apply_schedule_oracle(history, schedule, *, pad_history=False, pad_spatial=F
         )
         cursor += n
 
-    def emit_entries(entries, spans, edge, at_start):
+    def emit_entries(entries, spans, at_start):
         nonlocal cursor
         for entry, span in zip(entries, spans):
-            frames = data[span.start : span.stop]
-            deficit = entry.count - span.length
-            if deficit:
-                pad = np.repeat(edge, deficit, axis=0)
-                frames = np.concatenate([pad, frames] if at_start else [frames, pad])
             p_f = entry.kernel.p_f
-            if frames.shape[0] % p_f:
-                if not pad_history:
-                    raise IndivisibleDims("entry not divisible by its kernel step")
-                frames = np.concatenate(
-                    [frames, np.repeat(frames[-1:], (-frames.shape[0]) % p_f, axis=0)]
-                )
+            if entry.count % p_f and not pad_history:
+                raise IndivisibleDims("entry not divisible by its kernel step")
+            # zero frames for what the entry lacks of whole kernel steps
+            zeros = np.zeros((-(-entry.count // p_f) * p_f - span.length, h, w, channels))
+            frames = data[span.start : span.stop]
+            frames = np.concatenate([zeros, frames] if at_start else [frames, zeros])
             for i in range(0, frames.shape[0], p_f):
                 grid = pool(frames[i : i + p_f], entry.kernel, pad_spatial)
                 span_i = (cursor, cursor + p_f)
@@ -139,13 +132,13 @@ def apply_schedule_oracle(history, schedule, *, pad_history=False, pad_spatial=F
 
     if schedule.tail_at_start:
         emit_tail()
-    emit_entries(pre, pre_spans, data[lo:middle][:1], at_start=True)
+    emit_entries(pre, pre_spans, at_start=True)
     generate_span = (cursor, cursor + schedule.generate.count)
     for t in range(*generate_span):
         zero = pool(np.zeros((1, h, w, channels)), BASE_KERNEL, pad_spatial)
         tokens.extend(grid_tokens(zero, BASE_KERNEL, (t, t + 1), float(t)))
     cursor = generate_span[1]
-    emit_entries(post, post_spans, data[middle:hi][-1:], at_start=False)
+    emit_entries(post, post_spans, at_start=False)
     if schedule.tail_at_end:
         emit_tail()
     return tokens, generate_span, tail_span

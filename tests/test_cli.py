@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ctxpack import cli, codebook, fplt, packing
+from ctxpack.budget import tokens_for_schedule
 from ctxpack.cli import build_parser, main
 from ctxpack.codebook import Codebook, discretize_history
 from ctxpack.drift import _report, builtin_metrics, drift_report
@@ -400,6 +401,35 @@ class TestPackCommand:
         # report the first differing line, not a diff of ~20k lines
         assert next(((a, b) for a, b in zip(got, want) if a != b), None) is None
         assert len(got) == len(want)
+
+    def test_empty_history_packs_as_zero_frames(self, tmp_path, monkeypatch, capsys):
+        name = "td_f16k4f2k2f1k1_g9"
+        monkeypatch.chdir(tmp_path)
+        write_video("v.fplt", LatentVideo(np.zeros((0, 8, 8, 2), np.float32)))
+        assert main(["pack", name, "v.fplt", "-o", "o.fplt", "--pad-history", "--pad-spatial"]) == 0
+        budget = tokens_for_schedule(parse_schedule(name), 8, 8, 0, pad=True)
+        assert f"budget {budget}\n" in capsys.readouterr().out
+        features, _ = read_tensor("o.fplt")
+        assert features.shape == (1, 1, budget, 2) and not features.any()
+
+    @pytest.mark.parametrize(
+        "name, before, zeros",
+        [("td_f16k4f2k2f1k1_g9", True, 14), ("f1k1_x_g9_f1k1f2k2f16k4_td", False, 15)],
+    )
+    def test_padded_pack_is_the_pack_of_zero_frames(self, tmp_path, monkeypatch, name, before, zeros):
+        # 5 frames pad to the schedule's capacity with zero frames at the
+        # far end of the side that lacks them
+        monkeypatch.chdir(tmp_path)
+        frames = rng(6).normal(size=(5, 8, 8, 2)).astype(np.float32)
+        pad = np.zeros((zeros, 8, 8, 2), np.float32)
+        full = np.concatenate([pad, frames] if before else [frames, pad])
+        outputs = []
+        for stem, history, flags in [("short", frames, ["--pad-history"]), ("full", full, [])]:
+            write_video(f"{stem}.fplt", LatentVideo(history))
+            argv = ["pack", name, f"{stem}.fplt", "-o", f"{stem}.out", "--pad-spatial", *flags]
+            assert main(argv) == 0
+            outputs.append((Path(f"{stem}.out").read_bytes(), Path(f"{stem}.out.prov").read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("failing", ["packed.fplt", "packed.fplt.prov"])
     def test_failed_write_keeps_old_output(self, tmp_path, small_video_path, monkeypatch, failing):

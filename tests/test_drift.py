@@ -136,6 +136,11 @@ class TestBuiltinMetrics:
         expected = np.var(values)
         assert metric_by_name("sharpness-proxy").evaluate(frames) == pytest.approx(expected)
 
+    def test_overflowing_metric_is_named(self):
+        video = np.full((2, 4, 4, 2), 1e308)
+        with pytest.raises(ValueError, match="^metric 'mean-luminance' overflows float64; rescale"):
+            drift_report(video, builtin_metrics())
+
     @pytest.mark.parametrize("frames", [0, 1])
     def test_report_too_few_frames_without_metrics(self, frames):
         with pytest.raises(TooFewFrames):

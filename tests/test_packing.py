@@ -74,6 +74,17 @@ def tail_blocks(ctx):
     return [blk for blk in ctx.blocks if a <= blk.time_span[0] and blk.time_span[1] <= b]
 
 
+def padded_entry(data, entry, span, before):
+    """The frames an entry pools: those of ``span``, with zero frames for
+    what it lacks of whole kernel steps at its side's far end, in front
+    for an entry ``before`` the generated section and behind for one
+    after it."""
+    p_f = entry.kernel.p_f
+    zeros = np.zeros((-(-entry.count // p_f) * p_f - span.length, *data.shape[1:]))
+    frames = data[span.start : span.stop]
+    return np.concatenate([zeros, frames] if before else [frames, zeros])
+
+
 def pooled_mean_oracle(data, p_f, p_h, p_w, gt, gr, gc):
     """Brute-force mean over one kernel window."""
     window = data[gt * p_f : (gt + 1) * p_f, gr * p_h : (gr + 1) * p_h, gc * p_w : (gc + 1) * p_w]
@@ -226,7 +237,7 @@ class TestPoolWithoutPadding:
                 tracemalloc.stop()
             assert peak < 64 << 10, c
             ctx = apply_schedule(v, parse_schedule("f512k512_g1"), **pads)
-            expected = v.data.sum(axis=(0, 1, 2)) / (1024 * 1024)
+            expected = v.data.sum(axis=(0, 1, 2)) / (512 * 1024 * 1024)
             np.testing.assert_allclose(ctx.blocks[0].grid[0, 0], expected, rtol=1e-12)
 
 
@@ -500,20 +511,23 @@ class TestApplySchedule:
         with pytest.raises(ShortHistory):
             apply_schedule(video(10), parse_schedule("td_f16k4f2k2f1k1_g9"))
 
-    def test_short_history_pad_replicates_oldest(self):
+    def test_short_history_pads_with_zero_frames(self):
         s = parse_schedule("td_f16k4f2k2f1k1_g9")
         v = video(10, 8, 8, 1, seed=4)
         ctx = apply_schedule(v, s, pad_history=True)
         assert ctx.budget == tokens_for_schedule(s, 8, 8, 0)
-        # the coarsest entry's oldest group is all replicas of frame 0
-        coarse = [b for b in history_blocks(ctx) if b.kernel == KernelSpec(4, 8, 8)]
-        (oldest,) = [b for b in coarse if b.time_span == (0, 4)]
-        expected = v.data[0].reshape(-1, 1).mean(axis=0)
-        np.testing.assert_allclose(oldest.grid[0, 0], expected, atol=1e-12)
+        # f16k4 binds frames 0..7 and lacks 9: zero frames 0..9 of its 16,
+        # so its group 8..12 is one zero frame and frames 0..3
+        coarse = {b.time_span: b for b in history_blocks(ctx) if b.kernel == KernelSpec(4, 8, 8)}
+        assert not coarse[(0, 4)].grid.any() and not coarse[(4, 8)].grid.any()
+        expected = v.data[0:3].sum(axis=(0, 1, 2)) / (4 * 8 * 8)
+        np.testing.assert_allclose(coarse[(8, 12)].grid[0, 0], expected, atol=1e-12)
 
-    def test_pad_from_empty_history_still_fails(self):
-        with pytest.raises(ShortHistory):
-            apply_schedule(video(0), parse_schedule("td_f1k1_g1"), pad_history=True)
+    def test_empty_history_pads_as_zero_frames(self):
+        s = parse_schedule("td_f1k1_g1")
+        ctx = apply_schedule(video(0), s, pad_history=True)
+        assert ctx.budget == tokens_for_schedule(s, 64, 64, 0)
+        assert not ctx.features.any()
 
     @pytest.mark.parametrize(
         "name,frames",
@@ -524,10 +538,17 @@ class TestApplySchedule:
         ],
     )
     def test_padding_never_crosses_sides(self, name, frames):
-        # one side binds no frame at all; the other side's frames must not
-        # stand in for it
-        with pytest.raises(ShortHistory):
-            apply_schedule(video(frames, 8, 8, 1), parse_schedule(name), pad_history=True)
+        # one side binds no frame at all and packs as zero frames; the other
+        # side's frame, if any, stays in its generate-adjacent f1k1 entry
+        v = video(frames, 8, 8, 1)
+        ctx = apply_schedule(v, parse_schedule(name), pad_history=True)
+        a, b = ctx.generate_span
+        before = [blk for blk in history_blocks(ctx) if blk.time_span[1] <= a]
+        after = [blk for blk in history_blocks(ctx) if blk.time_span[0] >= b]
+        assert sum(blk.grid.any() for blk in before + after) == frames
+        for blk in (*before[-1:], *after[:1]):
+            if blk.grid.any():
+                assert blk.grid.tobytes() == pool(v.data[:1], blk.kernel, False).tobytes()
 
     @pytest.mark.parametrize("name,frames", [("f2k2h1w1_g1", 2), ("f1k1_x_g1_f1k1h2w1", 2)])
     def test_sub_base_kernel_rejected(self, name, frames):
@@ -575,6 +596,22 @@ class TestApplySchedule:
         post = max(history_blocks(ctx), key=lambda b: b.time_span)
         expected = pooled_mean_oracle(v.data[19:20], 1, 2, 2, 0, 0, 0)
         np.testing.assert_allclose(post.grid[0, 0], expected, atol=1e-12)
+
+    def test_round_up_zero_frame_sits_at_the_far_end(self):
+        # each f3k2 pools two groups of two frames: the one zero frame
+        # comes first before the generated section and last after it
+        v = video(6, 8, 8, 1, seed=5)
+        ctx = apply_schedule(v, parse_schedule("td_f3k2_g1_x_f3k2"), pad_history=True)
+        zero = np.zeros((1, 8, 8, 1))
+        groups = [(zero, v.data[0:1]), (v.data[1:3],), (v.data[3:5],), (v.data[5:6], zero)]
+        blocks = history_blocks(ctx)
+        assert len(blocks) == len(groups)
+        for blk, group in zip(blocks, groups):
+            assert blk.grid.tobytes() == pool(np.concatenate(group), blk.kernel, False).tobytes()
+
+    def test_overflowing_sum_is_named(self):
+        with pytest.raises(ValueError, match="^pooled values overflow float64; rescale"):
+            apply_schedule(np.full((2, 4, 4, 2), 1e308), parse_schedule("f2k2_g1"))
 
     @pytest.mark.parametrize("name", ["td_f4k2f1k1_g2", "ta_f4k2f1k1_g2", "tc_f4k2f1k1_g2"])
     def test_constant_conservation(self, name):
@@ -737,10 +774,6 @@ class TestPlannerBindingProperty:
         plan = plan_vanilla(history.frame_count, section, schedule, allow_partial=True)
         for it in plan.iterations:
             prefix = LatentVideo(history.data[: it.targets[0].start])
-            if prefix.frame_count == 0:
-                with pytest.raises(ShortHistory):
-                    apply_schedule(prefix, schedule, pad_history=True)
-                continue
             ctx = apply_schedule(prefix, schedule, pad_history=True)
             assert ctx.tail_frame_count == it.inputs[0].span.start
             entry_tokens = iter(
@@ -750,11 +783,8 @@ class TestPlannerBindingProperty:
             )
             for entry, binding in zip(schedule.frames_entries, it.inputs):
                 k = entry.kernel
-                span = binding.span
-                idx = [span.start] * (entry.count - span.length) + list(range(span.start, span.stop))
-                idx += [idx[-1]] * ((-entry.count) % k.p_f)
-                frames = prefix.data[idx]
-                for gt in range(len(idx) // k.p_f):
+                frames = padded_entry(prefix.data, entry, binding.span, before=True)
+                for gt in range(len(frames) // k.p_f):
                     for gr in range(8 // k.p_h):
                         for gc in range(8 // k.p_w):
                             token = next(entry_tokens)
@@ -772,8 +802,6 @@ class TestPlannerBindingProperty:
         schedule, section, history = case
         plan = plan_vanilla(history.frame_count, section, schedule, allow_partial=True)
         for it in plan.iterations:
-            if it.targets[0].start == 0:
-                continue  # no frame to bind, so apply_schedule raises ShortHistory
             prefix = LatentVideo(history.array[: it.targets[0].start])
             want = apply_schedule(prefix, schedule, pad_history=True, pad_spatial=pad_spatial)
             # the tail holds the frames before the plan's oldest input
@@ -784,16 +812,12 @@ class TestPlannerBindingProperty:
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(anchored_cases())
     def test_anchored_entries_pool_their_planner_spans(self, case):
-        # the bound range of an iteration whose sides bind frames on both
-        # sides of a gap is read once, gap and all
+        # the bound range of an iteration is read once, gap and all
         plan, history = case
         schedule = plan.schedule
         n_pre = len(schedule.entries_before_generate)
         for it in plan.iterations:
-            sides = [[b.span for b in it.inputs[:n_pre]], [b.span for b in it.inputs[n_pre:]]]
-            if not all(sum(span.length for span in side) for side in sides):
-                continue
-            spans = sides[0] + sides[1]
+            spans = [b.span for b in it.inputs]
             bound = (spans[0].start, spans[-1].stop)
             tail = (0, bound[0]) if schedule.tail_at_start else (bound[1], plan.total_frames)
             reads = []
@@ -814,19 +838,9 @@ class TestPlannerBindingProperty:
                 for blk in history_blocks(ctx)
                 if not (t0 <= blk.time_span[0] and blk.time_span[1] <= t1)
             )
-            # a short entry fills from its side's outermost bound frame:
-            # the oldest before the generated section, the newest after it
-            bound_frames = [[f for s in side for f in range(s.start, s.stop)] for side in sides]
             for n, (entry, span) in enumerate(zip(schedule.frames_entries, spans)):
-                idx = list(range(span.start, span.stop))
-                short = entry.count - span.length
-                if n < n_pre:
-                    idx = [bound_frames[0][0]] * short + idx
-                else:
-                    idx += [bound_frames[1][-1]] * short
-                idx += idx[-1:] * (-entry.count % entry.kernel.p_f)
-                frames = history.data[idx]
-                for g in range(0, len(idx), entry.kernel.p_f):
+                frames = padded_entry(history.data, entry, span, before=n < n_pre)
+                for g in range(0, len(frames), entry.kernel.p_f):
                     blk = next(blocks)
                     assert blk.kernel == entry.kernel
                     want = pool(frames[g : g + entry.kernel.p_f], entry.kernel, False)
@@ -841,6 +855,57 @@ class TestPlannerBindingProperty:
             for b in ctx.blocks
         ]
         return ctx.budget, ctx.generate_span, ctx.tail_span, ctx.schedule, blocks
+
+
+@st.composite
+def short_cases(draw):
+    """A vanilla, inverted, endpoint or unclassified schedule whose entry
+    counts are whole kernel steps, a history of 0 to capacity - 1 frames
+    of either float width, and a ``pad_spatial`` flag: without it the
+    frames are 8x8, which every kernel divides."""
+    entry = st.builds(
+        lambda n, k: Frames(n * k.p_f, k), st.integers(1, 3), st.sampled_from(PROPERTY_KERNELS)
+    )
+    entries = st.lists(entry, min_size=1, max_size=3)
+    near, far = draw(entries), draw(entries)
+    tail, generate = Tail(draw(st.sampled_from(list(TailMode)))), Generate(draw(st.integers(1, 3)))
+    segments = draw(
+        st.sampled_from(
+            [
+                (tail, *near, generate),
+                (*far, Skip(), generate, *near, tail),
+                (tail, *near, generate, Skip(), *far),
+                (*near, generate, *far),
+            ]
+        )
+    )
+    schedule = PackingSchedule(segments)
+    pad_spatial = draw(st.booleans())
+    h, w = (draw(st.integers(1, 9)), draw(st.integers(1, 9))) if pad_spatial else (8, 8)
+    capacity = sum(e.count for e in schedule.frames_entries)
+    shape = (draw(st.integers(0, capacity - 1)), h, w, draw(st.integers(1, 3)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    history = rng(draw(st.integers(0, 2**16))).normal(size=shape).astype(dtype)
+    return schedule, history, pad_spatial
+
+
+class TestZeroFramePadding:
+    """A padded pack is the unpadded pack of the history with zero frames
+    on each side for the frames that side lacks."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(short_cases())
+    def test_padded_pack_is_the_pack_of_zero_frames(self, case):
+        schedule, history, pad_spatial = case
+        _, middle, (lo, hi) = _bind(schedule, len(history))
+        before = sum(e.count for e in schedule.entries_before_generate) - (middle - lo)
+        after = sum(e.count for e in schedule.entries_after_generate) - (hi - middle)
+        zero_framed = np.pad(history, ((before, after), (0, 0), (0, 0), (0, 0)))
+        got = apply_schedule(history, schedule, pad_history=True, pad_spatial=pad_spatial)
+        want = apply_schedule(zero_framed, schedule, pad_spatial=pad_spatial)
+        assert got.features.tobytes() == want.features.tobytes()
+        packed = TestPlannerBindingProperty.packed
+        assert packed(got) == packed(want)
 
 
 ORACLE_KERNELS = [
