@@ -46,11 +46,12 @@ def _window(frames: int) -> int:
 
 def _scores(
     shape: tuple[int, ...], read: Callable[[int, int], np.ndarray], metrics: Iterable[SegmentMetric]
-) -> list[tuple[SegmentMetric, float, float]]:
-    """Each metric with its start and end scores for a video of ``shape``
-    whose frames ``start .. stop`` ``read(start, stop)`` returns: ``_window``
-    runs first, then each window is read and cast to float64 once. A
-    metric that overflows float64 raises ``ValueError`` naming it."""
+) -> list[tuple[SegmentMetric, float, float, float]]:
+    """Each metric with its start and end scores and their drift for a
+    video of ``shape`` whose frames ``start .. stop`` ``read(start, stop)``
+    returns: ``_window`` runs first, then each window is read and cast to
+    float64 once. A metric whose scores or drift overflow float64 raises
+    ``ValueError`` naming it."""
     frames, window = shape[0], _window(shape[0])
     start = read(0, window).astype(np.float64, copy=False)
     end = read(frames - window, frames).astype(np.float64, copy=False)
@@ -58,7 +59,8 @@ def _scores(
     for m in metrics:
         try:
             with np.errstate(over="raise"):
-                scores.append((m, float(m.evaluate(start)), float(m.evaluate(end))))
+                a, b = float(m.evaluate(start)), float(m.evaluate(end))
+                scores.append((m, a, b, float(abs(np.float64(a) - b))))
         except FloatingPointError:
             message = f"metric {m.name!r} overflows float64; rescale the history"
             raise ValueError(message) from None
@@ -70,8 +72,8 @@ def drift(video: LatentVideo | np.ndarray, metric: SegmentMetric) -> float:
     ``LatentVideo``, or a raw (T, H, W, C) array checked for finiteness
     (``ValueError``) only in the two windows, as ``ctxpack drift`` checks
     a file."""
-    [(_, start, end)] = _scores(*_held(video), [metric])
-    return abs(start - end)
+    [(*_, score)] = _scores(*_held(video), [metric])
+    return score
 
 
 def _mean_luminance(frames: np.ndarray) -> float:
@@ -119,8 +121,8 @@ def _report(
 ) -> str:
     """``drift_report``'s lines for the video ``_scores`` reads."""
     lines = [
-        f"metric={m.name} start={start!r} end={end!r} drift={abs(start - end)!r}"
-        for m, start, end in _scores(shape, read, metrics)
+        f"metric={m.name} start={start!r} end={end!r} drift={score!r}"
+        for m, start, end, score in _scores(shape, read, metrics)
     ]
     return "\n".join(lines) + "\n"
 

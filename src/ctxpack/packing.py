@@ -260,27 +260,36 @@ def resolve_kernel(requested: KernelSpec) -> KernelResolution:
     )
 
 
-def _pool_block(block: np.ndarray, kernel: KernelSpec, clipped: bool = False) -> np.ndarray:
-    """Mean-pool (T, H, W, C) frames ``p_f`` at a time, or all T if fewer,
-    into a read-only (T // p_f, H', W', C) float64 stack of grids.
+def _pool_block(
+    block: np.ndarray, kernel: KernelSpec, clipped: bool = False, pad: tuple[int, int] = (0, 0)
+) -> np.ndarray:
+    """Mean-pool (T, H, W, C) frames, with ``pad`` (before, after) zero
+    frames around them, ``p_f`` at a time into a read-only
+    ((before + T + after) // p_f, H', W', C) float64 stack of grids.
 
-    Any H and W pool (``_packed`` checks the dims first where padding is
-    not allowed): a window's float64 sum is divided by a whole window's
-    pixel count (the zero-padded mean), or, if ``clipped``, by the pixels
-    it holds. For every C the sum adds the window's pixels one at a time in
-    memory order (frame, row, column), from +0.0; ``_window_sums`` is that
-    sum. Zero padding would add only +0.0 to it, so no block is padded.
+    Time and space pad by one rule, and no zero frame or pixel is built
+    (``_packed`` checks the dims first where padding is not allowed): a
+    window's float64 sum adds only the frames and pixels it holds, and is
+    divided by a whole window's size (the zero-padded mean), or, if
+    ``clipped``, by what it holds. For every C the sum adds the window's
+    pixels one at a time in memory order (frame, row, column), from +0.0;
+    ``_window_sums`` is that sum. Zero padding would add only +0.0 to it,
+    and a step of zero frames alone pools to +0.0.
     """
     t, h, w, c = block.shape
-    p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
-    grids = np.empty((t // p_f, -(-h // p_h), -(-w // p_w), c))
-    for r0, r1, dh in _runs(h, p_h):
-        for c0, c1, dw in _runs(w, p_w):
-            out = grids[:, r0 // p_h : -(-r1 // p_h), c0 // p_w : -(-c1 // p_w)]
-            part = block[:, r0:r1, c0:c1].reshape(-1, p_f, out.shape[1], dh, out.shape[2], dw, c)
-            _window_sums(part, out)
-            if clipped:
-                out /= p_f * dh * dw
+    before, after = pad
+    p_f, p_h, p_w = kernel.dims
+    grids = np.zeros(((before + t + after) // p_f, -(-h // p_h), -(-w // p_w), c))
+    for frames, g, df in _runs(t, p_f, before):
+        for rows, r, dh in _runs(h, p_h):
+            for cols, cc, dw in _runs(w, p_w):
+                out = grids[g, r, cc]
+                part = block[frames, rows, cols].reshape(
+                    out.shape[0], df, out.shape[1], dh, out.shape[2], dw, c
+                )
+                _window_sums(part, out)
+                if clipped:
+                    out /= df * dh * dw
     if not clipped:
         grids /= p_f * p_h * p_w
     grids.setflags(write=False)
@@ -343,11 +352,20 @@ def _window_sums(part: np.ndarray, out: np.ndarray) -> None:
                 out[g, r, cc] = total[:w].reshape(band.shape[3:])
 
 
-def _runs(size: int, step: int) -> list[tuple[int, int, int]]:
-    """``(start, stop, window)`` runs over ``size`` positions: the whole
-    windows of ``step``, then the clipped last window, if any."""
-    whole = size - size % step
-    return [r for r in ((0, whole, step), (whole, size, size - whole)) if r[0] < r[1]]
+def _runs(size: int, step: int, before: int = 0) -> list[tuple[slice, slice, int]]:
+    """``(positions, windows, window)`` runs over ``size`` positions that
+    follow ``before`` padding positions, in windows of ``step``: the clipped
+    first window, if any, the whole windows, then the clipped last window,
+    if any. ``positions`` slices a run's positions, ``windows`` the windows
+    they fall in, and each of them holds ``window`` positions."""
+    head = min(size, -before % step)
+    whole = size - (size - head) % step
+    bounds = ((0, head, head), (head, whole, step), (whole, size, size - whole))
+    return [
+        (slice(a, b), slice((a + before) // step, (b - 1 + before) // step + 1), n)
+        for a, b, n in bounds
+        if a < b
+    ]
 
 
 def _windows(size: int, step: int) -> list[tuple[int, int]]:
@@ -410,8 +428,11 @@ def apply_schedule(
     ``pad_history`` the frames an entry lacks, and those that round its
     count up to whole kernel steps, are zero frames at its side's far end:
     before its bound frames for an entry before the generated section,
-    after them for one after it. The emitted budget always equals
-    ``tokens_for_schedule`` for the same dims and tail count; the
+    after them for one after it. With ``pad_spatial`` the pixels a kernel
+    window lacks at the bottom and right edges are zeros. Both pad by one
+    rule, and no zero frame or pixel is built: a window's mean is the sum
+    of what it holds divided by its whole size. The emitted budget always
+    equals ``tokens_for_schedule`` for the same dims and tail count; the
     generated section contributes one zero-feature block per frame at the
     base kernel, all sharing one grid. A schedule whose tail sits at the
     end needs an entry after the generated section, and a ``+D`` schedule
@@ -535,9 +556,9 @@ def _pack(
                             blocks.append(_block(grid, TAIL_KERNEL, (t, t + 1), (h, w)))
                             t += 1
                 else:
-                    # the tail's mean frame, pooled by the coarsest kernel, spans the
-                    # tail; its float64 sum adds the frames one at a time, in order,
-                    # from +0.0
+                    # the tail's mean frame, pooled by the coarsest kernel's rows and
+                    # columns, spans the tail; its float64 sum adds the frames one at
+                    # a time, in order, from +0.0
                     mean = np.zeros((h, w, channels))
                     for run in runs:
                         for i in range(len(run)):
@@ -545,14 +566,14 @@ def _pack(
                         del run
                     mean /= stop - start
                     kernel = schedule.coarsest_kernel
-                    (grid,) = _pool_block(mean[None], kernel)
+                    (grid,) = _pool_block(mean[None], KernelSpec(1, kernel.p_h, kernel.p_w))
                     blocks.append(_block(grid, kernel, tail_span))
             cursor = tail_span[1]
         elif isinstance(seg, Generate):
             generate_span = (cursor, cursor + seg.count)
-            zero_frame = np.zeros((1, h, w, channels), np.float32)
-            (zero_grid,) = _pool_block(zero_frame, BASE_KERNEL)
-            blocks += [_block(zero_grid, BASE_KERNEL, (t, t + 1)) for t in range(*generate_span)]
+            # one shared placeholder grid: a step of zero frames alone
+            (placeholder,) = _pool_block(data[:0], BASE_KERNEL, pad=(1, 0))
+            blocks += [_block(placeholder, BASE_KERNEL, (t, t + 1)) for t in range(*generate_span)]
             cursor += seg.count
         elif isinstance(seg, Frames):
             span = next(spans)
@@ -561,10 +582,8 @@ def _pack(
             # the frames an entry lacks, and those that round it up to whole
             # kernel steps, are zero frames at its side's far end
             zeros = -(-seg.count // p_f) * p_f - span.length
-            if zeros:
-                far = (0, zeros) if generate_span else (zeros, 0)
-                frames = np.pad(frames, (far, (0, 0), (0, 0), (0, 0)))
-            for grid in _pool_block(frames, seg.kernel):
+            far = (0, zeros) if generate_span else (zeros, 0)
+            for grid in _pool_block(frames, seg.kernel, pad=far):
                 blocks.append(_block(grid, seg.kernel, (cursor, cursor + p_f)))
                 cursor += p_f
 

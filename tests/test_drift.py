@@ -141,6 +141,18 @@ class TestBuiltinMetrics:
         with pytest.raises(ValueError, match="^metric 'mean-luminance' overflows float64; rescale"):
             drift_report(video, builtin_metrics())
 
+    def test_overflowing_drift_is_named(self):
+        # each score is finite, but their difference is not; an FPLT file
+        # holds float32 values, whose scores are too small to reach this,
+        # so `ctxpack drift` shares the check without a file that shows it
+        video = np.zeros((10, 1, 1, 1))
+        video[0], video[9] = 1e308, -1e308
+        match = "^metric 'mean-luminance' overflows float64; rescale"
+        with pytest.raises(ValueError, match=match):
+            drift(video, metric_by_name("mean-luminance"))
+        with pytest.raises(ValueError, match=match):
+            drift_report(video, builtin_metrics())
+
     @pytest.mark.parametrize("frames", [0, 1])
     def test_report_too_few_frames_without_metrics(self, frames):
         with pytest.raises(TooFewFrames):

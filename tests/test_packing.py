@@ -240,6 +240,22 @@ class TestPoolWithoutPadding:
             expected = v.data.sum(axis=(0, 1, 2)) / (512 * 1024 * 1024)
             np.testing.assert_allclose(ctx.blocks[0].grid[0, 0], expected, rtol=1e-12)
 
+    @pytest.mark.parametrize("name", ["f16k4_g1", "f64k64_g1", "f512k512_g1"])
+    def test_padded_frame_peak(self, name):
+        # the entry holds one frame of its kernel step; built whole with its
+        # zero frames, that step alone would be 6 to 195 MiB of float32
+        x = rng(8).normal(size=(1, 60, 104, 16)).astype(np.float32)
+        pads = dict(pad_history=True, pad_spatial=True)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            apply_schedule(x, parse_schedule(name), **pads)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 def numpy_window_means(block, kernel, clipped):
     """The grids ``_pool_block`` pools, window by window: each window's
@@ -247,7 +263,7 @@ def numpy_window_means(block, kernel, clipped):
     numpy's ``cumsum``, as numpy's own window sum is pairwise for one
     channel."""
     t, h, w, c = block.shape
-    p_f, p_h, p_w = min(kernel.p_f, t), kernel.p_h, kernel.p_w
+    p_f, p_h, p_w = kernel.dims
     grids = np.empty((t // p_f, -(-h // p_h), -(-w // p_w), c))
     for g in range(grids.shape[0]):
         for i, r0 in enumerate(range(0, h, p_h)):
@@ -260,15 +276,18 @@ def numpy_window_means(block, kernel, clipped):
 
 @st.composite
 def window_cases(draw):
-    """A block of one or more channels, a kernel and a divisor rule for
-    ``_pool_block``.
+    """A block of one or more channels, a kernel, a divisor rule and the
+    zero frames ``(before, after)`` for ``_pool_block``.
 
     The kernels reach every way a band of windows is copied: whole, in runs
     of frames (k4 and k8 bands), of window rows (the 32x32 tail windows) and
     of pixels (a 2048-pixel window row); k8 at C >= 16 is a window larger
     than the buffer. H and W leave clipped last runs in about half the draws.
-    A quarter of the blocks are one window of one channel, whose table
-    would be a lone column without its spare zeros.
+    A quarter of the blocks are one step of one channel, whose table would
+    be a lone column without its spare zeros. Half the blocks have zero to
+    two steps of zero frames on each side, whole steps in total, so their
+    frames leave clipped first and last steps and steps of no frame; only
+    the others may divide by the pixels a window holds.
     """
     kernel = draw(
         st.sampled_from(
@@ -285,31 +304,41 @@ def window_cases(draw):
     if draw(st.sampled_from([False, False, False, True])):
         h = draw(st.integers(1, kernel.p_h))
         w = draw(st.integers(1, min(kernel.p_w, 40)))
-        shape = (kernel.p_f, h, w, 1)
+        steps, shape = 1, (h, w, 1)
     else:
         h = draw(st.integers(0, 2)) * kernel.p_h + draw(st.integers(0, kernel.p_h - 1))
         w = draw(st.integers(0, 2)) * kernel.p_w + draw(st.integers(0, min(kernel.p_w - 1, 40)))
-        shape = (draw(st.integers(1, 2)) * kernel.p_f, max(h, 1), max(w, 1), draw(st.integers(1, 17)))
+        steps, shape = draw(st.integers(1, 2)), (max(h, 1), max(w, 1), draw(st.integers(1, 17)))
+    p_f = kernel.p_f
+    frames, pad = steps * p_f, (0, 0)
+    if draw(st.booleans()):
+        frames = draw(st.integers(0, steps * p_f))
+        before = draw(st.integers(0, 2 * p_f))
+        rest = -(before + frames) % p_f
+        pad = (before, rest + p_f * draw(st.integers(0, (2 * p_f - rest) // p_f)))
+    shape = (frames, *shape)
     gen = rng(draw(st.integers(0, 2**32 - 1)))
     block = gen.normal(size=shape) * 2.0 ** gen.integers(-60, 61, size=shape)
     block[gen.random(shape) < draw(st.sampled_from([0.0, 0.2, 0.9]))] = -0.0
     # a window of nothing but -0.0 sums to +0.0
     block[: kernel.p_f, : kernel.p_h, : kernel.p_w] = -0.0
     dtype = draw(st.sampled_from([np.float32, np.float64]))
-    return block.astype(dtype), kernel, draw(st.booleans())
+    clipped = draw(st.booleans()) if pad == (0, 0) else False
+    return block.astype(dtype), kernel, clipped, pad
 
 
 class TestWindowSums:
     """Windows of any channel count are summed through a bounded band
     buffer, each window's pixels added one at a time in memory order, from
-    +0.0."""
+    +0.0. Zero frames around a block pool as if they were there."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(window_cases())
     def test_matches_numpy_window_sums(self, case):
-        block, kernel, clipped = case
-        got = _pool_block(block, kernel, clipped=clipped)
-        assert got.tobytes() == numpy_window_means(block, kernel, clipped).tobytes()
+        block, kernel, clipped, pad = case
+        got = _pool_block(block, kernel, clipped=clipped, pad=pad)
+        padded = np.pad(block, (pad, (0, 0), (0, 0), (0, 0)))
+        assert got.tobytes() == numpy_window_means(padded, kernel, clipped).tobytes()
 
 
 class TestResolveKernel:
